@@ -6,9 +6,10 @@ The linearization about the wave in the co-moving frame is
 
 with d the spatial derivative; the weighted operator A_alpha replaces d by
 d - alpha.  Spatial discretization is Fourier collocation on the periodic
-extension of the profile grid, so every nonlocal inverse is a diagonal
-multiplier; profiles are exponentially close to the background at the
-boundary, which keeps the periodic mismatch far below the test tolerances.
+grid of 2L/h nodes, the seam node restored as a copy, so every nonlocal
+inverse is a diagonal multiplier on the real-FFT half-spectrum; profiles
+are exponentially close to the background at the boundary, which keeps the
+periodic mismatch far below the test tolerances.
 
 The free resolvent (lambda - A_alpha^inf)^{-1} over the flat background is
 realized by an explicit piecewise-exponential kernel: the C^1 Green function
@@ -29,6 +30,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import irfft, rfft, rfftfreq
 from scipy.signal import lfilter
 
 from . import kernel
@@ -80,26 +82,50 @@ def l2_norm(w, h: float) -> float:
     return float(np.sqrt(h * np.sum(np.abs(w) ** 2)))
 
 
+def _linearized_op(profile: Profile, alpha: float, n: int, adjoint: bool = False):
+    """w -> A_alpha w (or its L^2 adjoint) on the periodic grid of the first
+    n profile nodes.
+
+    c - u0, p(sigma) = d (4 - d^2)/(1 - d^2) and 3c q(sigma) = 3c d/(1 - d^2)
+    are built once on the rfft half-spectrum; each application costs three
+    real transforms, and complex input is applied to its real and imaginary
+    parts separately.
+    """
+    c = profile.params.c
+    cmu = c - profile.u0[:n]
+    sig = 2.0 * np.pi * rfftfreq(n, d=profile.h)
+    d = (-1j if adjoint else 1j) * sig - alpha
+    p = d * (4.0 - d * d) / (1.0 - d * d)
+    q3 = 3.0 * c * d / (1.0 - d * d)
+
+    if adjoint:
+        def real(v):
+            vk = rfft(v)
+            return cmu * irfft(p * vk, n) - irfft(q3 * vk, n)
+    else:
+        def real(v):
+            return irfft(p * rfft(cmu * v) - q3 * rfft(v), n)
+
+    def apply(w):
+        if np.iscomplexobj(w):
+            return real(w.real) + 1j * real(w.imag)
+        return real(w)
+
+    return apply
+
+
+def _closed(w: np.ndarray) -> np.ndarray:
+    # the closed grid's last node is the periodic copy of its first
+    return np.append(w, w[0])
+
+
 def apply_linearized(w, profile: Profile, alpha: float, adjoint: bool = False):
     """A_alpha w (or its L^2 adjoint) by Fourier collocation on the grid."""
     _check_alpha(alpha)
     w = np.asarray(w)
     if w.shape != profile.xi.shape:
         raise ParameterError("w is not on the profile grid")
-    h = profile.h
-    c = profile.params.c
-    cmu = c - profile.u0
-    sig = _freq(w.size, h)
-    d = (-1j if adjoint else 1j) * sig - alpha
-    p = d * (4.0 - d * d) / (1.0 - d * d)
-    q = d / (1.0 - d * d)
-    if adjoint:
-        out = cmu * np.fft.ifft(p * np.fft.fft(w)) - np.fft.ifft(
-            3.0 * c * q * np.fft.fft(w)
-        )
-    else:
-        out = np.fft.ifft(p * np.fft.fft(cmu * w) - 3.0 * c * q * np.fft.fft(w))
-    return out.real if np.isrealobj(w) else out
+    return _linearized_op(profile, alpha, w.size, adjoint)(w)
 
 
 def free_evolve(w0, params: WaveParams, alpha: float, t: float, h: float):
@@ -301,13 +327,14 @@ def _spectral_radius(profile: Profile, alpha: float, iters: int = 50) -> float:
     key = ("rho", float(alpha))
     if key in profile._cache:
         return profile._cache[key]
+    n = profile.xi.size - 1
+    op = _linearized_op(profile, alpha, n)
     rng = np.random.default_rng(0)
-    n = profile.xi.size
     w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     w /= np.linalg.norm(w)
     rho = 0.0
     for _ in range(iters):
-        aw = apply_linearized(w, profile, alpha)
+        aw = op(w)
         rho = float(np.linalg.norm(aw))
         w = aw / rho
     profile._cache[key] = rho
@@ -325,7 +352,9 @@ def linear_evolve(w0, profile: Profile, alpha: float, T: float,
 
     With project_out the data is first reduced by the complementary kernel
     projection; the recorded pairings <eta_j, w(t)> then measure how well the
-    projection commutes with the discrete flow.
+    projection commutes with the discrete flow.  The flow runs on the
+    periodic grid of the first N - 1 profile nodes; recorded and returned
+    states carry the seam node as a copy of node 0.
     """
     _check_alpha(alpha)
     basis = kernel.kernel_basis(profile, alpha)
@@ -347,42 +376,42 @@ def linear_evolve(w0, profile: Profile, alpha: float, T: float,
     dt = T / nsteps
     stride = _record_stride(nsteps, n_records)
     h = profile.h
+    n = w.size - 1
+    rhs = _linearized_op(profile, alpha, n)
+    w = w[:n]
 
-    def rhs(v):
-        return apply_linearized(v, profile, alpha)
+    ts, norms, ip1, ip2 = [], [], [], []
 
-    ts, norms, ip1, ip2 = [0.0], [l2_norm(w, h)], [], []
-
-    def pairings(v):
+    def record(t, v):
+        v = _closed(v)
+        ts.append(t)
+        norms.append(l2_norm(v, h))
         ip1.append(float(np.trapezoid(basis.eta1 * v, dx=h)))
         ip2.append(float(np.trapezoid(basis.eta2 * v, dx=h)))
 
-    pairings(w)
+    record(0.0, w)
     for step in range(1, nsteps + 1):
         w = _rk4(w, dt, rhs)
         if step % stride == 0 or step == nsteps:
             if not np.all(np.isfinite(w)):
                 raise SolverError(f"linear evolution lost finiteness at t={step * dt}")
-            ts.append(step * dt)
-            norms.append(l2_norm(w, h))
-            pairings(w)
+            record(step * dt, w)
     config = {
         "kind": "linear", "k": profile.params.k, "c": profile.params.c,
-        "alpha": alpha, "L": profile.L, "h": h, "dt": dt, "T": T,
+        "alpha": alpha, "L": profile.L, "h": h, "n_fft": n, "dt": dt, "T": T,
         "projected": bool(project_out), "filter": None, "seed": None,
     }
     return EvolutionState(
         kind="linear", params=profile.params, alpha=alpha, h=h, dt=dt, T=T,
         t=np.array(ts), norm_w=np.array(norms), ip_eta1=np.array(ip1),
-        ip_eta2=np.array(ip2), w=w, config=config,
+        ip_eta2=np.array(ip2), w=_closed(w), config=config,
     )
 
 
-def _exp_filter(n: int, h: float) -> np.ndarray:
-    # damp the top eighth of modes: exp(-36 theta^36), theta ramping over it
-    sig = np.abs(_freq(n, h))
-    smax = sig.max()
-    theta = np.clip((sig / smax - 0.875) / 0.125, 0.0, 1.0)
+def _exp_filter(sig: np.ndarray) -> np.ndarray:
+    # damp the top eighth of the rfft frequencies sig: exp(-36 theta^36),
+    # theta ramping over it
+    theta = np.clip((sig / sig.max() - 0.875) / 0.125, 0.0, 1.0)
     return np.exp(-36.0 * theta ** 36)
 
 
@@ -391,32 +420,36 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
                      n_records: int = 201, snapshots: bool = False) -> EvolutionState:
     """Integrate the co-moving momentum flow m_t = -(u - c) m' - 3 u' m.
 
-    u is recovered from m through the periodic Helmholtz multiplier; the
-    conserved functionals are recorded at every output time through the
-    independent recursion-based quadrature route.
+    m0 lives on a closed grid of odd length N; the flow runs on the periodic
+    grid of its first N - 1 nodes.  u is recovered from m through the
+    periodic Helmholtz multiplier; the conserved functionals are recorded at
+    every output time through the independent recursion-based quadrature
+    route.
     """
     m = np.array(m0, dtype=float, copy=True)
-    if m.ndim != 1 or m.size < 16:
-        raise ParameterError("m0 must be a 1-d grid function")
+    if m.ndim != 1 or m.size < 16 or m.size % 2 == 0:
+        raise ParameterError("m0 must be a 1-d grid function with an odd length")
     if np.min(m) <= 0.0:
         raise ParameterError("m0 must be positive everywhere")
     k, c = params.k, params.c
-    n = m.size
-    sig = _freq(n, h)
+    n = m.size - 1
+    m = m[:n]
+    sig = 2.0 * np.pi * rfftfreq(n, d=h)
     inv_helm = 1.0 / (1.0 + sig * sig)
     dsym = 1j * sig
-    filt = _exp_filter(n, h) if filter_modes else None
+    dsym_inv_helm = dsym * inv_helm
+    filt = _exp_filter(sig) if filter_modes else None
 
     def rhs(mm):
-        mk = np.fft.fft(mm - k)
-        u_k = np.fft.ifft(inv_helm * mk).real
-        ux = np.fft.ifft(dsym * inv_helm * mk).real
-        mx = np.fft.ifft(dsym * mk).real
+        mk = rfft(mm - k)
+        u_k = irfft(inv_helm * mk, n)
+        ux = irfft(dsym_inv_helm * mk, n)
+        mx = irfft(dsym * mk, n)
         return -(u_k + k - c) * mx - 3.0 * ux * mm
 
-    u0_k = np.fft.ifft(inv_helm * np.fft.fft(m - k)).real
+    u0_k = irfft(inv_helm * rfft(m - k), n)
     vmax = float(np.max(np.abs(u0_k + k - c)))
-    smax = float(np.abs(sig).max())
+    smax = float(sig.max())
     dt_max = 2.8 / (vmax * smax)
     if dt is None:
         dt = 2.0 / (vmax * smax)
@@ -433,6 +466,7 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
     snaps = []
 
     def record(t, mm):
+        mm = _closed(mm)
         ts.append(t)
         norms.append(l2_norm(mm - k, h))
         cv = kernel.conserved(params, h, m=mm)
@@ -440,13 +474,13 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
         Q.append(cv.Q)
         H.append(cv.H)
         if snapshots:
-            snaps.append((t, mm.copy()))
+            snaps.append((t, mm))
 
     record(0.0, m)
     for step in range(1, nsteps + 1):
         m = _rk4(m, dt, rhs)
         if filter_modes:
-            m = k + np.fft.ifft(filt * np.fft.fft(m - k)).real
+            m = k + irfft(filt * rfft(m - k), n)
         mn = float(np.min(m))
         if not np.isfinite(mn) or mn <= 0.0:
             raise SolverError(
@@ -456,7 +490,7 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
             record(step * dt, m)
     config = {
         "kind": "nonlinear", "k": k, "c": c, "alpha": None,
-        "L": 0.5 * h * (n - 1), "h": h, "dt": dt, "T": T,
+        "L": 0.5 * h * n, "h": h, "n_fft": n, "dt": dt, "T": T,
         "filter": bool(filter_modes), "seed": None,
     }
     extra = {"E": np.array(E), "Q": np.array(Q), "H": np.array(H)}
@@ -465,7 +499,7 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
     return EvolutionState(
         kind="nonlinear", params=params, alpha=None, h=h, dt=dt, T=T,
         t=np.array(ts), norm_w=np.array(norms), ip_eta1=None, ip_eta2=None,
-        w=m, config=config, extra=extra,
+        w=_closed(m), config=config, extra=extra,
     )
 
 

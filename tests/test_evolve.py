@@ -353,6 +353,8 @@ def test_nonlinear_validation(params01):
     m0 = 0.1 + np.exp(-xi ** 2)
     with pytest.raises(ParameterError, match="use dt <="):
         evolve.nonlinear_evolve(m0, params01, 1.0, 0.05, dt=0.5)
+    with pytest.raises(ParameterError, match="odd length"):
+        evolve.nonlinear_evolve(m0[:-1], params01, 1.0, 0.05)
 
 
 def test_nonlinear_positivity_abort(params01):
@@ -381,6 +383,73 @@ def test_nonlinear_rk4_order(params01, prof60):
     e1 = evolve.l2_norm(outs[1] - outs[8], h)
     e2 = evolve.l2_norm(outs[2] - outs[8], h)
     assert 12.0 <= e1 / e2 <= 20.0
+
+
+def test_real_fft_operator_matches_complex_oracle(params01, prof60):
+    # the complex-FFT formulas the real-transform flows replaced
+    def oracle_linearized(w, profile, alpha, adjoint):
+        n = w.size
+        c = profile.params.c
+        cmu = c - profile.u0[:n]
+        d = (-1j if adjoint else 1j) * _grid_freq(n, profile.h) - alpha
+        p = d * (4.0 - d * d) / (1.0 - d * d)
+        q = d / (1.0 - d * d)
+        if adjoint:
+            out = cmu * np.fft.ifft(p * np.fft.fft(w)) - np.fft.ifft(
+                3.0 * c * q * np.fft.fft(w))
+        else:
+            out = np.fft.ifft(p * np.fft.fft(cmu * w)
+                              - 3.0 * c * q * np.fft.fft(w))
+        return out.real if np.isrealobj(w) else out
+
+    def oracle_momentum_rhs(mm, k, c, h):
+        sig = _grid_freq(mm.size, h)
+        inv_helm = 1.0 / (1.0 + sig * sig)
+        mk = np.fft.fft(mm - k)
+        u_k = np.fft.ifft(inv_helm * mk).real
+        ux = np.fft.ifft(1j * sig * inv_helm * mk).real
+        mx = np.fft.ifft(1j * sig * mk).real
+        return -(u_k + k - c) * mx - 3.0 * ux * mm
+
+    rng = np.random.default_rng(5)
+    size = prof60.xi.size
+    for n in (size, size - 1):
+        xi = prof60.xi[:n]
+        env = np.exp(-xi ** 2 / 16.0)
+        u, v = env * rng.standard_normal((2, n))
+        z = u + 1j * v
+        if n % 2 == 0:
+            # the Nyquist mode is one real mode: the real transform keeps the
+            # real part of its symbol there, the complex formula all of it,
+            # which differ for complex data; band-limit that data
+            sig = _grid_freq(n, prof60.h)
+            z = np.fft.ifft(np.fft.fft(z) * (np.abs(sig) <= 0.5 * sig.max()))
+        for adjoint in (False, True):
+            op = evolve._linearized_op(prof60, 0.5, n, adjoint)
+            for w in (u, z):
+                ref = oracle_linearized(w, prof60, 0.5, adjoint)
+                err = np.max(np.abs(op(w) - ref)) / np.max(np.abs(ref))
+                assert err <= 1e-13, (n, adjoint, w.dtype, err)
+
+    # one RK4 step of the nonlinear flow against the oracle right-hand side
+    k, c, h = params01.k, params01.c, prof60.h
+    xi = prof60.xi
+    m0 = k + np.exp(-(xi - 2.0) ** 2 / 2.0) * rng.uniform(0.8, 1.2, xi.size)
+    dt = 0.01
+    run = evolve.nonlinear_evolve(m0, params01, dt, h, dt=dt,
+                                  filter_modes=False, n_records=2)
+    ref = evolve._rk4(m0[:-1], dt,
+                      lambda mm: oracle_momentum_rhs(mm, k, c, h))
+    scale = np.max(np.abs(ref - m0[:-1]))
+    assert np.max(np.abs(run.w[:-1] - ref)) <= 1e-13 * scale
+    assert run.w[-1] == run.w[0]
+    assert run.config["n_fft"] == size - 1
+    assert run.config["L"] == prof60.L
+
+    lin = evolve.linear_evolve(m0 - k, prof60, 0.5, T=0.05, n_records=3)
+    assert lin.w[-1] == lin.w[0]
+    assert lin.config["n_fft"] == size - 1
+    assert lin.config["L"] == prof60.L
 
 
 # ------------------------------------------------------------- modulation
