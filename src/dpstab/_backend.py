@@ -90,10 +90,14 @@ def shoot_final_stepwise(p0, p1, p2, pinv, lams, alpha, shifts, y0s, hs, sign, a
 # linear, so a step is y -> M_j y) vectorized over (step, lambda).  Chunks
 # hold _STEPS steps for _GROUP lambda at a time: a fixed step chunking makes
 # every lambda's arithmetic independent of the batch it comes in, and the
-# group size bounds the working set to a few MB.  Matrices are kept as
-# row-major lists of nine entries; an entry that is the Python int 0, 1 or
-# -1 is structural and costs no array operation.
-_STEPS = 256
+# group size bounds the working set to a few MB.  512-step chunks pay the
+# per-chunk Python overhead half as often as 256-step ones; 1024 x 16 raises
+# peak memory by several MB.  Chunk products stay bounded: on the L = 40,
+# h = 0.02 grid at alpha = 0.5 their largest entry is 0.70 at nsub = 1 and
+# 1.07 at nsub = 10, at the contour corners 2+2i and -0.06+2i.  Matrices are
+# kept as row-major lists of nine entries; an entry that is the Python int
+# 0, 1 or -1 is structural and costs no array operation.
+_STEPS = 512
 _GROUP = 16
 
 

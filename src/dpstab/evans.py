@@ -77,6 +77,11 @@ def _system_arrays(profile: Profile, nsub: int) -> dict:
     p0 = (u0''' - 4 u0')/(c - u0), p1 = (3 u0'' - 4 u0 + c)/(c - u0),
     p2 = 3 u0'/(c - u0), pinv = 1/(c - u0); the lambda and alpha parts are
     assembled inside the marching kernel.  Cached on the profile.
+
+    The profile is evaluated once, on the descending points L - j hs/2.  The
+    ascending points are their negatives, and `Profile.eval` is exactly even
+    (u0, u0'') or odd (u0', u0''') by construction, so the ascending arrays
+    are (-p0, p1, -p2, pinv) bit for bit.
     """
     key = ("shoot", nsub)
     if key in profile._cache:
@@ -86,17 +91,13 @@ def _system_arrays(profile: Profile, nsub: int) -> dict:
     hs = profile.h / nsub
     n = round(profile.L / hs)
     c = profile.params.c
-    out = {"hs": hs, "n": n}
-    for tag, x in (("desc", profile.L - 0.5 * hs * np.arange(4 * n + 1)),
-                   ("asc", -profile.L + 0.5 * hs * np.arange(4 * n + 1))):
-        f = profile.eval(x)
-        cmu = c - f.u0
-        out[tag] = (
-            (f.u0_ppp - 4.0 * f.u0_p) / cmu,
-            (3.0 * f.u0_pp - 4.0 * f.u0 + c) / cmu,
-            3.0 * f.u0_p / cmu,
-            1.0 / cmu,
-        )
+    f = profile.eval(profile.L - 0.5 * hs * np.arange(4 * n + 1))
+    cmu = c - f.u0
+    p0 = (f.u0_ppp - 4.0 * f.u0_p) / cmu
+    p1 = (3.0 * f.u0_pp - 4.0 * f.u0 + c) / cmu
+    p2 = 3.0 * f.u0_p / cmu
+    pinv = 1.0 / cmu
+    out = {"hs": hs, "n": n, "desc": (p0, p1, p2, pinv), "asc": (-p0, p1, -p2, pinv)}
     profile._cache[key] = out
     return out
 
@@ -144,15 +145,24 @@ def _march(arrays, tag, nsteps, lams, alpha, shifts, inits, sign, adjoint):
                                 shifts, inits, arrays["hs"], sign, adjoint)
 
 
-def evans_batch(lams, profile: Profile, alpha: float = 0.0, nsub: int = 10,
-                meet: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Evans values and renormalization exponents for a batch of lambda.
+def _fold_conjugates(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct lambda to march, one per exact conjugate pair, and the map back.
 
-    All lambda must lie right of the alpha-weighted essential spectrum.
+    A lambda whose exact conjugate is also requested is represented by the
+    member with Im >= 0; a lambda without a partner represents itself.
+    Returns (reps, index, mirrored) with lams[i] == reps[index[i]],
+    conjugated where mirrored[i]; reps keep the order of first request.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ParameterError(f"weight must satisfy 0 <= alpha < 1, got {alpha}")
-    lams = np.asarray(lams, dtype=complex).ravel()
+    mirrored = (lams.imag < 0.0) & np.isin(lams.conj(), lams)
+    slots: dict[complex, int] = {}
+    index = np.array([slots.setdefault(z, len(slots))
+                      for z in np.where(mirrored, lams.conj(), lams).tolist()], dtype=int)
+    return np.array(list(slots), dtype=complex), index, mirrored
+
+
+def _evans_march(lams: np.ndarray, profile: Profile, alpha: float, nsub: int,
+                 meet: float) -> tuple[np.ndarray, np.ndarray]:
+    """Evans values and renormalization exponents, marching every lambda."""
     params = profile.params
     arrays = _system_arrays(profile, nsub)
     jd, ja = _meet_index(arrays, meet, profile.L)
@@ -185,6 +195,27 @@ def evans_batch(lams, profile: Profile, alpha: float = 0.0, nsub: int = 10,
     return D, -2.0 * profile.L * shifts.real
 
 
+def evans_batch(lams, profile: Profile, alpha: float = 0.0, nsub: int = 10,
+                meet: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Evans values and renormalization exponents for a batch of lambda.
+
+    All lambda must lie right of the alpha-weighted essential spectrum.
+    Each exact conjugate pair, and each repeated lambda, is marched once:
+    the member with Im >= 0 is marched and its partner gets conj(D) and the
+    same exponent, since D(conj lambda) = conj D(lambda).  A marched value
+    equals `evans_eval` at its lambda bit for bit, because the march treats
+    each lambda independently of the batch it comes in.
+    """
+    if not 0.0 <= alpha < 1.0:
+        raise ParameterError(f"weight must satisfy 0 <= alpha < 1, got {alpha}")
+    lams = np.asarray(lams, dtype=complex).ravel()
+    reps, index, mirrored = _fold_conjugates(lams)
+    D, ex = _evans_march(reps, profile, alpha, nsub, meet)
+    D = D[index]
+    D[mirrored] = D[mirrored].conj()
+    return D, ex[index]
+
+
 def evans_eval(lam: complex, profile: Profile, alpha: float = 0.0,
                nsub: int = 10, meet: float = 0.0) -> EvansSample:
     """Evans function at one lambda right of the weighted essential spectrum."""
@@ -207,11 +238,18 @@ def weighted_equivalence_check(lam: complex, profile: Profile, alpha: float,
 
 def circle_contour(center: complex = 0.0, radius: float = 0.05, n: int = 64,
                    orientation: int = 1) -> np.ndarray:
-    """Closed circular loop, counterclockwise for orientation +1."""
+    """Closed circular loop, counterclockwise for orientation +1.
+
+    Node n - j sits at angle index -j, and cos/sin are exactly even/odd, so
+    a circle with a real center is exactly closed under conjugation (except
+    a node at angle pi, whose sine is not exactly 0).
+    """
     if radius <= 0 or n < 8:
         raise ParameterError("need radius > 0 and at least 8 nodes")
-    th = orientation * 2.0 * np.pi * np.arange(n) / n
-    return center + radius * np.exp(1j * th)
+    j = np.arange(n)
+    th = orientation * 2.0 * np.pi * np.where(2 * j > n, j - n, j) / n
+    center = complex(center)
+    return (center.real + radius * np.cos(th)) + 1j * (center.imag + radius * np.sin(th))
 
 
 def rectangle_contour(re_min: float, re_max: float, im_abs: float,
@@ -221,8 +259,14 @@ def rectangle_contour(re_min: float, re_max: float, im_abs: float,
         raise ParameterError("degenerate rectangle")
 
     def side(z0, z1):
+        # integer weights make mirrored sides exact conjugates of each other;
+        # the corner is set exactly, since (x m)/m need not round back to x
         m = max(2, int(np.ceil(abs(z1 - z0) * density)))
-        return z0 + (z1 - z0) * np.arange(m) / m
+        k = np.arange(m)
+        z = ((z0.real * (m - k) + z1.real * k) / m
+             + 1j * ((z0.imag * (m - k) + z1.imag * k) / m))
+        z[0] = z0
+        return z
 
     corners = [re_max - 1j * im_abs, re_max + 1j * im_abs,
                re_min + 1j * im_abs, re_min - 1j * im_abs]

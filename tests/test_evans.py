@@ -120,18 +120,24 @@ def test_batch_matches_single(prof01):
         assert e == s.renorm_exponent
 
 
+def _launch(lams, alpha, params):
+    """Launch roots and decaying eigenvectors of the forward march."""
+    shifts = np.empty(len(lams), dtype=complex)
+    inits = np.empty((len(lams), 3), dtype=complex)
+    for i, lam in enumerate(lams):
+        s, *_ = evans._shifted_monic(lam, alpha, params)
+        shifts[i] = s[0]
+        inits[i] = (1.0, s[0], s[0] ** 2)
+    return shifts, inits
+
+
 @pytest.mark.skipif(not _backend.HAVE_NUMBA, reason="numba unavailable")
 def test_backend_agreement(prof01):
     arrays = evans._system_arrays(prof01, 10)
     n = arrays["n"]
     p0, p1, p2, pinv = (a[: 2 * n + 1] for a in arrays["desc"])
     lams = np.array([0.5 + 0.0j, 0.7 + 0.1j])
-    shifts = np.empty(2, dtype=complex)
-    inits = np.empty((2, 3), dtype=complex)
-    for i, lam in enumerate(lams):
-        s, *_ = evans._shifted_monic(lam, 0.5, prof01.params)
-        shifts[i] = s[0]
-        inits[i] = (1.0, s[0], s[0] ** 2)
+    shifts, inits = _launch(lams, 0.5, prof01.params)
     a = _backend.shoot_final_numpy(p0, p1, p2, pinv, lams, 0.5, shifts, inits,
                                    arrays["hs"], -1.0, False)
     b = _backend.shoot_final_numba(p0, p1, p2, pinv, lams, 0.5, shifts, inits,
@@ -143,17 +149,13 @@ def test_propagator_march_matches_stepwise(prof01):
     # the numpy path multiplies RK4 step propagators; the stepwise loop
     # applies the same RK4 steps to the vectors one at a time
     arrays = evans._system_arrays(prof01, 10)
-    # 700 steps (not a multiple of the propagator chunk) ending at xi = 0,
-    # where the coefficients vary and the step propagators do not commute
+    # 700 steps (one 512-step propagator chunk and a partial one) ending at
+    # xi = 0, where the coefficients vary and the step propagators do not
+    # commute
     m = 2 * 700 + 1
     lo = 2 * arrays["n"] - (m - 1)
     lams = np.array([0.5 + 0.0j, 0.7 + 0.1j, 1.3 - 0.9j])
-    shifts = np.empty(3, dtype=complex)
-    inits = np.empty((3, 3), dtype=complex)
-    for i, lam in enumerate(lams):
-        s, *_ = evans._shifted_monic(lam, 0.5, prof01.params)
-        shifts[i] = s[0]
-        inits[i] = (1.0, s[0], s[0] ** 2)
+    shifts, inits = _launch(lams, 0.5, prof01.params)
     for tag, sign, adjoint in (("desc", -1.0, False), ("asc", 1.0, True)):
         p0, p1, p2, pinv = (a[lo:lo + m] for a in arrays[tag])
         args = (p0, p1, p2, pinv, lams, 0.5, shifts, inits, arrays["hs"], sign, adjoint)
@@ -165,6 +167,111 @@ def test_propagator_march_matches_stepwise(prof01):
         assert traj.shape == (701, 3)
         assert np.array_equal(traj[0], inits[1])
         assert np.max(np.abs(traj[-1] - b[1])) <= 1e-12 * np.max(np.abs(b[1]))
+
+
+def test_long_chunks_match_stepwise(prof01):
+    # the full half-domain at nsub=1 is 2000 steps: three full 512-step
+    # chunks and a partial one, at the contour corners where |lambda| is
+    # largest and where the rectangle reaches left of the imaginary axis
+    arrays = evans._system_arrays(prof01, 1)
+    m = 2 * arrays["n"] + 1
+    lams = np.array([2.0 + 2.0j, -0.06 + 2.0j])
+    shifts, inits = _launch(lams, 0.5, prof01.params)
+    for tag, sign, adjoint in (("desc", -1.0, False), ("asc", 1.0, True)):
+        p0, p1, p2, pinv = (a[:m] for a in arrays[tag])
+        args = (p0, p1, p2, pinv, lams, 0.5, shifts, inits, arrays["hs"], sign, adjoint)
+        a = _backend.shoot_final_numpy(*args)
+        b = _backend.shoot_final_stepwise(*args)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+        # the tree multiplies within a chunk; its products must stay bounded
+        chunks = list(_backend._chunk_maps(p0, p1, p2, pinv, lams, 0.5, shifts,
+                                           arrays["hs"], sign, adjoint))
+        assert [j0 for j0, _ in chunks] == [0, 512, 1024, 1536]
+        for _, M in chunks:
+            P = _backend._chunk_product(M)
+            assert max(float(np.max(np.abs(x))) for x in P) < 10.0
+
+
+def test_ascending_arrays_mirror(prof01):
+    # oracle: the direct evaluation at the ascending points -L + j hs/2
+    c = prof01.params.c
+    for nsub in (1, 10):
+        arrays = evans._system_arrays(prof01, nsub)
+        hs, n = arrays["hs"], arrays["n"]
+        f = prof01.eval(-prof01.L + 0.5 * hs * np.arange(4 * n + 1))
+        cmu = c - f.u0
+        direct = ((f.u0_ppp - 4.0 * f.u0_p) / cmu,
+                  (3.0 * f.u0_pp - 4.0 * f.u0 + c) / cmu,
+                  3.0 * f.u0_p / cmu,
+                  1.0 / cmu)
+        for got, want in zip(arrays["asc"], direct):
+            assert np.array_equal(got, want)
+
+
+def test_conjugate_pairs_marched_once(prof01, monkeypatch):
+    # lam2 shares lam's real part but is not its conjugate
+    lam, lam2 = 0.7 + 0.3j, 0.7 - 0.5j
+    lams = [lam, np.conj(lam), 0.9, lam2]
+    marched = []
+    shoot = _backend.shoot_final
+
+    def counting(p0, p1, p2, pinv, lams, *rest):
+        marched.append(np.array(lams))
+        return shoot(p0, p1, p2, pinv, lams, *rest)
+
+    monkeypatch.setattr(_backend, "shoot_final", counting)
+    D, ex = evans.evans_batch(lams, prof01, 0.5)
+    # two marches (forward and adjoint), each over the 3 representatives
+    assert len(marched) == 2
+    for cols in marched:
+        assert np.array_equal(cols, [lam, 0.9, lam2])
+    assert D[1] == np.conj(D[0]) and ex[1] == ex[0]
+    monkeypatch.undo()
+    for i in (0, 2, 3):
+        s = evans.evans_eval(lams[i], prof01, 0.5)
+        assert D[i] == s.value and ex[i] == s.renorm_exponent
+    direct = evans.evans_eval(np.conj(lam), prof01, 0.5).value
+    assert abs(D[1] - direct) <= 1e-13 * abs(direct)
+
+
+def _marched_columns(nodes, prof, monkeypatch):
+    """Columns the forward march receives for one evans_batch call."""
+    cols = []
+
+    def stub(p0, p1, p2, pinv, lams, alpha, shifts, y0s, *rest):
+        cols.append(len(lams))
+        return np.ones((len(lams), 3), dtype=complex)
+
+    monkeypatch.setattr(_backend, "shoot_final", stub)
+    evans.evans_batch(nodes, prof, 0.5)
+    monkeypatch.undo()
+    return cols[0]
+
+
+def test_contours_conjugate_closed(prof01, params01, monkeypatch):
+    def unpaired(z):
+        nodes = set(z.tolist())
+        return [i for i, x in enumerate(z.tolist()) if x.conjugate() not in nodes]
+
+    # same nodes, order and orientation as center + radius exp(i theta)
+    for center, n, orient in ((0.0, 64, 1), (0.3, 33, 1), (0.02 + 0.01j, 48, -1)):
+        z = evans.circle_contour(center, 0.05, n, orient)
+        th = orient * 2.0 * np.pi * np.arange(n) / n
+        assert np.max(np.abs(z - (center + 0.05 * np.exp(1j * th)))) <= 1e-16
+    # a real center: only the node at angle pi (even n) has no exact partner
+    assert unpaired(evans.circle_contour(0.0, 0.05, 64)) == [32]
+    assert unpaired(evans.circle_contour(0.3, 0.05, 33)) == []
+    gap = spectral_gap(params01, 0.5)
+    rect, hole = evans.keyhole_contour(-gap / 2.0, 2.0, 2.0, hole_radius=0.05)
+    assert unpaired(rect) == []
+    assert unpaired(evans.rectangle_contour(-0.1, 1.7, 0.3, density=5.0)) == []
+    assert unpaired(hole) == [24]
+    # marched: the real nodes (theta = 0 on the circle, the midpoints of the
+    # rectangle's vertical sides), the node at pi and one per conjugate pair
+    assert _marched_columns(evans.circle_contour(0.0, 0.05, 64), prof01, monkeypatch) == 33
+    assert _marched_columns(rect, prof01, monkeypatch) == len(rect) // 2 + 1
+    off_axis = evans.circle_contour(0.003 + 0.004j, 0.05, 64)
+    assert _marched_columns(off_axis, prof01, monkeypatch) == 64
 
 
 def test_csv_roundtrip(tmp_path, prof01):

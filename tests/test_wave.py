@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,17 @@ def test_bad_grid_rejected(params01):
 def test_short_domain_warns(params01):
     with pytest.warns(UserWarning):
         solve_profile(params01, L=16.0, h=0.02)
+
+
+def test_short_domain_guard_boundary():
+    # (k, c) = (0.2, 1) has r_decay = 1/2 up to one ulp: L = 40 sits on the
+    # guard's boundary L r = 20 and must not warn, L = 39 is short
+    params = WaveParams(0.2, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_profile(params, L=40.0)
+    with pytest.warns(UserWarning):
+        solve_profile(params, L=39.0)
 
 
 def test_profile_symmetry_exact(prof01):
