@@ -18,17 +18,21 @@ arrays are sampled at half-step resolution in marching order: entry 2j is
 node j, entry 2j+1 the midpoint after it.
 
 The numba implementation is compiled without fastmath so conjugation
-symmetry of results is exact; set DPSTAB_NO_NUMBA=1 to force the
-vectorized numpy fallback, which multiplies RK4 step propagators instead
-of looping over steps.  Both implementations stay importable for
-benchmarks and equivalence tests, and `shoot_final_stepwise` keeps the
-plain step loop as the reference for the propagator path.
+symmetry of results is exact; set DPSTAB_NO_NUMBA=1 to force the numpy
+path.  The numpy path marches one lambda at a time: it forms the RK4 step
+maps of a chunk of steps as whole-array expressions and runs the step
+recursion y_{j+1} = M_j y_j as one banded triangular solve (BLAS ztbsv).
+`shoot_final_numpy` and `shoot_traj_numpy` share that march.  Both
+implementations stay importable for benchmarks and equivalence tests, and
+`shoot_final_stepwise` keeps the plain step loop as the reference for the
+numpy path.
 """
 from __future__ import annotations
 
 import os
 
 import numpy as np
+from scipy.linalg.blas import ztbsv
 
 try:
     import numba
@@ -86,158 +90,134 @@ def shoot_final_stepwise(p0, p1, p2, pinv, lams, alpha, shifts, y0s, hs, sign, a
     return y
 
 
-# The numpy path builds each RK4 step as a 3x3 propagator (the system is
-# linear, so a step is y -> M_j y) vectorized over (step, lambda).  Chunks
-# hold _STEPS steps for _GROUP lambda at a time: a fixed step chunking makes
-# every lambda's arithmetic independent of the batch it comes in, and the
-# group size bounds the working set to a few MB.  512-step chunks pay the
-# per-chunk Python overhead half as often as 256-step ones; 1024 x 16 raises
-# peak memory by several MB.  Chunk products stay bounded: on the L = 40,
-# h = 0.02 grid at alpha = 0.5 their largest entry is 0.70 at nsub = 1 and
-# 1.07 at nsub = 10, at the contour corners 2+2i and -0.06+2i.  Matrices are
-# kept as row-major lists of nine entries; an entry that is the Python int
-# 0, 1 or -1 is structural and costs no array operation.
-_STEPS = 512
-_GROUP = 16
+# The numpy path marches one lambda at a time.  The system is linear, so an
+# RK4 step is y_{j+1} = M_j y_j.  A chunk of _STEPS steps forms its maps M_j
+# on 1-D node and midpoint arrays, with lambda and s entering as Python
+# complex scalars, and stores -M_j under the unit diagonal of a lower band
+# matrix of bandwidth 5: entry (r, c) of step j sits at band row 3 + r - c,
+# column 3 j + c.  Forward substitution on that block-bidiagonal system
+# y_{j+1} - M_j y_j = 0 from x = [y_0, 0, ...] (BLAS ztbsv) is the step loop
+# itself, run in C; no products of step maps are formed.  The chunk length
+# only bounds the working set (a few MB), and since every lambda is marched
+# alone its arithmetic does not depend on the batch it comes in.
+_STEPS = 2048
 
 
-def _mat_mul(a, b):
-    """Entry-list product a @ b, skipping structural zeros and units."""
-    out = []
-    for i in range(3):
-        for j in range(3):
-            acc = None
-            for k in range(3):
-                x, y = a[3 * i + k], b[3 * k + j]
-                if isinstance(x, int) and x == 0 or isinstance(y, int) and y == 0:
-                    continue
-                if isinstance(x, int):
-                    t = y if x == 1 else -y
-                elif isinstance(y, int):
-                    t = x if y == 1 else -x
-                else:
-                    t = x * y
-                acc = t if acc is None else acc + t
-            out.append(0 if acc is None else acc)
-    return out
+def _split(p0, p1, p2, pinv, alpha):
+    """lambda-free coefficient parts (R0, R1, R2, pinv) at nodes and at midpoints.
 
-
-def _mat_lincomb(terms):
-    """Entry-wise sum of coefficient * matrix over (coefficient, matrix) pairs."""
-    out = []
-    for e in range(9):
-        acc = None
-        for coef, m in terms:
-            x = m[e]
-            if isinstance(x, int) and x == 0:
-                continue
-            t = x if coef == 1.0 else coef * x
-            acc = t if acc is None else acc + t
-        out.append(0 if acc is None else acc)
-    return out
-
-
-def _generators(p0, p1, p2, pinv, lams, alpha, shifts, adjoint, lo, hi):
-    """Shifted companion matrices at samples lo..hi-1 as entry lists (S, G)."""
-    lamp = lams[None, :] * pinv[lo:hi, None]
-    q0 = p0[lo:hi, None] - lamp
-    q1 = p1[lo:hi, None]
-    q2 = p2[lo:hi, None] + lamp
+    Q0 = R0 + lam (alpha^2 - 1) pinv, Q1 = R1 - 2 alpha lam pinv and
+    Q2 = R2 + lam pinv.
+    """
     a = alpha
-    Q0 = q0 - a * q1 + a * a * q2 + a * a * a
-    Q1 = q1 - 2.0 * a * q2 - 3.0 * a * a
-    Q2 = q2 + 3.0 * a
-    s = np.broadcast_to(shifts[None, :], Q0.shape)
-    if adjoint:
-        return [s, 0, -Q0, -1, s, -Q1, 0, -1, s - Q2]
-    return [-s, 1, 0, 0, -s, 1, Q0, Q1, Q2 - s]
+    R = (p0 - a * p1 + a * a * p2 + a * a * a, p1 - 2.0 * a * p2 - 3.0 * a * a,
+         p2 + 3.0 * a, pinv)
+    return ([np.ascontiguousarray(x[0::2]) for x in R],
+            [np.ascontiguousarray(x[1::2]) for x in R])
 
 
-def _step_maps(A, h):
-    """RK4 one-step propagators from generators sampled at half steps.
+def _scalar_zero(x):
+    return not isinstance(x, np.ndarray) and x == 0
 
-    With K1 = A_i, K2 = A_m (I + h/2 K1), K3 = A_m (I + h/2 K2) and
-    K4 = A_e (I + h K3), the step is M = I + h/6 (K1 + 2 K2 + 2 K3 + K4),
-    the matrix that the vector RK4 step applies to y.
+
+def _apply(k, u, s):
+    """(X - s I) u for the companion matrix X with last row k.
+
+    Entries of u may be Python numbers; exact zeros cost no array operation.
     """
-    def sl(m, start):
-        return [x if isinstance(x, int) else x[start::2] for x in m]
-
-    Ai, Am, Ae = sl(A, 0), sl(A, 1), sl(A, 2)
-    Ai = [x if isinstance(x, int) else x[:len(Am[0])] for x in Ai]
-    half = 0.5 * h
-    K2 = _mat_lincomb([(1.0, Am), (half, _mat_mul(Am, Ai))])
-    K3 = _mat_lincomb([(1.0, Am), (half, _mat_mul(Am, K2))])
-    K4 = _mat_lincomb([(1.0, Ae), (h, _mat_mul(Ae, K3))])
-    h6 = h / 6.0
-    M = _mat_lincomb([(h6, Ai), (2.0 * h6, K2), (2.0 * h6, K3), (h6, K4)])
-    for e in (0, 4, 8):
-        M[e] = M[e] + 1.0
-    shape = Am[0].shape
-    return [np.broadcast_to(x, shape) for x in M]
+    last = None
+    for kc, uc in zip(k, u):
+        if not _scalar_zero(uc):
+            if last is None:
+                last = kc * uc
+            else:
+                last += kc * uc
+    return u[1] - s * u[0], u[2] - s * u[1], last
 
 
-def _chunk_product(M):
-    """Ordered product M_{C-1} ... M_0 by a balanced pairwise tree.
+def _axpy(u, a, v):
+    return [a * y if _scalar_zero(x) else x + a * y for x, y in zip(u, v)]
 
-    Partial products stay bounded because the shift by the launch root
-    makes the marched mode dominant in the marching direction.
+
+def _neg_step_maps(ki, km, ke, s, h):
+    """Columns of -M for the RK4 step maps M of y' = (X - s I) y.
+
+    ki, km and ke hold (Q0, Q1, Q2 - s) at the start, middle and end of each
+    step.  With K1 = A_i, K2 = A_m (I + h/2 K1), K3 = A_m (I + h/2 K2) and
+    K4 = A_e (I + h K3), M = I + h/6 (K1 + 2 K2 + 2 K3 + K4), the matrix that
+    the vector RK4 step applies to y; it is built column by column.
     """
-    while len(M[0]) > 1:
-        m = len(M[0])
-        P = _mat_mul([x[1:m:2] for x in M], [x[0:m - 1:2] for x in M])
-        if m % 2:
-            P = [np.concatenate((p, x[m - 1:])) for p, x in zip(P, M)]
-        M = P
-    return [x[0] for x in M]
+    hh, h6 = 0.5 * h, h / 6.0
+    cols = []
+    for e in range(3):
+        u = [0, 0, 0]
+        u[e] = 1
+        k1 = _apply(ki, u, s)
+        k2 = _apply(km, _axpy(u, hh, k1), s)
+        k3 = _apply(km, _axpy(u, hh, k2), s)
+        k4 = _apply(ke, _axpy(u, h, k3), s)
+        col = []
+        for a, b, c, d in zip(k1, k2, k3, k4):
+            t = b + c
+            t *= 2.0
+            t += a
+            t += d
+            t *= -h6
+            col.append(t)
+        col[e] -= 1.0
+        cols.append(col)
+    return cols
 
 
-def _chunk_maps(p0, p1, p2, pinv, lams, alpha, shifts, hs, sign, adjoint):
-    """Yield (first step, step propagators) for chunks of _STEPS steps."""
-    nstep = (p0.shape[0] - 1) // 2
-    h = sign * hs
+def _march(nodes, mids, lam, alpha, s, y0, hs, sign, adjoint):
+    """RK4 march of one lambda from y0; returns all node states (nstep + 1, 3).
+
+    The adjoint generator -X^T + s I is -(X - s I)^T, so its step map from
+    start i over middle m to end e with step h is the transpose of the
+    forward map from e over m to i with step -h.
+    """
+    nstep = len(mids[0])
+    coef = (lam * (alpha * alpha - 1.0), -2.0 * alpha * lam, lam)
+    h = -sign * hs if adjoint else sign * hs
+    C = min(_STEPS, nstep)
+    band = np.zeros((6, 3 * C + 3), dtype=np.complex128, order="F")
+    x = np.zeros(3 * nstep + 3, dtype=np.complex128)
+    x[:3] = y0
     for j0 in range(0, nstep, _STEPS):
         j1 = min(nstep, j0 + _STEPS)
-        A = _generators(p0, p1, p2, pinv, lams, alpha, shifts, adjoint, 2 * j0, 2 * j1 + 1)
-        yield j0, _step_maps(A, h)
+        qn = [R[j0:j1 + 1] + c * nodes[3][j0:j1 + 1] for R, c in zip(nodes[:3], coef)]
+        qm = [R[j0:j1] + c * mids[3][j0:j1] for R, c in zip(mids[:3], coef)]
+        qn[2] -= s
+        qm[2] -= s
+        ki, ke = [q[:-1] for q in qn], [q[1:] for q in qn]
+        if adjoint:
+            ki, ke = ke, ki
+        cols = _neg_step_maps(ki, qm, ke, s, h)
+        n = 3 * (j1 - j0)
+        for r in range(3):
+            for c in range(3):
+                band[3 + r - c, c:n:3] = cols[r][c] if adjoint else cols[c][r]
+        seg = x[3 * j0:3 * j1 + 3]
+        seg[:] = ztbsv(5, band[:, :n + 3], seg, lower=1, diag=1, overwrite_x=1)
+    return x.reshape(-1, 3)
 
 
 def shoot_final_numpy(p0, p1, p2, pinv, lams, alpha, shifts, y0s, hs, sign, adjoint):
-    """March all columns of y0s through the full grid; return final states (B, 3)."""
-    lams = np.asarray(lams, dtype=np.complex128)
-    shifts = np.asarray(shifts, dtype=np.complex128)
+    """March each lambda from its row of y0s through the full grid; final states (B, 3)."""
+    nodes, mids = _split(p0, p1, p2, pinv, alpha)
     y0s = np.asarray(y0s, dtype=np.complex128)
     out = np.empty((len(lams), 3), dtype=np.complex128)
-    for g in range(0, len(lams), _GROUP):
-        sel = slice(g, g + _GROUP)
-        y = [y0s[sel, 0], y0s[sel, 1], y0s[sel, 2]]
-        for _, M in _chunk_maps(p0, p1, p2, pinv, lams[sel], alpha, shifts[sel],
-                                hs, sign, adjoint):
-            P = _chunk_product(M)
-            y = [P[3 * r] * y[0] + P[3 * r + 1] * y[1] + P[3 * r + 2] * y[2]
-                 for r in range(3)]
-        out[sel] = np.stack(y, axis=1)
+    for b, (lam, s) in enumerate(zip(np.asarray(lams).tolist(), np.asarray(shifts).tolist())):
+        out[b] = _march(nodes, mids, complex(lam), alpha, complex(s), y0s[b], hs, sign,
+                        adjoint)[-1]
     return out
 
 
 def shoot_traj_numpy(p0, p1, p2, pinv, lam, alpha, shift, y0, hs, sign, adjoint):
     """Single-column march recording every node; returns (nstep + 1, 3)."""
-    nstep = (p0.shape[0] - 1) // 2
-    out = np.empty((nstep + 1, 3), dtype=np.complex128)
-    y = np.array(y0, dtype=np.complex128)
-    out[0] = y
-    for j0, M in _chunk_maps(p0, p1, p2, pinv, np.array([lam], dtype=np.complex128),
-                             alpha, np.array([shift], dtype=np.complex128),
-                             hs, sign, adjoint):
-        C = len(M[0])
-        mats = np.empty((C, 9), dtype=np.complex128)
-        for e, x in enumerate(M):
-            mats[:, e] = x[:, 0]
-        mats = mats.reshape(C, 3, 3)
-        for j in range(C):
-            y = mats[j] @ y
-            out[j0 + j + 1] = y
-    return out
+    nodes, mids = _split(p0, p1, p2, pinv, alpha)
+    return _march(nodes, mids, complex(lam), alpha, complex(shift),
+                  np.asarray(y0, dtype=np.complex128), hs, sign, adjoint)
 
 
 if HAVE_NUMBA:

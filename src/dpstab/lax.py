@@ -207,10 +207,10 @@ def _lax_arrays(profile: Profile, nsub: int) -> dict:
         raise ParameterError(f"need nsub >= 1, got {nsub}")
     hs = profile.h / nsub
     n = round(profile.L / hs)
-    out = {"hs": hs, "n": n}
-    for tag, x in (("desc", profile.L - 0.5 * hs * np.arange(4 * n + 1)),
-                   ("asc", -profile.L + 0.5 * hs * np.arange(4 * n + 1))):
-        out[tag] = profile.eval(x).mu
+    # mu depends on |x| only, so the descending points L - j hs/2 and the
+    # ascending ones -L + j hs/2 give the same array
+    mu = profile.eval(profile.L - 0.5 * hs * np.arange(4 * n + 1)).mu
+    out = {"hs": hs, "n": n, "mu": mu}
     profile._cache[key] = out
     return out
 
@@ -248,7 +248,7 @@ def lax_solve(sigma: complex, profile: Profile, l_target: complex,
             f"dominant march direction is ambiguous"
         )
     arrays = _lax_arrays(profile, nsub)
-    mu = arrays["desc" if direction == "+" else "asc"]
+    mu = arrays["mu"]
     p0 = (sgn * sigma) * mu
     zeros = np.zeros_like(mu)
     traj = _backend.shoot_traj(p0, np.ones_like(mu), zeros, zeros,

@@ -112,7 +112,10 @@ def test_rejects_left_of_spectrum(prof01):
 
 
 def test_batch_matches_single(prof01):
+    # 20 lambda, more than one vectorized group of the former product march,
+    # with no exact conjugate pair among them
     lams = [0.4, 0.9 + 0.2j, 1.6 - 0.8j]
+    lams += list(0.3 + 1.4 * np.exp(0.07j * np.arange(1, 18)))
     D, ex = evans.evans_batch(lams, prof01, 0.5)
     for lam, d, e in zip(lams, D, ex):
         s = evans.evans_eval(lam, prof01, 0.5)
@@ -146,12 +149,11 @@ def test_backend_agreement(prof01):
 
 
 def test_propagator_march_matches_stepwise(prof01):
-    # the numpy path multiplies RK4 step propagators; the stepwise loop
-    # applies the same RK4 steps to the vectors one at a time
+    # the numpy path solves for the states of RK4 step maps; the stepwise
+    # loop applies the same RK4 steps to the vectors one at a time
     arrays = evans._system_arrays(prof01, 10)
-    # 700 steps (one 512-step propagator chunk and a partial one) ending at
-    # xi = 0, where the coefficients vary and the step propagators do not
-    # commute
+    # 700 steps ending at xi = 0, where the coefficients vary and the step
+    # maps do not commute
     m = 2 * 700 + 1
     lo = 2 * arrays["n"] - (m - 1)
     lams = np.array([0.5 + 0.0j, 0.7 + 0.1j, 1.3 - 0.9j])
@@ -169,10 +171,12 @@ def test_propagator_march_matches_stepwise(prof01):
         assert np.max(np.abs(traj[-1] - b[1])) <= 1e-12 * np.max(np.abs(b[1]))
 
 
-def test_long_chunks_match_stepwise(prof01):
-    # the full half-domain at nsub=1 is 2000 steps: three full 512-step
-    # chunks and a partial one, at the contour corners where |lambda| is
-    # largest and where the rectangle reaches left of the imaginary axis
+def test_long_chunks_match_stepwise(prof01, monkeypatch):
+    # the full half-domain at nsub=1 is 2000 steps; 512-step solve chunks
+    # make it three full chunks and a partial one.  lambda sits at the
+    # contour corners where |lambda| is largest and where the rectangle
+    # reaches left of the imaginary axis
+    monkeypatch.setattr(_backend, "_STEPS", 512)
     arrays = evans._system_arrays(prof01, 1)
     m = 2 * arrays["n"] + 1
     lams = np.array([2.0 + 2.0j, -0.06 + 2.0j])
@@ -183,13 +187,32 @@ def test_long_chunks_match_stepwise(prof01):
         a = _backend.shoot_final_numpy(*args)
         b = _backend.shoot_final_stepwise(*args)
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-        # the tree multiplies within a chunk; its products must stay bounded
-        chunks = list(_backend._chunk_maps(p0, p1, p2, pinv, lams, 0.5, shifts,
-                                           arrays["hs"], sign, adjoint))
-        assert [j0 for j0, _ in chunks] == [0, 512, 1024, 1536]
-        for _, M in chunks:
-            P = _backend._chunk_product(M)
-            assert max(float(np.max(np.abs(x))) for x in P) < 10.0
+        for i in range(len(lams)):
+            traj = _backend.shoot_traj_numpy(p0, p1, p2, pinv, lams[i], 0.5, shifts[i],
+                                             inits[i], arrays["hs"], sign, adjoint)
+            # one march serves both entry points
+            assert np.array_equal(traj[-1], a[i])
+            # the march forms only the states y_j; the shift by the launch
+            # root keeps them bounded (measured max_j |y_j| / |y_0| = 1.12)
+            growth = np.max(np.linalg.norm(traj, axis=1)) / np.linalg.norm(inits[i])
+            assert growth < 10.0
+
+
+def test_traj_prefix_matches_stepwise(prof01):
+    # traj[k] is the state after k steps, across the default chunk boundary
+    arrays = evans._system_arrays(prof01, 10)
+    lam = np.array([0.7 + 0.1j])
+    shifts, inits = _launch(lam, 0.5, prof01.params)
+    assert _backend._STEPS < 2500
+    for tag, sign, adjoint in (("desc", -1.0, False), ("asc", 1.0, True)):
+        p0, p1, p2, pinv = (a[:2 * 2500 + 1] for a in arrays[tag])
+        traj = _backend.shoot_traj_numpy(p0, p1, p2, pinv, lam[0], 0.5, shifts[0],
+                                         inits[0], arrays["hs"], sign, adjoint)
+        for k in (1, 7, _backend._STEPS, 2500):
+            m = 2 * k + 1
+            b = _backend.shoot_final_stepwise(p0[:m], p1[:m], p2[:m], pinv[:m], lam, 0.5,
+                                              shifts, inits, arrays["hs"], sign, adjoint)
+            assert np.max(np.abs(traj[k] - b[0])) <= 1e-12 * np.max(np.abs(b[0]))
 
 
 def test_ascending_arrays_mirror(prof01):

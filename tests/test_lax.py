@@ -130,6 +130,16 @@ def test_lax_solution_quality(prof01, params01):
         assert lax.second_relation_residual(psi) < 1e-5
 
 
+def test_lax_arrays_mirror(prof01):
+    # oracle: direct evaluation at the ascending points -L + j hs/2 and at
+    # the descending points L - j hs/2
+    for nsub in (1, 2):
+        arrays = lax._lax_arrays(prof01, nsub)
+        half = 0.5 * arrays["hs"] * np.arange(4 * arrays["n"] + 1)
+        assert np.array_equal(arrays["mu"], prof01.eval(-prof01.L + half).mu)
+        assert np.array_equal(arrays["mu"], prof01.eval(prof01.L - half).mu)
+
+
 def test_adjoint_is_reflection(prof01, params01):
     # mu is even, so the adjoint system is the forward one under xi -> -xi
     sigma = 1.2
