@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _backend
 from .dispersion import char_coeffs, char_roots, spectral_gap
-from .wave import ParameterError, Profile, SolverError
+from .wave import ParameterError, Profile, SolverError, half_step_samples
 
 __all__ = [
     "EvansSample",
@@ -69,37 +69,6 @@ class WindingResult:
     @property
     def contour(self) -> np.ndarray:
         return np.concatenate(self.loops)
-
-
-def _system_arrays(profile: Profile, nsub: int) -> dict:
-    """Coefficient arrays at half-step resolution for both launch ends.
-
-    p0 = (u0''' - 4 u0')/(c - u0), p1 = (3 u0'' - 4 u0 + c)/(c - u0),
-    p2 = 3 u0'/(c - u0), pinv = 1/(c - u0); the lambda and alpha parts are
-    assembled inside the marching kernel.  Cached on the profile.
-
-    The profile is evaluated once, on the descending points L - j hs/2.  The
-    ascending points are their negatives, and `Profile.eval` is exactly even
-    (u0, u0'') or odd (u0', u0''') by construction, so the ascending arrays
-    are (-p0, p1, -p2, pinv) bit for bit.
-    """
-    key = ("shoot", nsub)
-    if key in profile._cache:
-        return profile._cache[key]
-    if nsub < 1:
-        raise ParameterError(f"need nsub >= 1, got {nsub}")
-    hs = profile.h / nsub
-    n = round(profile.L / hs)
-    c = profile.params.c
-    f = profile.eval(profile.L - 0.5 * hs * np.arange(4 * n + 1))
-    cmu = c - f.u0
-    p0 = (f.u0_ppp - 4.0 * f.u0_p) / cmu
-    p1 = (3.0 * f.u0_pp - 4.0 * f.u0 + c) / cmu
-    p2 = 3.0 * f.u0_p / cmu
-    pinv = 1.0 / cmu
-    out = {"hs": hs, "n": n, "desc": (p0, p1, p2, pinv), "asc": (-p0, p1, -p2, pinv)}
-    profile._cache[key] = out
-    return out
 
 
 def _shifted_monic(lam: complex, alpha: float, params) -> tuple:
@@ -164,7 +133,7 @@ def _evans_march(lams: np.ndarray, profile: Profile, alpha: float, nsub: int,
                  meet: float) -> tuple[np.ndarray, np.ndarray]:
     """Evans values and renormalization exponents, marching every lambda."""
     params = profile.params
-    arrays = _system_arrays(profile, nsub)
+    arrays = half_step_samples(profile, nsub)
     jd, ja = _meet_index(arrays, meet, profile.L)
 
     B = len(lams)

@@ -162,18 +162,6 @@ class GreenFunction:
     a: tuple
     jump: float
 
-    @property
-    def a1(self) -> complex:
-        return self.a[0]
-
-    @property
-    def a2(self) -> complex:
-        return self.a[1]
-
-    @property
-    def a3(self) -> complex:
-        return self.a[2]
-
     def continuity_residuals(self) -> tuple:
         a1, a2, a3 = self.a
         s1, s2, s3 = self.roots

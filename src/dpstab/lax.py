@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _backend
 from .dispersion import char_coeffs, char_roots
-from .wave import ParameterError, Profile, SolverError, WaveParams
+from .wave import ParameterError, Profile, SolverError, WaveParams, half_step_samples
 
 __all__ = [
     "MCubicBranch",
@@ -199,22 +199,6 @@ def l_roots(ksigma: complex, adjoint: bool = False) -> np.ndarray:
     return r[np.lexsort((r.imag, r.real))]
 
 
-def _lax_arrays(profile: Profile, nsub: int) -> dict:
-    key = ("lax", nsub)
-    if key in profile._cache:
-        return profile._cache[key]
-    if nsub < 1:
-        raise ParameterError(f"need nsub >= 1, got {nsub}")
-    hs = profile.h / nsub
-    n = round(profile.L / hs)
-    # mu depends on |x| only, so the descending points L - j hs/2 and the
-    # ascending ones -L + j hs/2 give the same array
-    mu = profile.eval(profile.L - 0.5 * hs * np.arange(4 * n + 1)).mu
-    out = {"hs": hs, "n": n, "mu": mu}
-    profile._cache[key] = out
-    return out
-
-
 def lax_solve(sigma: complex, profile: Profile, l_target: complex,
               direction: str = "+", adjoint: bool = False,
               nsub: int = 2) -> LaxSolution:
@@ -247,7 +231,7 @@ def lax_solve(sigma: complex, profile: Profile, l_target: complex,
             f"asymptotic roots nearly coincide in real part at sigma={sigma}: "
             f"dominant march direction is ambiguous"
         )
-    arrays = _lax_arrays(profile, nsub)
+    arrays = half_step_samples(profile, nsub)
     mu = arrays["mu"]
     p0 = (sgn * sigma) * mu
     zeros = np.zeros_like(mu)

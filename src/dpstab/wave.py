@@ -20,6 +20,7 @@ the cancellation-free form w - k*expm1(-3*log1p(-w/(c-k))).
 """
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -35,6 +36,7 @@ __all__ = [
     "derived_constants",
     "solve_profile",
     "dc_profile",
+    "half_step_samples",
     "Profile",
     "ProfileEval",
     "write_profile_csv",
@@ -294,6 +296,44 @@ def dc_profile(profile: Profile, dc: float | None = None) -> np.ndarray:
     dh = (4.0 * d2 - d1) / 3.0
     out = np.concatenate([dh[:0:-1], dh])
     profile.dc_u0 = out
+    return out
+
+
+def half_step_samples(profile: Profile, nsub: int) -> dict:
+    """Shooting coefficients at half-step resolution, hs = h / nsub; cached per nsub.
+
+    For the Evans system p0 = (u0''' - 4 u0')/(c - u0),
+    p1 = (3 u0'' - 4 u0 + c)/(c - u0), p2 = 3 u0'/(c - u0) and
+    pinv = 1/(c - u0); the lambda and alpha parts are assembled inside the
+    marching kernel.  The Lax system takes the momentum density mu.
+
+    The profile is evaluated once, on the descending points L - j hs/2,
+    j = 0..4n ("desc").  The ascending points are their negatives, and
+    `Profile.eval` is exactly even (u0, u0'', mu) or odd (u0', u0''') by
+    construction, so the ascending arrays ("asc") are (-p0, p1, -p2, pinv)
+    bit for bit and one mu array serves both directions.
+    """
+    try:
+        m = operator.index(nsub)
+    except TypeError:
+        m = 0
+    if m < 1:
+        raise ParameterError(f"nsub must be an integer >= 1, got {nsub!r}")
+    key = ("half_step", m)
+    if key in profile._cache:
+        return profile._cache[key]
+    hs = profile.h / m
+    n = round(profile.L / hs)
+    c = profile.params.c
+    f = profile.eval(profile.L - 0.5 * hs * np.arange(4 * n + 1))
+    cmu = c - f.u0
+    p0 = (f.u0_ppp - 4.0 * f.u0_p) / cmu
+    p1 = (3.0 * f.u0_pp - 4.0 * f.u0 + c) / cmu
+    p2 = 3.0 * f.u0_p / cmu
+    pinv = 1.0 / cmu
+    out = {"hs": hs, "n": n, "desc": (p0, p1, p2, pinv), "asc": (-p0, p1, -p2, pinv),
+           "mu": f.mu}
+    profile._cache[key] = out
     return out
 
 

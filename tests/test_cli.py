@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,8 +34,9 @@ def test_gap_matches_module(capsys):
 
 def test_profile_artifacts(tmp_path, capsys):
     out = str(tmp_path / "prof")
-    rc = cli.run(["profile", "--k", K, "--c", C, "--L", "20", "--h", "0.1",
-                  "--out", out])
+    with pytest.warns(UserWarning, match="short"):
+        rc = cli.run(["profile", "--k", K, "--c", C, "--L", "20", "--h", "0.1",
+                      "--out", out])
     assert rc == 0
     capsys.readouterr()
     with open(out + ".csv", encoding="utf-8") as fh:
@@ -51,12 +53,14 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
     out = str(tmp_path / "rep")
     argv = ["profile", "--k", K, "--c", C, "--L", "20", "--h", "0.1",
             "--out", out]
-    assert cli.run(argv) == 0
-    first = (open(out + ".csv", "rb").read(), open(out + ".json", "rb").read())
-    assert cli.run(argv) == 0
+    with pytest.warns(UserWarning, match="short"):
+        assert cli.run(argv) == 0
+    first = (Path(out + ".csv").read_bytes(), Path(out + ".json").read_bytes())
+    with pytest.warns(UserWarning, match="short"):
+        assert cli.run(argv) == 0
     capsys.readouterr()
-    assert open(out + ".csv", "rb").read() == first[0]
-    assert open(out + ".json", "rb").read() == first[1]
+    assert Path(out + ".csv").read_bytes() == first[0]
+    assert Path(out + ".json").read_bytes() == first[1]
 
 
 def test_config_file_overrides_flags(tmp_path, capsys):
@@ -146,8 +150,9 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
 
 def test_dt_gate_is_validation(tmp_path, capsys):
     out = str(tmp_path / "nl")
-    rc = cli.run(["nonlinear-evolve", "--k", K, "--c", C, "--t-final", "1",
-                  "--L", "20", "--h", "0.1", "--dt", "0.5", "--out", out])
+    with pytest.warns(UserWarning, match="short"):
+        rc = cli.run(["nonlinear-evolve", "--k", K, "--c", C, "--t-final", "1",
+                      "--L", "20", "--h", "0.1", "--dt", "0.5", "--out", out])
     assert rc == 2
     assert "use dt <=" in capsys.readouterr().err
 
@@ -269,10 +274,11 @@ def test_nonlinear_evolve_artifacts(tmp_path, capsys):
 def test_plot_script_references_csv(tmp_path, capsys):
     out = str(tmp_path / "prof")
     script = str(tmp_path / "plot.gp")
-    rc = cli.run(["profile", "--k", K, "--c", C, "--L", "20", "--h", "0.1",
-                  "--out", out, "--plot-script", script])
+    with pytest.warns(UserWarning, match="short"):
+        rc = cli.run(["profile", "--k", K, "--c", C, "--L", "20", "--h", "0.1",
+                      "--out", out, "--plot-script", script])
     assert rc == 0
     capsys.readouterr()
-    text = open(script, encoding="utf-8").read()
+    text = Path(script).read_text(encoding="utf-8")
     assert out + ".csv" in text
     assert "plot" in text

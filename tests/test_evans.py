@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dpstab import _backend, evans
+from dpstab import _backend, evans, lax
 from dpstab.dispersion import spectral_gap
-from dpstab.wave import ParameterError, WaveParams, solve_profile
+from dpstab.wave import ParameterError, WaveParams, half_step_samples, solve_profile
 
 # regression anchor, first simple zero is well right of lambda = 1
 D_ONE_UNWEIGHTED = 0.20436288257374657
@@ -123,6 +123,46 @@ def test_batch_matches_single(prof01):
         assert e == s.renorm_exponent
 
 
+def _rhs_np(i, p0, p1, p2, pinv, lams, alpha, shifts, y, sign, adjoint):
+    """Vectorized right-hand side at sample index i; y has shape (B, 3)."""
+    q0 = p0[i] - lams * pinv[i]
+    q1 = p1[i]
+    q2 = p2[i] + lams * pinv[i]
+    a = alpha
+    Q0 = q0 - a * q1 + a * a * q2 + a * a * a
+    Q1 = q1 - 2.0 * a * q2 - 3.0 * a * a
+    Q2 = q2 + 3.0 * a
+    f = np.empty_like(y)
+    if adjoint:
+        f[:, 0] = -Q0 * y[:, 2] + shifts * y[:, 0]
+        f[:, 1] = -y[:, 0] - Q1 * y[:, 2] + shifts * y[:, 1]
+        f[:, 2] = -y[:, 1] + (shifts - Q2) * y[:, 2]
+    else:
+        f[:, 0] = y[:, 1] - shifts * y[:, 0]
+        f[:, 1] = y[:, 2] - shifts * y[:, 1]
+        f[:, 2] = Q0 * y[:, 0] + Q1 * y[:, 1] + (Q2 - shifts) * y[:, 2]
+    return sign * f
+
+
+def shoot_final_stepwise(p0, p1, p2, pinv, lams, alpha, shifts, y0s, hs, sign, adjoint):
+    """Reference march: four vectorized RHS calls per RK4 step, final states (B, 3).
+
+    Slow (a Python loop over steps) but transparent; `_backend.shoot_final`
+    and `_backend.shoot_traj` are checked against it.
+    """
+    nstep = (p0.shape[0] - 1) // 2
+    y = np.array(y0s, dtype=np.complex128, copy=True)
+    h6 = hs / 6.0
+    for j in range(nstep):
+        i = 2 * j
+        k1 = _rhs_np(i, p0, p1, p2, pinv, lams, alpha, shifts, y, sign, adjoint)
+        k2 = _rhs_np(i + 1, p0, p1, p2, pinv, lams, alpha, shifts, y + 0.5 * hs * k1, sign, adjoint)
+        k3 = _rhs_np(i + 1, p0, p1, p2, pinv, lams, alpha, shifts, y + 0.5 * hs * k2, sign, adjoint)
+        k4 = _rhs_np(i + 2, p0, p1, p2, pinv, lams, alpha, shifts, y + hs * k3, sign, adjoint)
+        y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+    return y
+
+
 def _launch(lams, alpha, params):
     """Launch roots and decaying eigenvectors of the forward march."""
     shifts = np.empty(len(lams), dtype=complex)
@@ -134,24 +174,10 @@ def _launch(lams, alpha, params):
     return shifts, inits
 
 
-@pytest.mark.skipif(not _backend.HAVE_NUMBA, reason="numba unavailable")
-def test_backend_agreement(prof01):
-    arrays = evans._system_arrays(prof01, 10)
-    n = arrays["n"]
-    p0, p1, p2, pinv = (a[: 2 * n + 1] for a in arrays["desc"])
-    lams = np.array([0.5 + 0.0j, 0.7 + 0.1j])
-    shifts, inits = _launch(lams, 0.5, prof01.params)
-    a = _backend.shoot_final_numpy(p0, p1, p2, pinv, lams, 0.5, shifts, inits,
-                                   arrays["hs"], -1.0, False)
-    b = _backend.shoot_final_numba(p0, p1, p2, pinv, lams, 0.5, shifts, inits,
-                                   arrays["hs"], -1.0, False)
-    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
-
-
 def test_propagator_march_matches_stepwise(prof01):
-    # the numpy path solves for the states of RK4 step maps; the stepwise
+    # the march solves for the states of RK4 step maps; the stepwise
     # loop applies the same RK4 steps to the vectors one at a time
-    arrays = evans._system_arrays(prof01, 10)
+    arrays = half_step_samples(prof01, 10)
     # 700 steps ending at xi = 0, where the coefficients vary and the step
     # maps do not commute
     m = 2 * 700 + 1
@@ -161,11 +187,11 @@ def test_propagator_march_matches_stepwise(prof01):
     for tag, sign, adjoint in (("desc", -1.0, False), ("asc", 1.0, True)):
         p0, p1, p2, pinv = (a[lo:lo + m] for a in arrays[tag])
         args = (p0, p1, p2, pinv, lams, 0.5, shifts, inits, arrays["hs"], sign, adjoint)
-        a = _backend.shoot_final_numpy(*args)
-        b = _backend.shoot_final_stepwise(*args)
+        a = _backend.shoot_final(*args)
+        b = shoot_final_stepwise(*args)
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-        traj = _backend.shoot_traj_numpy(p0, p1, p2, pinv, lams[1], 0.5, shifts[1],
-                                         inits[1], arrays["hs"], sign, adjoint)
+        traj = _backend.shoot_traj(p0, p1, p2, pinv, lams[1], 0.5, shifts[1],
+                                   inits[1], arrays["hs"], sign, adjoint)
         assert traj.shape == (701, 3)
         assert np.array_equal(traj[0], inits[1])
         assert np.max(np.abs(traj[-1] - b[1])) <= 1e-12 * np.max(np.abs(b[1]))
@@ -177,19 +203,19 @@ def test_long_chunks_match_stepwise(prof01, monkeypatch):
     # contour corners where |lambda| is largest and where the rectangle
     # reaches left of the imaginary axis
     monkeypatch.setattr(_backend, "_STEPS", 512)
-    arrays = evans._system_arrays(prof01, 1)
+    arrays = half_step_samples(prof01, 1)
     m = 2 * arrays["n"] + 1
     lams = np.array([2.0 + 2.0j, -0.06 + 2.0j])
     shifts, inits = _launch(lams, 0.5, prof01.params)
     for tag, sign, adjoint in (("desc", -1.0, False), ("asc", 1.0, True)):
         p0, p1, p2, pinv = (a[:m] for a in arrays[tag])
         args = (p0, p1, p2, pinv, lams, 0.5, shifts, inits, arrays["hs"], sign, adjoint)
-        a = _backend.shoot_final_numpy(*args)
-        b = _backend.shoot_final_stepwise(*args)
+        a = _backend.shoot_final(*args)
+        b = shoot_final_stepwise(*args)
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
         for i in range(len(lams)):
-            traj = _backend.shoot_traj_numpy(p0, p1, p2, pinv, lams[i], 0.5, shifts[i],
-                                             inits[i], arrays["hs"], sign, adjoint)
+            traj = _backend.shoot_traj(p0, p1, p2, pinv, lams[i], 0.5, shifts[i],
+                                       inits[i], arrays["hs"], sign, adjoint)
             # one march serves both entry points
             assert np.array_equal(traj[-1], a[i])
             # the march forms only the states y_j; the shift by the launch
@@ -200,18 +226,18 @@ def test_long_chunks_match_stepwise(prof01, monkeypatch):
 
 def test_traj_prefix_matches_stepwise(prof01):
     # traj[k] is the state after k steps, across the default chunk boundary
-    arrays = evans._system_arrays(prof01, 10)
+    arrays = half_step_samples(prof01, 10)
     lam = np.array([0.7 + 0.1j])
     shifts, inits = _launch(lam, 0.5, prof01.params)
     assert _backend._STEPS < 2500
     for tag, sign, adjoint in (("desc", -1.0, False), ("asc", 1.0, True)):
         p0, p1, p2, pinv = (a[:2 * 2500 + 1] for a in arrays[tag])
-        traj = _backend.shoot_traj_numpy(p0, p1, p2, pinv, lam[0], 0.5, shifts[0],
-                                         inits[0], arrays["hs"], sign, adjoint)
+        traj = _backend.shoot_traj(p0, p1, p2, pinv, lam[0], 0.5, shifts[0],
+                                   inits[0], arrays["hs"], sign, adjoint)
         for k in (1, 7, _backend._STEPS, 2500):
             m = 2 * k + 1
-            b = _backend.shoot_final_stepwise(p0[:m], p1[:m], p2[:m], pinv[:m], lam, 0.5,
-                                              shifts, inits, arrays["hs"], sign, adjoint)
+            b = shoot_final_stepwise(p0[:m], p1[:m], p2[:m], pinv[:m], lam, 0.5,
+                                     shifts, inits, arrays["hs"], sign, adjoint)
             assert np.max(np.abs(traj[k] - b[0])) <= 1e-12 * np.max(np.abs(b[0]))
 
 
@@ -219,7 +245,7 @@ def test_ascending_arrays_mirror(prof01):
     # oracle: the direct evaluation at the ascending points -L + j hs/2
     c = prof01.params.c
     for nsub in (1, 10):
-        arrays = evans._system_arrays(prof01, nsub)
+        arrays = half_step_samples(prof01, nsub)
         hs, n = arrays["hs"], arrays["n"]
         f = prof01.eval(-prof01.L + 0.5 * hs * np.arange(4 * n + 1))
         cmu = c - f.u0
@@ -229,6 +255,21 @@ def test_ascending_arrays_mirror(prof01):
                   1.0 / cmu)
         for got, want in zip(arrays["asc"], direct):
             assert np.array_equal(got, want)
+
+
+def test_nsub_must_be_integer_at_least_one(prof01, params01):
+    sigma = 1.2
+    l_plus = lax.l_roots(params01.k * sigma)[0]
+    for bad in (0, 1.5):
+        with pytest.raises(ParameterError, match="nsub"):
+            evans.evans_eval(0.7 + 0.1j, prof01, 0.5, nsub=bad)
+        with pytest.raises(ParameterError, match="nsub"):
+            evans.winding_count(evans.circle_contour(1.0, 0.05, 8), prof01, 0.5, nsub=bad)
+        with pytest.raises(ParameterError, match="nsub"):
+            lax.lax_solve(sigma, prof01, l_plus, "+", nsub=bad)
+    # numpy integers are integers
+    assert (evans.evans_eval(0.7 + 0.1j, prof01, 0.5, nsub=np.int64(1)).value
+            == evans.evans_eval(0.7 + 0.1j, prof01, 0.5, nsub=1).value)
 
 
 def test_conjugate_pairs_marched_once(prof01, monkeypatch):

@@ -157,7 +157,6 @@ def test_weighted_transport_decay(params01):
 
 def test_free_green_structure(params01):
     gf = evolve.free_green(0.3 + 0.2j, 0.5, params01)
-    assert (gf.a1, gf.a2, gf.a3) == gf.a
     scale = max(abs(a) for a in gf.a)
     c1, c2 = gf.continuity_residuals()
     assert abs(c1) <= 1e-12 * scale

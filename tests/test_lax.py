@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dpstab import lax
+from dpstab import evans, lax, wave
 from dpstab.dispersion import char_poly
 from dpstab.wave import ParameterError, WaveParams, solve_profile
 
@@ -134,10 +134,26 @@ def test_lax_arrays_mirror(prof01):
     # oracle: direct evaluation at the ascending points -L + j hs/2 and at
     # the descending points L - j hs/2
     for nsub in (1, 2):
-        arrays = lax._lax_arrays(prof01, nsub)
+        arrays = wave.half_step_samples(prof01, nsub)
         half = 0.5 * arrays["hs"] * np.arange(4 * arrays["n"] + 1)
         assert np.array_equal(arrays["mu"], prof01.eval(-prof01.L + half).mu)
         assert np.array_equal(arrays["mu"], prof01.eval(prof01.L - half).mu)
+
+
+def test_one_sampling_serves_evans_and_lax(prof01, params01, monkeypatch):
+    prof = dataclasses.replace(prof01, _cache={})
+    points = []
+    evaluate = wave.Profile.eval
+
+    def counting(self, x):
+        points.append(np.size(x))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(wave.Profile, "eval", counting)
+    sigma = 1.2
+    evans.evans_eval(0.7 + 0.1j, prof, 0.5, nsub=2)
+    lax.lax_solve(sigma, prof, lax.l_roots(params01.k * sigma)[0], "+", nsub=2)
+    assert points == [4 * round(prof.L / (prof.h / 2)) + 1]
 
 
 def test_adjoint_is_reflection(prof01, params01):
