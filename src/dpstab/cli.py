@@ -188,11 +188,15 @@ def _coerce(key: str, value, opt: _Opt):
         return value
     if value is None:
         return None
+    flag = "--" + key.replace("_", "-")
     try:
-        return opt.typ(value)
+        value = opt.typ(value)
     except (TypeError, ValueError) as exc:
-        raise ParameterError(
-            f"bad value for --{key.replace('_', '-')}: {exc}") from exc
+        raise ParameterError(f"bad value for {flag}: {exc}") from exc
+    # float() and JSON both accept nan and inf, which no option admits
+    if opt.typ in (float, complex) and not np.isfinite(value):
+        raise ParameterError(f"{flag} must be finite, got {value}")
+    return value
 
 
 def _resolve_options(ns: argparse.Namespace, table: dict) -> dict:
@@ -388,6 +392,8 @@ def _cmd_free_evolve(cfg: RunConfig) -> int:
         raise ParameterError("need at least 4 records")
     if o["width"] <= 0.0:
         raise ParameterError("width must be positive")
+    if o["L"] <= 0.0 or o["h"] <= 0.0:
+        raise ParameterError("L and h must be positive")
     n = int(round(2.0 * o["L"] / o["h"]))
     if n < 16:
         raise ParameterError("grid too small")
@@ -395,8 +401,9 @@ def _cmd_free_evolve(cfg: RunConfig) -> int:
     w0 = np.exp(-xi * xi / (2.0 * o["width"] ** 2))
     times = np.linspace(0.0, o["t_final"], o["n_records"])
     norms = np.empty(times.size)
+    flow = evolve.free_flow(w0, params, o["alpha"], o["h"])
     for i, t in enumerate(times):
-        w = evolve.free_evolve(w0, params, o["alpha"], float(t), o["h"])
+        w = evolve.free_evolve(w0, params, o["alpha"], float(t), o["h"], flow)
         norms[i] = evolve.l2_norm(w, o["h"])
     traj = evolve.EvolutionState(
         kind="free", params=params, alpha=o["alpha"], h=o["h"],

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.fft import irfft, rfft, rfftfreq
-from scipy.signal import lfilter
 
 from . import kernel
 from .dispersion import classify_roots, lambda_of_r, spectral_gap
@@ -46,6 +45,7 @@ from .wave import (
 
 __all__ = [
     "apply_linearized",
+    "free_flow",
     "free_evolve",
     "GreenFunction",
     "free_green",
@@ -128,19 +128,27 @@ def apply_linearized(w, profile: Profile, alpha: float, adjoint: bool = False):
     return _linearized_op(profile, alpha, w.size, adjoint)(w)
 
 
-def free_evolve(w0, params: WaveParams, alpha: float, t: float, h: float):
-    """Exact multiplier evolution over the flat background: w(t) from w0."""
+def free_flow(w0, params: WaveParams, alpha: float, h: float) -> tuple:
+    """(fft(w0), lambda(i sigma - alpha), w0 is real): free_evolve's per-datum part."""
     _check_alpha(alpha)
     w0 = np.asarray(w0)
     ac = derived_constants(params).alpha_crit
     if alpha < 0.0 or ac <= alpha < 1.0:
         warnings.warn(
             f"weight alpha={alpha} has no spectral gap: growth expected",
-            stacklevel=2,
+            stacklevel=3,
         )
     lam = lambda_of_r(1j * _freq(w0.size, h) - alpha, params)
-    out = np.fft.ifft(np.exp(lam * t) * np.fft.fft(w0))
-    return out.real if np.isrealobj(w0) else out
+    return np.fft.fft(w0), lam, np.isrealobj(w0)
+
+
+def free_evolve(w0, params: WaveParams, alpha: float, t: float, h: float,
+                flow: tuple | None = None):
+    """Exact multiplier evolution over the flat background: w(t) from w0,
+    reusing flow = free_flow(w0, params, alpha, h) if it is given."""
+    w0_hat, lam, real = flow or free_flow(w0, params, alpha, h)
+    out = np.fft.ifft(np.exp(lam * t) * w0_hat)
+    return out.real if real else out
 
 
 @dataclass(frozen=True)
@@ -217,19 +225,6 @@ def green_eval(gf: GreenFunction, y, deriv: int = 0) -> np.ndarray:
     return out
 
 
-def _causal_conv(g: np.ndarray, rho: complex, h: float) -> np.ndarray:
-    # C(x_i) = int_{y < x_i} e^{-rho (x_i - y)} g(y) dy for Re rho > 0,
-    # with zero inflow at the left end (g is assumed to decay there)
-    W = kernel._panel_exp_weights(rho * h, h)
-    idx, s = kernel._window_index(g.size)
-    inc = np.einsum("ij,ij->i", W[s], g[idx].astype(complex))
-    q = np.exp(-rho * h)
-    out = np.empty(g.size, dtype=complex)
-    out[0] = 0.0
-    out[1:] = lfilter(np.array([1.0 + 0j]), np.array([1.0, -q]), inc)
-    return out
-
-
 def green_apply(gf: GreenFunction, phi, h: float) -> np.ndarray:
     """Solve (lambda - A_alpha^inf) u = phi for decaying phi on the grid."""
     phi = np.asarray(phi)
@@ -241,9 +236,9 @@ def green_apply(gf: GreenFunction, phi, h: float) -> np.ndarray:
         psi = psi.real
     s1, s2, s3 = gf.roots
     a1, a2, a3 = gf.a
-    u = a1 * _causal_conv(psi, -s1, h)
-    u -= a2 * _causal_conv(psi[::-1], s2, h)[::-1]
-    u -= a3 * _causal_conv(psi[::-1], s3, h)[::-1]
+    u = a1 * kernel.causal_exp_conv(psi, -s1, h)
+    u -= a2 * kernel.causal_exp_conv(psi[::-1], s2, h)[::-1]
+    u -= a3 * kernel.causal_exp_conv(psi[::-1], s3, h)[::-1]
     if np.isrealobj(phi) and abs(np.imag(gf.lam)) < 1e-14:
         return u.real
     return u

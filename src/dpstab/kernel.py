@@ -13,11 +13,13 @@ with theta1 = (dQ/dc)^{-1} and theta2 = theta1^2 <dc_u0, cum>.  The pairings
 <z_j, eta_l> = delta_jl are not imposed; they emerge from the quadrature and
 the residuals are reported.
 
-The nonlocal inverses (msq - d^2)^{-1} are applied by exact two-sided
-exponential recursions against the kernel e^{-m|xi|}/(2m): each grid panel
-contributes the integral of its degree-5 interpolant against the exponential,
-so the sweep is order-6 in the step and respects decay at the ends (no
-periodization).  Running integrals use matching degree-5 panel quadrature.
+The nonlocal inverses (msq - d^2)^{-1} are two causal exponential
+convolutions (`causal_exp_conv`, one per direction) against the kernel
+e^{-m|xi|}/(2m): each grid panel contributes the integral of its degree-5
+interpolant against the exponential, so the sweep is order-6 in the step and
+respects decay at the ends (no periodization).  The running sum
+C_i = e^{-m h} C_{i-1} + inc_i is one BLAS bidiagonal solve (dtbsv/ztbsv).
+Running integrals use matching degree-5 panel quadrature.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.blas import dtbsv, ztbsv
 
 from .wave import ParameterError, Profile, SolverError, dc_profile
 
@@ -34,6 +36,7 @@ __all__ = [
     "ConservedValues",
     "KernelBasis",
     "cumint6",
+    "causal_exp_conv",
     "helmholtz_solve",
     "b_apply",
     "conserved",
@@ -107,10 +110,31 @@ def _panel_exp_weights(a, h: float) -> np.ndarray:
     return W
 
 
-@lru_cache(maxsize=16)
-def _helm_weights(m: float, h: float):
-    W = _panel_exp_weights(m * h, h)
-    return W.real.copy(), float(np.exp(-m * h))
+@lru_cache(maxsize=16, typed=True)
+def _exp_rows(rate, h: float, n: int):
+    # per-panel weight rows on an n-point grid (real for a real rate) and the
+    # step factor e^{-rate h}; the row gather costs as much as the sweep
+    W = _panel_exp_weights(rate * h, h)
+    rows = (W if isinstance(rate, complex) else W.real)[_window_index(n)[1]]
+    return rows, np.exp(-rate * h)
+
+
+def _recurrence(x: np.ndarray, q) -> np.ndarray:
+    # y_0 = x_0, y_i = q y_{i-1} + x_i, overwriting x: forward substitution on
+    # the unit lower-bidiagonal band with -q below the diagonal
+    band = np.full((2, x.size), -q, dtype=x.dtype, order="F")
+    tbsv = ztbsv if np.iscomplexobj(x) else dtbsv
+    return tbsv(1, band, x, lower=1, diag=1, overwrite_x=1)
+
+
+def causal_exp_conv(g, rate, h: float, start=0.0) -> np.ndarray:
+    """C(x_i) = start e^{-rate (x_i - x_0)} + int_{x_0}^{x_i} e^{-rate (x_i - y)} g(y) dy.
+
+    Re rate > 0; the result is complex for a complex rate or complex g."""
+    g = np.asarray(g)
+    rows, q = _exp_rows(rate, float(h), g.size)
+    inc = np.einsum("ij,ij->i", rows, g[_window_index(g.size)[0]])
+    return _recurrence(np.concatenate([[start], inc]), q)
 
 
 def _tail_moment(g0: float, g1: float, m: float, h: float) -> float:
@@ -132,21 +156,10 @@ def helmholtz_solve(g, msq: int, h: float) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.ndim != 1 or g.size < 8:
         raise ParameterError("g must be a 1-d grid function with at least 8 samples")
-    m = float(np.sqrt(msq))
-    W, q = _helm_weights(m, float(h))
-    idx, s = _window_index(g.size)
-    rows = W[s]
-
-    def sweep(arr):
-        inc = np.einsum("ij,ij->i", rows, arr[idx])
-        a0 = _tail_moment(arr[0], arr[1], m, h)
-        out = np.empty(arr.size)
-        out[0] = a0
-        out[1:] = lfilter([1.0], [1.0, -q], inc, zi=np.array([q * a0]))[0]
-        return out
-
-    left = sweep(g)
-    right = sweep(g[::-1])[::-1]
+    m, h = float(np.sqrt(msq)), float(h)
+    left = causal_exp_conv(g, m, h, _tail_moment(g[0], g[1], m, h))
+    g = g[::-1]
+    right = causal_exp_conv(g, m, h, _tail_moment(g[0], g[1], m, h))[::-1]
     return (left + right) / (2.0 * m)
 
 

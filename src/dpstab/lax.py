@@ -394,7 +394,11 @@ def mcubic_selftest(seed: int = 0, n_samples: int = 3) -> dict:
     (c-k)M^3 - lam M^2 - (c-4k)M + lam and not by the variant with (c+2k).
     Raises if the elimination contradicts the adopted coefficients.
     """
-    import sympy as sp
+    try:
+        import sympy as sp
+    except ImportError as exc:
+        raise ParameterError("the M-cubic self-test needs sympy, from the "
+                             "selftest extra: pip install 'dpstab[selftest]'") from exc
 
     rng = np.random.default_rng(seed)
     lam, s, l1v, l2v, Mv = sp.symbols("lam s l1 l2 M")

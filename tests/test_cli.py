@@ -1,6 +1,7 @@
 """Command line dispatch: artifacts, config merge, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -137,6 +138,37 @@ def test_validation_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["winding", "--alpha", "0.5", "--radius", "nan"], "--radius"),
+    (["linear-evolve", "--alpha", "0.5", "--dt", "nan"], "--dt"),
+    (["free-evolve", "--alpha", "nan"], "--alpha"),
+    (["free-evolve", "--alpha", "0.5", "--width", "nan"], "--width"),
+    (["spectrum", "--alpha", "nan"], "--alpha"),
+    (["winding", "--alpha", "0.5", "--center", "infj"], "--center"),
+])
+def test_non_finite_float_flag_rejected(tmp_path, capsys, argv, flag):
+    rc = cli.run(argv + ["--k", K, "--c", C, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"{flag} must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_non_finite_config_value_rejected(tmp_path, capsys):
+    # JSON's Infinity literal reaches the same check as a flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"k": 0.1, "c": 1, "alpha": Infinity}')
+    assert cli.run(["gap", "--config", str(cfg)]) == 2
+    assert "--alpha must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [["--h", "0"], ["--L", "-1"]])
+def test_free_evolve_rejects_nonpositive_grid(tmp_path, capsys, grid):
+    rc = cli.run(["free-evolve", "--k", K, "--c", C, "--alpha", "0.5",
+                  "--out", str(tmp_path / "x")] + grid)
+    assert rc == 2
+    assert "L and h must be positive" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(monkeypatch, capsys):
     # the dispatcher maps solver aborts onto exit code 3
     def boom(cfg):
@@ -161,6 +193,24 @@ def test_selftest_passes(capsys):
     assert cli.run(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("[ok]") == 2
+
+
+def test_selftest_without_sympy_names_the_extra(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    assert cli.run(["selftest"]) == 2
+    assert "dpstab[selftest]" in capsys.readouterr().err
+
+
+def test_import_leaves_heavy_scipy_subpackages_out():
+    # each of these pulls in dozens of modules that no command uses
+    heavy = ("scipy.signal", "scipy.stats", "scipy.ndimage", "scipy.interpolate")
+    code = ("import sys, dpstab.cli; print(' '.join(m for m in sys.modules "
+            f"if m.startswith({heavy!r})))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_entry_point_subprocess():

@@ -68,6 +68,25 @@ def test_helmholtz_zero_and_errors(prof01):
         kernel.helmholtz_solve(np.zeros(4), 1, 0.1)
 
 
+@pytest.mark.parametrize("q, start", [(np.exp(-0.02), 0.7),
+                                      (np.exp(-(0.3 + 1.1j) * 0.02), 0.0)])
+def test_recurrence_matches_lfilter(q, start):
+    # scipy.signal.lfilter is the oracle for y_i = q y_{i-1} + inc_i; the
+    # start value enters as lfilter's initial state q * start
+    from scipy.signal import lfilter
+
+    rng = np.random.default_rng(3)
+    inc = rng.standard_normal(4000)
+    if np.iscomplexobj(q):
+        inc = inc + 1j * rng.standard_normal(4000)
+    ref = lfilter([1.0], [1.0, -q], inc, zi=np.array([q * start]))[0]
+    mine = kernel._recurrence(np.concatenate([[start], inc]), q)
+    assert mine[0] == start
+    # relative to the largest value: the random increments cancel to near
+    # zero at a few points, where a pointwise relative error means nothing
+    assert np.max(np.abs(mine[1:] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_helmholtz_even_symmetry(prof01):
     # mirrored sweeps make the inverse of an even function exactly even
     out = kernel.helmholtz_solve(prof01.u0 - prof01.params.k, 4, prof01.h)
