@@ -112,37 +112,42 @@ def _neg_step_maps(ki, km, ke, s, h):
     return cols
 
 
-def _march(nodes, mids, lam, alpha, s, y0, hs, sign, adjoint):
-    """RK4 march of one lambda from y0; returns all node states (nstep + 1, 3).
+def _marches(p0, p1, p2, pinv, lams, alpha, shifts, y0s, hs, sign, adjoint):
+    """RK4 march of each lambda from its row of y0s; yields all node states
+    (nstep + 1, 3), a view of one state vector that the next march reuses.
 
-    The adjoint generator -X^T + s I is -(X - s I)^T, so its step map from
-    start i over middle m to end e with step h is the transpose of the
-    forward map from e over m to i with step -h.
+    Every march writes the same band slots and the others stay zero, so one
+    band serves all lambda.  The adjoint generator -X^T + s I is -(X - s I)^T,
+    so its step map from start i over middle m to end e with step h is the
+    transpose of the forward map from e over m to i with step -h.
     """
+    nodes, mids = _split(p0, p1, p2, pinv, alpha)
     nstep = len(mids[0])
-    coef = (lam * (alpha * alpha - 1.0), -2.0 * alpha * lam, lam)
     h = -sign * hs if adjoint else sign * hs
-    C = min(_STEPS, nstep)
-    band = np.zeros((6, 3 * C + 3), dtype=np.complex128, order="F")
-    x = np.zeros(3 * nstep + 3, dtype=np.complex128)
-    x[:3] = y0
-    for j0 in range(0, nstep, _STEPS):
-        j1 = min(nstep, j0 + _STEPS)
-        qn = [R[j0:j1 + 1] + c * nodes[3][j0:j1 + 1] for R, c in zip(nodes[:3], coef)]
-        qm = [R[j0:j1] + c * mids[3][j0:j1] for R, c in zip(mids[:3], coef)]
-        qn[2] -= s
-        qm[2] -= s
-        ki, ke = [q[:-1] for q in qn], [q[1:] for q in qn]
-        if adjoint:
-            ki, ke = ke, ki
-        cols = _neg_step_maps(ki, qm, ke, s, h)
-        n = 3 * (j1 - j0)
-        for r in range(3):
-            for c in range(3):
-                band[3 + r - c, c:n:3] = cols[r][c] if adjoint else cols[c][r]
-        seg = x[3 * j0:3 * j1 + 3]
-        seg[:] = ztbsv(5, band[:, :n + 3], seg, lower=1, diag=1, overwrite_x=1)
-    return x.reshape(-1, 3)
+    band = np.zeros((6, 3 * min(_STEPS, nstep) + 3), dtype=np.complex128, order="F")
+    x = np.empty(3 * nstep + 3, dtype=np.complex128)
+    for lam, s, y0 in zip(np.asarray(lams, dtype=complex).tolist(),
+                          np.asarray(shifts, dtype=complex).tolist(), y0s):
+        coef = (lam * (alpha * alpha - 1.0), -2.0 * alpha * lam, lam)
+        x[:3] = y0
+        x[3:] = 0.0
+        for j0 in range(0, nstep, _STEPS):
+            j1 = min(nstep, j0 + _STEPS)
+            qn = [R[j0:j1 + 1] + c * nodes[3][j0:j1 + 1] for R, c in zip(nodes[:3], coef)]
+            qm = [R[j0:j1] + c * mids[3][j0:j1] for R, c in zip(mids[:3], coef)]
+            qn[2] -= s
+            qm[2] -= s
+            ki, ke = [q[:-1] for q in qn], [q[1:] for q in qn]
+            if adjoint:
+                ki, ke = ke, ki
+            cols = _neg_step_maps(ki, qm, ke, s, h)
+            n = 3 * (j1 - j0)
+            for r in range(3):
+                for c in range(3):
+                    band[3 + r - c, c:n:3] = cols[r][c] if adjoint else cols[c][r]
+            seg = x[3 * j0:3 * j1 + 3]
+            seg[:] = ztbsv(5, band[:, :n + 3], seg, lower=1, diag=1, overwrite_x=1)
+        yield x.reshape(-1, 3)
 
 
 def shoot_final(p0, p1, p2, pinv, lams, alpha, shifts, y0s, hs, sign, adjoint):
@@ -150,17 +155,13 @@ def shoot_final(p0, p1, p2, pinv, lams, alpha, shifts, y0s, hs, sign, adjoint):
 
     Each lambda is marched from its row of y0s through the full grid.
     """
-    nodes, mids = _split(p0, p1, p2, pinv, alpha)
-    y0s = np.asarray(y0s, dtype=np.complex128)
     out = np.empty((len(lams), 3), dtype=np.complex128)
-    for b, (lam, s) in enumerate(zip(np.asarray(lams).tolist(), np.asarray(shifts).tolist())):
-        out[b] = _march(nodes, mids, complex(lam), alpha, complex(s), y0s[b], hs, sign,
-                        adjoint)[-1]
+    for b, y in enumerate(_marches(p0, p1, p2, pinv, lams, alpha, shifts, y0s, hs, sign,
+                                   adjoint)):
+        out[b] = y[-1]
     return out
 
 
 def shoot_traj(p0, p1, p2, pinv, lam, alpha, shift, y0, hs, sign, adjoint):
     """All node states of a single shifted companion system, shape (nstep + 1, 3)."""
-    nodes, mids = _split(p0, p1, p2, pinv, alpha)
-    return _march(nodes, mids, complex(lam), alpha, complex(shift),
-                  np.asarray(y0, dtype=np.complex128), hs, sign, adjoint)
+    return next(_marches(p0, p1, p2, pinv, [lam], alpha, [shift], [y0], hs, sign, adjoint))

@@ -93,7 +93,8 @@ _TABLES = {
         "hole_radius": _opt(float, 0.05, "keyhole excluded-disc radius"),
         "density": _opt(float, 8.0, "rectangle nodes per unit length"),
         **_GRID,
-        "nsub": _opt(int, 10, "integration substeps per grid cell"),
+        "nsub": _opt(int, None, "fixed integration substeps per grid cell; default: "
+                     "error-controlled, nsub 1 and 2 refined per node up to 16"),
         **_out("winding"), **_CONFIG,
     },
     "lax": {
@@ -189,6 +190,10 @@ def _coerce(key: str, value, opt: _Opt):
     if value is None:
         return None
     flag = "--" + key.replace("_", "-")
+    # int() would take JSON true/false and truncate 2.7 from a config file
+    if opt.typ is int and (isinstance(value, bool)
+                           or isinstance(value, float) and not value.is_integer()):
+        raise ParameterError(f"{flag} must be an integer, got {value!r}")
     try:
         value = opt.typ(value)
     except (TypeError, ValueError) as exc:
@@ -354,6 +359,8 @@ def _cmd_winding(cfg: RunConfig) -> int:
         "config": cfg.resolved(),
         "winding": result.winding,
         "min_abs_D": result.min_abs_D,
+        "err_ratio": result.err_ratio,
+        "nsub_max": result.nsub_max,
     })
     print(f"winding = {result.winding}")
     return 0

@@ -41,6 +41,11 @@ __all__ = [
 
 _SEP_TOL = 1e-8
 
+# error control of winding counts: tolerance on e_j/|D_j|, first and finest nsub
+_TAU = 1e-2
+_NSUB_BASE = 1
+_NSUB_CAP = 16
+
 
 @dataclass(frozen=True)
 class EvansSample:
@@ -58,13 +63,17 @@ class EvansSample:
 
 @dataclass(frozen=True)
 class WindingResult:
-    """Winding of D along one or more oriented loops (summed)."""
+    """Winding of D along one or more oriented loops (summed); err_ratio is the
+    largest estimate e_j/|D_j| of an error-controlled count (None for a fixed
+    march), nsub_max the finest nsub any node needed."""
 
     winding: int
     min_abs_D: float
     loops: tuple[np.ndarray, ...]
     values: tuple[np.ndarray, ...]
     alpha: float
+    err_ratio: float | None = None
+    nsub_max: int | None = None
 
     @property
     def contour(self) -> np.ndarray:
@@ -285,17 +294,49 @@ def _loop_winding(nodes: np.ndarray, evalf, max_passes: int) -> tuple[int, np.nd
     )
 
 
-def winding_count(contour, profile: Profile, alpha: float = 0.0, nsub: int = 10,
+def _controlled_batch(nodes: np.ndarray, profile: Profile, alpha: float, stats: dict):
+    """D at nodes: each node's D_2n at the first n = _NSUB_BASE, 2n, ... with
+    e_j = |D_2n - D_n|/15 <= _TAU |D_2n|; stats keep the largest e_j/|D_j| and nsub."""
+    todo, n = np.arange(len(nodes)), _NSUB_BASE
+    coarse = evans_batch(nodes, profile, alpha, n)[0]
+    vals, worst = np.empty_like(coarse), 0.0
+    while todo.size:
+        if 2 * n > _NSUB_CAP:
+            raise SolverError(f"Evans error control failed at lambda={nodes[todo[0]]} and "
+                              f"{todo.size - 1} more: |D_{n} - D_{n // 2}|/15 > {_TAU} |D|")
+        fine = evans_batch(nodes[todo], profile, alpha, 2 * n)[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.abs(fine - coarse) / (15.0 * np.abs(fine))
+        ok = ratio <= _TAU
+        vals[todo[ok]] = fine[ok]
+        worst = max(worst, float(ratio[ok].max(initial=0.0)))
+        todo, coarse, n = todo[~ok], fine[~ok], 2 * n
+    stats["err_ratio"] = max(stats["err_ratio"], worst)
+    stats["nsub_max"] = max(stats["nsub_max"], n)
+    return vals
+
+
+def winding_count(contour, profile: Profile, alpha: float = 0.0, nsub: int | None = None,
                   max_passes: int = 14) -> WindingResult:
     """Total winding of D over one loop (array) or several loops (list).
 
     Refines each loop by midpoint insertion until consecutive phase steps
-    are below pi/2, then sums the unwrapped increments.
+    are below pi/2, then sums the unwrapped increments.  By default
+    (nsub=None) every node is marched at nsub 1 and 2 and kept when the RK4
+    error estimate |D_2 - D_1|/15 is at most 1e-2 |D|; other nodes are
+    re-marched at 2/4, 4/8, 8/16, past which SolverError is raised.  An
+    integer nsub marches every node at that fixed resolution.
     """
     loops = [np.asarray(contour, dtype=complex)] if isinstance(
         contour, np.ndarray) else [np.asarray(c, dtype=complex) for c in contour]
+    if not loops or any(loop.ndim != 1 or loop.size < 3 for loop in loops):
+        raise ParameterError("a contour needs at least one loop of at least 3 nodes")
+    stats = ({"err_ratio": 0.0, "nsub_max": _NSUB_BASE} if nsub is None
+             else {"err_ratio": None, "nsub_max": nsub})
 
     def evalf(nodes):
+        if nsub is None:
+            return _controlled_batch(nodes, profile, alpha, stats)
         return evans_batch(nodes, profile, alpha, nsub)[0]
 
     total = 0
@@ -307,17 +348,18 @@ def winding_count(contour, profile: Profile, alpha: float = 0.0, nsub: int = 10,
         out_vals.append(vals)
     min_abs = min(float(np.abs(v).min()) for v in out_vals)
     return WindingResult(winding=total, min_abs_D=min_abs, loops=tuple(out_nodes),
-                         values=tuple(out_vals), alpha=float(alpha))
+                         values=tuple(out_vals), alpha=float(alpha), **stats)
 
 
 def certify_eta(profile: Profile, alpha: float, re_max: float = 2.0,
                 im_abs: float = 2.0, hole_radius: float = 0.05, steps: int = 7,
-                nsub: int = 10) -> dict:
+                nsub: int | None = None) -> dict:
     """Largest eta, stepped in multiples of gap/8, with zero winding of D
     around [-eta, re_max] x [-im_abs, im_abs] minus a disc at the origin.
 
     The spectral gap bounds how far the rectangle may reach; eta certifies
-    a concrete zero-free strip beyond the imaginary axis.
+    a concrete zero-free strip beyond the imaginary axis.  Each keyhole is
+    counted by `winding_count` at nsub, error-controlled by default.
     """
     gap = spectral_gap(profile.params, alpha)
     certified = 0.0

@@ -161,6 +161,26 @@ def test_non_finite_config_value_rejected(tmp_path, capsys):
     assert "--alpha must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, key, value", [
+    ("winding", "nsub", "2.7"), ("winding", "nsub", "true"),
+    ("spectrum", "n", "2.7"), ("spectrum", "n", "false"),
+])
+def test_non_integer_config_value_rejected(tmp_path, capsys, cmd, key, value):
+    # int() would truncate 2.7 to 2 and read true as 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"k": 0.1, "c": 1, "alpha": 0.5, "{key}": {value}}}')
+    assert cli.run([cmd, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert f"--{key} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_integral_config_number_accepted(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"k": 0.1, "c": 1, "alpha": 0.5, "n": 101.0}')
+    assert cli.run(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+    assert _read_json(tmp_path / "x.json")["config"]["n"] == 101
+
+
 @pytest.mark.parametrize("grid", [["--h", "0"], ["--L", "-1"]])
 def test_free_evolve_rejects_nonpositive_grid(tmp_path, capsys, grid):
     rc = cli.run(["free-evolve", "--k", K, "--c", C, "--alpha", "0.5",
@@ -233,6 +253,9 @@ def test_winding_circle_counts_double_zero(tmp_path, capsys):
     meta = _read_json(out + ".json")
     assert meta["winding"] == 2
     assert meta["min_abs_D"] > 0.0
+    # error-controlled by default: nsub 1 and 2 sufficed at every node
+    assert meta["config"]["nsub"] is None
+    assert 0.0 < meta["err_ratio"] <= 1e-2 and meta["nsub_max"] == 2
 
 
 def test_winding_unknown_contour(tmp_path, capsys):

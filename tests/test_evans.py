@@ -3,7 +3,8 @@ import pytest
 
 from dpstab import _backend, evans, lax
 from dpstab.dispersion import spectral_gap
-from dpstab.wave import ParameterError, WaveParams, half_step_samples, solve_profile
+from dpstab.wave import (ParameterError, SolverError, WaveParams, half_step_samples,
+                         solve_profile)
 
 # regression anchor, first simple zero is well right of lambda = 1
 D_ONE_UNWEIGHTED = 0.20436288257374657
@@ -35,11 +36,26 @@ def test_weighted_equivalence(prof01):
     assert evans.weighted_equivalence_check(0.5, prof01, 0.0) == 0.0
 
 
+def _fixed_march_agrees(res, contour, prof):
+    """The nsub=10 count of contour, after checking that the error-controlled
+    result res agrees with it."""
+    fixed = evans.winding_count(contour, prof, 0.5, nsub=10)
+    assert fixed.winding == res.winding
+    assert abs(res.min_abs_D - fixed.min_abs_D) <= 1e-6 * fixed.min_abs_D
+    assert res.err_ratio <= 1e-2 and res.nsub_max == 2
+    assert fixed.err_ratio is None and fixed.nsub_max == 10
+    return fixed
+
+
 def test_winding_small_circle(prof01):
-    res = evans.winding_count(evans.circle_contour(0.0, 0.05, 64), prof01, alpha=0.5)
+    loop = evans.circle_contour(0.0, 0.05, 64)
+    res = evans.winding_count(loop, prof01, alpha=0.5)
     assert res.winding == 2
     assert res.min_abs_D > 0
     assert len(res.values) == 1 and len(res.values[0]) == len(res.loops[0])
+    fixed = _fixed_march_agrees(res, loop, prof01)
+    D10 = evans.evans_batch(fixed.loops[0], prof01, 0.5, nsub=10)[0]
+    assert np.array_equal(fixed.values[0], D10)
 
 
 def test_winding_keyhole(prof01, params01):
@@ -49,6 +65,50 @@ def test_winding_keyhole(prof01, params01):
     assert res.winding == 0
     assert len(res.loops) == 2
     assert res.contour.shape[0] == sum(len(l) for l in res.loops)
+    _fixed_march_agrees(res, loops, prof01)
+
+
+@pytest.mark.parametrize("contour", [
+    [], np.array([]), np.array([0.1 + 0.1j]),
+    [evans.circle_contour(1.0, 0.1, 8), np.array([0.5, 0.6])],
+])
+def test_degenerate_contour_rejected(prof01, contour):
+    with pytest.raises(ParameterError, match="at least 3 nodes"):
+        evans.winding_count(contour, prof01, 0.5)
+
+
+def _perturb_node(monkeypatch, node, bump):
+    """Make evans_batch return D (1 + bump(nsub)) at node; records (nsub, B)."""
+    batch = evans.evans_batch
+    calls = []
+
+    def perturbed(lams, profile, alpha, nsub, *rest):
+        D, ex = batch(lams, profile, alpha, nsub, *rest)
+        calls.append((nsub, len(lams)))
+        D[np.asarray(lams) == node] *= 1.0 + bump(nsub)
+        return D, ex
+
+    monkeypatch.setattr(evans, "evans_batch", perturbed)
+    return calls
+
+
+def test_error_control_remarches_a_bad_node(prof01, monkeypatch):
+    # a coarse value off by 0.5 |D| gives e = 0.5 |D| / 15 > 1e-2 |D|
+    loop = evans.circle_contour(0.0, 0.05, 64)
+    calls = _perturb_node(monkeypatch, loop[5], lambda nsub: 0.5 if nsub == 1 else 0.0)
+    res = evans.winding_count(loop, prof01, 0.5)
+    assert res.winding == 2
+    assert res.nsub_max == 4 and res.err_ratio <= 1e-2
+    assert calls == [(1, 64), (2, 64), (4, 1)]
+
+
+def test_error_control_failure_returns_no_count(prof01, monkeypatch):
+    # values that do not converge as nsub grows fail at every level
+    loop = evans.circle_contour(0.0, 0.05, 64)
+    calls = _perturb_node(monkeypatch, loop[5], lambda nsub: 0.3 * nsub)
+    with pytest.raises(SolverError, match="error control failed"):
+        evans.winding_count(loop, prof01, 0.5)
+    assert [c[0] for c in calls] == [1, 2, 4, 8, 16]
 
 
 def test_winding_away_from_zero(prof01):
@@ -222,6 +282,22 @@ def test_long_chunks_match_stepwise(prof01, monkeypatch):
             # root keeps them bounded (measured max_j |y_j| / |y_0| = 1.12)
             growth = np.max(np.linalg.norm(traj, axis=1)) / np.linalg.norm(inits[i])
             assert growth < 10.0
+
+
+def test_batch_march_equals_single_marches(prof01):
+    # every march of a shoot_final call reuses one band and state buffer
+    arrays = half_step_samples(prof01, 1)
+    m = 2 * arrays["n"] + 1
+    lams = np.array([0.05, 0.3 + 0.2j, 2.0 + 2.0j, -0.06 + 2.0j, 1.1 - 0.7j])
+    shifts, inits = _launch(lams, 0.5, prof01.params)
+    for tag, sign, adjoint in (("desc", -1.0, False), ("asc", 1.0, True)):
+        coef = [a[:m] for a in arrays[tag]]
+        rest = (arrays["hs"], sign, adjoint)
+        batch = _backend.shoot_final(*coef, lams, 0.5, shifts, inits, *rest)
+        for i in range(len(lams)):
+            one = slice(i, i + 1)
+            alone = _backend.shoot_final(*coef, lams[one], 0.5, shifts[one], inits[one], *rest)
+            assert np.array_equal(batch[i], alone[0])
 
 
 def test_traj_prefix_matches_stepwise(prof01):
