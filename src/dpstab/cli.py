@@ -5,7 +5,9 @@ artifacts with the resolved configuration embedded, and reports through
 exit codes: 0 on success, 2 on a validation error (including unknown
 flags), 3 on a numerical failure.  A ``--config file.json`` path
 overrides flag values so a run can be replayed from its own sidecar.
-Identical resolved configuration yields byte-identical outputs.
+Identical resolved configuration yields byte-identical outputs.  This is
+the only module that writes files: the library returns arrays and
+dataclasses, and `_emit` owns every artifact format.
 """
 
 from __future__ import annotations
@@ -182,6 +184,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_KINDS = {int: "an integer", float: "a number", complex: "a complex number",
+          str: "a string"}
+
+
 def _coerce(key: str, value, opt: _Opt):
     if opt.typ is bool:
         if not isinstance(value, bool):
@@ -190,10 +196,11 @@ def _coerce(key: str, value, opt: _Opt):
     if value is None:
         return None
     flag = "--" + key.replace("_", "-")
-    # int() would take JSON true/false and truncate 2.7 from a config file
-    if opt.typ is int and (isinstance(value, bool)
-                           or isinstance(value, float) and not value.is_integer()):
-        raise ParameterError(f"{flag} must be an integer, got {value!r}")
+    # int(), float() and complex() would all read JSON true/false as 1 or 0,
+    # and int() would truncate 2.7 from a config file
+    if isinstance(value, bool) or (opt.typ is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ParameterError(f"{flag} must be {_KINDS[opt.typ]}, got {value!r}")
     try:
         value = opt.typ(value)
     except (TypeError, ValueError) as exc:
@@ -242,33 +249,51 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+def _emit(cfg: RunConfig, meta: dict, table: dict | None = None,
+          title: str = "", logy: bool = False) -> None:
+    """Write the run's artifacts under the --out prefix.
+
+    <out>.json holds {"config": the resolved options, **meta}.  Given a
+    {column: values} table, <out>.csv holds its columns at full precision
+    and, when --plot-script is set, a gnuplot script plots the first two.
+    """
+    o = cfg.options
+    with open(o["out"] + ".json", "w", encoding="utf-8") as fh:
+        json.dump({"config": cfg.resolved(), **meta}, fh, indent=2,
+                  sort_keys=True, default=_json_default)
         fh.write("\n")
+    if table is None:
+        return
+    csv = o["out"] + ".csv"
+    np.savetxt(csv, np.column_stack(list(table.values())), fmt="%.17g",
+               delimiter=",", header=",".join(table), comments="")
+    if o["plot_script"]:
+        lines = [
+            "# plotting script (gnuplot syntax); nothing is rendered here",
+            'set datafile separator ","',
+            "set key autotitle columnhead",
+            f'set title "{title}"',
+            *(["set logscale y"] if logy else []),
+            f'plot "{csv}" using 1:2 with lines',
+        ]
+        with open(o["plot_script"], "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
-def _write_csv(path: str, names, cols) -> None:
-    cols = [np.asarray(col, dtype=float) for col in cols]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for i in range(cols[0].size):
-            fh.write(",".join("%.17g" % col[i] for col in cols) + "\n")
-
-
-def _write_plot_script(path: str, csv_path: str, title: str,
-                       logy: bool = False) -> None:
-    lines = [
-        "# plotting script (gnuplot syntax); nothing is rendered here",
-        'set datafile separator ","',
-        "set key autotitle columnhead",
-        f'set title "{title}"',
-    ]
-    if logy:
-        lines.append("set logscale y")
-    lines.append(f'plot "{csv_path}" using 1:2 with lines')
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _trajectory_table(traj: evolve.EvolutionState) -> dict:
+    """Columns t, norm_w, ip_eta1, ip_eta2 (NaN when not projected), then
+    whichever of E, Q, H, c_fit, gamma_fit the run recorded."""
+    nan = np.full_like(traj.t, np.nan)
+    table = {
+        "t": traj.t,
+        "norm_w": traj.norm_w,
+        "ip_eta1": nan if traj.ip_eta1 is None else traj.ip_eta1,
+        "ip_eta2": nan if traj.ip_eta2 is None else traj.ip_eta2,
+    }
+    for name in ("E", "Q", "H", "c_fit", "gamma_fit"):
+        if name in traj.extra:
+            table[name] = traj.extra[name]
+    return table
 
 
 def _fmt_c(z: complex) -> str:
@@ -284,10 +309,11 @@ def _cmd_profile(cfg: RunConfig) -> int:
     o = cfg.options
     prof = wave.solve_profile(_params(o), L=o["L"], h=o["h"], tol=o["tol"])
     meta = wave.profile_meta(prof)
-    wave.write_profile_csv(prof, o["out"] + ".csv")
-    _write_json(o["out"] + ".json", {"config": cfg.resolved(), **meta})
-    if o["plot_script"]:
-        _write_plot_script(o["plot_script"], o["out"] + ".csv", "wave profile")
+    table = {name: getattr(prof, name)
+             for name in ("xi", "u0", "u0_p", "u0_pp", "u0_ppp", "mu")}
+    table["dc_u0"] = (np.full_like(prof.u0, np.nan) if prof.dc_u0 is None
+                      else prof.dc_u0)
+    _emit(cfg, meta, table, "wave profile")
     print(f"u_max = {meta['u_max']:.10f}")
     print(f"wrote {o['out']}.csv, {o['out']}.json")
     return 0
@@ -301,16 +327,10 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     sigma = np.linspace(-o["sigma_max"], o["sigma_max"], o["n"])
     curve = dispersion.ess_spectrum_curve(params, o["alpha"], sigma)
     gap = dispersion.spectral_gap(params, o["alpha"])
-    _write_csv(o["out"] + ".csv", ("sigma", "re_lambda", "im_lambda"),
-               (curve.sigma, curve.lam.real, curve.lam.imag))
-    _write_json(o["out"] + ".json", {
-        "config": cfg.resolved(),
-        "gap": gap,
-        "max_re": float(curve.lam.real.max()),
-    })
-    if o["plot_script"]:
-        _write_plot_script(o["plot_script"], o["out"] + ".csv",
-                           "weighted essential spectrum")
+    _emit(cfg, {"gap": gap, "max_re": float(curve.lam.real.max())},
+          {"sigma": curve.sigma, "re_lambda": curve.lam.real,
+           "im_lambda": curve.lam.imag},
+          "weighted essential spectrum")
     print(f"spectral gap = {gap:.12g}")
     return 0
 
@@ -327,8 +347,7 @@ def _cmd_evans(cfg: RunConfig) -> int:
     lam = complex(o["lam_re"], o["lam_im"])
     sample = evans.evans_eval(lam, prof, o["alpha"], nsub=o["nsub"])
     if o["out"]:
-        _write_json(o["out"] + ".json", {
-            "config": cfg.resolved(),
+        _emit(cfg, {
             "re": sample.value.real,
             "im": sample.value.imag,
             "renorm_exponent": sample.renorm_exponent,
@@ -355,8 +374,7 @@ def _cmd_winding(cfg: RunConfig) -> int:
     else:
         raise ParameterError(f"unknown contour kind: {kind}")
     result = evans.winding_count(contour, prof, o["alpha"], nsub=o["nsub"])
-    _write_json(o["out"] + ".json", {
-        "config": cfg.resolved(),
+    _emit(cfg, {
         "winding": result.winding,
         "min_abs_D": result.min_abs_D,
         "err_ratio": result.err_ratio,
@@ -369,8 +387,7 @@ def _cmd_winding(cfg: RunConfig) -> int:
 def _cmd_lax(cfg: RunConfig) -> int:
     o = cfg.options
     data = lax.m_cubic(complex(o["lam_re"], o["lam_im"]), _params(o))
-    _write_json(o["out"] + ".json",
-                {"config": cfg.resolved(), **lax.root_report(data)})
+    _emit(cfg, lax.root_report(data))
     print(f"discriminant = {_fmt_c(data.discriminant)}")
     return 0
 
@@ -380,11 +397,10 @@ def _cmd_kernel(cfg: RunConfig) -> int:
     prof = wave.solve_profile(_params(o), L=o["L"], h=o["h"])
     basis = kernel.kernel_basis(prof, o["alpha"])
     report = kernel.basis_report(basis)
-    kernel.write_basis_csv(basis, o["out"] + ".csv")
-    _write_json(o["out"] + ".json", {"config": cfg.resolved(), **report})
-    if o["plot_script"]:
-        _write_plot_script(o["plot_script"], o["out"] + ".csv",
-                           "generalized kernel basis")
+    _emit(cfg, report,
+          {name: getattr(basis, name)
+           for name in ("xi", "z1", "z2", "eta1", "eta2")},
+          "generalized kernel basis")
     print(f"theta1 = {report['theta1']:.12g}")
     print(f"theta2 = {report['theta2']:.12g}")
     return 0
@@ -417,12 +433,8 @@ def _cmd_free_evolve(cfg: RunConfig) -> int:
         dt=float(times[1] - times[0]), T=o["t_final"], t=times, norm_w=norms,
         ip_eta1=None, ip_eta2=None, w=w, config=cfg.resolved())
     rate = evolve.decay_rate(traj)
-    evolve.write_trajectory_csv(traj, o["out"] + ".csv")
-    _write_json(o["out"] + ".json",
-                {"config": cfg.resolved(), "decay_rate": rate})
-    if o["plot_script"]:
-        _write_plot_script(o["plot_script"], o["out"] + ".csv",
-                           "constant-background decay", logy=True)
+    _emit(cfg, {"decay_rate": rate}, _trajectory_table(traj),
+          "constant-background decay", logy=True)
     print(f"decay rate = {rate:.6g}")
     return 0
 
@@ -436,15 +448,8 @@ def _cmd_linear_evolve(cfg: RunConfig) -> int:
                                 dt=o["dt"], project_out=not o["no_project"],
                                 n_records=o["n_records"])
     rate = evolve.decay_rate(traj)
-    evolve.write_trajectory_csv(traj, o["out"] + ".csv")
-    _write_json(o["out"] + ".json", {
-        "config": cfg.resolved(),
-        "solver": traj.config,
-        "decay_rate": rate,
-    })
-    if o["plot_script"]:
-        _write_plot_script(o["plot_script"], o["out"] + ".csv",
-                           "linearized decay", logy=True)
+    _emit(cfg, {"solver": traj.config, "decay_rate": rate},
+          _trajectory_table(traj), "linearized decay", logy=True)
     print(f"decay rate = {rate:.6g}")
     return 0
 
@@ -465,15 +470,8 @@ def _cmd_nonlinear_evolve(cfg: RunConfig) -> int:
     drift = {key: float((traj.extra[key][-1] - traj.extra[key][0])
                         / max(abs(traj.extra[key][0]), 1e-300))
              for key in ("E", "Q", "H")}
-    evolve.write_trajectory_csv(traj, o["out"] + ".csv")
-    _write_json(o["out"] + ".json", {
-        "config": cfg.resolved(),
-        "solver": traj.config,
-        "invariant_drift": drift,
-    })
-    if o["plot_script"]:
-        _write_plot_script(o["plot_script"], o["out"] + ".csv",
-                           "nonlinear residual norm", logy=True)
+    _emit(cfg, {"solver": traj.config, "invariant_drift": drift},
+          _trajectory_table(traj), "nonlinear residual norm", logy=True)
     print("invariant drift: E {E:.3g}, Q {Q:.3g}, H {H:.3g}".format(**drift))
     return 0
 

@@ -36,7 +36,6 @@ __all__ = [
     "rectangle_contour",
     "keyhole_contour",
     "certify_eta",
-    "write_evans_csv",
 ]
 
 _SEP_TOL = 1e-8
@@ -381,14 +380,3 @@ def certify_eta(profile: Profile, alpha: float, re_max: float = 2.0,
         "tried": tried,
         "windings": windings,
     }
-
-
-def write_evans_csv(samples: list[EvansSample], path) -> None:
-    """CSV export with header re_lambda,im_lambda,re_D,im_D,renorm_exponent."""
-    rows = np.array(
-        [[s.lam.real, s.lam.imag, s.value.real, s.value.imag, s.renorm_exponent]
-         for s in samples]
-    )
-    with open(path, "w") as fh:
-        fh.write("re_lambda,im_lambda,re_D,im_D,renorm_exponent\n")
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",")

@@ -25,7 +25,6 @@ band) unless disabled.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -59,8 +58,6 @@ __all__ = [
     "ModulationFit",
     "modulation_fit",
     "l2_norm",
-    "write_trajectory_csv",
-    "write_run_json",
 ]
 
 
@@ -597,25 +594,3 @@ def modulation_fit(u, params: WaveParams, alpha: float, h: float,
         c_star=float(cs), gamma_star=float(gs), residual=float(rn),
         converged=converged, n_iter=it, history=tuple(history),
     )
-
-
-def write_trajectory_csv(traj: EvolutionState, path) -> None:
-    """CSV with columns t,norm_w,ip_eta1,ip_eta2[,E,Q,H][,c_fit,gamma_fit]."""
-    cols = [traj.t, traj.norm_w]
-    names = ["t", "norm_w", "ip_eta1", "ip_eta2"]
-    nan = np.full_like(traj.t, np.nan)
-    cols.append(traj.ip_eta1 if traj.ip_eta1 is not None else nan)
-    cols.append(traj.ip_eta2 if traj.ip_eta2 is not None else nan)
-    for name in ("E", "Q", "H", "c_fit", "gamma_fit"):
-        if name in traj.extra:
-            cols.append(np.asarray(traj.extra[name]))
-            names.append(name)
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        np.savetxt(fh, np.column_stack(cols), fmt="%.17g", delimiter=",")
-
-
-def write_run_json(traj: EvolutionState, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(traj.config, fh, indent=2)
-        fh.write("\n")

@@ -23,7 +23,6 @@ Running integrals use matching degree-5 panel quadrature.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,7 +41,6 @@ __all__ = [
     "conserved",
     "kernel_basis",
     "project",
-    "write_basis_csv",
     "basis_report",
 ]
 
@@ -303,14 +301,6 @@ def project(f, basis: KernelBasis):
     return pf, f - pf
 
 
-def write_basis_csv(basis: KernelBasis, path) -> None:
-    """CSV with header xi,z1,z2,eta1,eta2."""
-    cols = np.column_stack([basis.xi, basis.z1, basis.z2, basis.eta1, basis.eta2])
-    with open(path, "w") as fh:
-        fh.write("xi,z1,z2,eta1,eta2\n")
-        np.savetxt(fh, cols, fmt="%.17g", delimiter=",")
-
-
 def basis_report(basis: KernelBasis) -> dict:
     """JSON-ready scalars of the basis."""
     return {
@@ -319,9 +309,3 @@ def basis_report(basis: KernelBasis) -> dict:
         "theta2": basis.theta2,
         "gram_residuals": dict(basis.gram_residuals),
     }
-
-
-def write_basis_json(basis: KernelBasis, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(basis_report(basis), fh, indent=2)
-        fh.write("\n")

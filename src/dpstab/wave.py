@@ -39,7 +39,6 @@ __all__ = [
     "half_step_samples",
     "Profile",
     "ProfileEval",
-    "write_profile_csv",
     "profile_meta",
 ]
 
@@ -113,7 +112,7 @@ class Profile:
     """Solitary-wave profile sampled on a symmetric grid xi in [-L, L].
 
     Arrays are built from the right half and mirrored, so evenness of u0
-    (and oddness of u0') holds bit for bit.  dc_u0 is filled by dc_profile.
+    (and oddness of u0') holds bit for bit.  dc_u0 is filled by dc_profile at its default step.
     """
 
     params: WaveParams
@@ -274,12 +273,14 @@ def dc_profile(profile: Profile, dc: float | None = None) -> np.ndarray:
 
     Centered differences at spacings dc and dc/2 combined by one Richardson
     step; profiles at the shifted speeds share the grid and are centered at
-    their own crests, so the difference is taken at matched phase.  The
-    result is cached on the profile.
+    their own crests, so the difference is taken at matched phase.  Only the
+    default step dc = 1e-4 c is stored as `profile.dc_u0`, which
+    `kernel_basis` reads, so a custom step cannot change later results.
     """
     params = profile.params
     k, c = params.k, params.c
-    if dc is None:
+    store = dc is None
+    if store:
         dc = 1e-4 * c
     if dc <= 0 or c - dc <= 4.0 * k:
         raise ParameterError(f"speed step dc={dc} leaves the admissible region")
@@ -295,7 +296,8 @@ def dc_profile(profile: Profile, dc: float | None = None) -> np.ndarray:
     d2 = (half(c + dc / 2) - half(c - dc / 2)) / dc
     dh = (4.0 * d2 - d1) / 3.0
     out = np.concatenate([dh[:0:-1], dh])
-    profile.dc_u0 = out
+    if store:
+        profile.dc_u0 = out
     return out
 
 
@@ -335,21 +337,6 @@ def half_step_samples(profile: Profile, nsub: int) -> dict:
            "mu": f.mu}
     profile._cache[key] = out
     return out
-
-
-def write_profile_csv(profile: Profile, path) -> None:
-    """Write the sampled profile as CSV with header
-    xi,u0,u0_p,u0_pp,u0_ppp,mu,dc_u0 (dc_u0 is nan when not computed)."""
-    dc = profile.dc_u0
-    if dc is None:
-        dc = np.full_like(profile.u0, np.nan)
-    cols = np.column_stack(
-        [profile.xi, profile.u0, profile.u0_p, profile.u0_pp,
-         profile.u0_ppp, profile.mu, dc]
-    )
-    with open(path, "w") as fh:
-        fh.write("xi,u0,u0_p,u0_pp,u0_ppp,mu,dc_u0\n")
-        np.savetxt(fh, cols, fmt="%.17g", delimiter=",")
 
 
 def profile_meta(profile: Profile) -> dict:

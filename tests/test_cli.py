@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpstab import cli
+from dpstab import cli, evolve, kernel
 from dpstab.dispersion import spectral_gap
-from dpstab.wave import SolverError, WaveParams
+from dpstab.wave import SolverError, WaveParams, solve_profile
 
 K, C = "0.1", "1"
 
@@ -42,7 +43,14 @@ def test_profile_artifacts(tmp_path, capsys):
     capsys.readouterr()
     with open(out + ".csv", encoding="utf-8") as fh:
         header = fh.readline().strip()
-    assert header.startswith("xi,u0")
+    assert header == "xi,u0,u0_p,u0_pp,u0_ppp,mu,dc_u0"
+    with pytest.warns(UserWarning, match="short"):
+        prof = solve_profile(WaveParams(0.1, 1.0), L=20.0, h=0.1)
+    data = np.loadtxt(out + ".csv", delimiter=",", skiprows=1)
+    assert data.shape == (len(prof.xi), 7)
+    assert np.max(np.abs(data[:, 1] - prof.u0)) <= 1e-15
+    # the speed derivative is not computed by this command
+    assert np.all(np.isnan(data[:, 6]))
     meta = _read_json(out + ".json")
     assert meta["u_max"] == pytest.approx(0.5837722339831621, abs=1e-12)
     assert meta["config"]["subcommand"] == "profile"
@@ -51,17 +59,22 @@ def test_profile_artifacts(tmp_path, capsys):
 
 
 def test_rerun_is_byte_identical(tmp_path, capsys):
-    out = str(tmp_path / "rep")
-    argv = ["profile", "--k", K, "--c", C, "--L", "20", "--h", "0.1",
-            "--out", out]
-    with pytest.warns(UserWarning, match="short"):
+    # one command per CSV shape: profile, spectrum, kernel basis, trajectory
+    grid = ["--L", "30", "--h", "0.05"]
+    for argv in (["profile"] + grid,
+                 ["spectrum", "--alpha", "0.5", "--n", "101"],
+                 ["kernel", "--alpha", "0.5"] + grid,
+                 ["linear-evolve", "--alpha", "0.5", "--t-final", "1",
+                  "--n-records", "11"] + grid):
+        out = str(tmp_path / argv[0])
+        argv = argv + ["--k", K, "--c", C, "--out", out]
         assert cli.run(argv) == 0
-    first = (Path(out + ".csv").read_bytes(), Path(out + ".json").read_bytes())
-    with pytest.warns(UserWarning, match="short"):
+        first = (Path(out + ".csv").read_bytes(),
+                 Path(out + ".json").read_bytes())
         assert cli.run(argv) == 0
+        assert Path(out + ".csv").read_bytes() == first[0], argv[0]
+        assert Path(out + ".json").read_bytes() == first[1], argv[0]
     capsys.readouterr()
-    assert Path(out + ".csv").read_bytes() == first[0]
-    assert Path(out + ".json").read_bytes() == first[1]
 
 
 def test_config_file_overrides_flags(tmp_path, capsys):
@@ -164,14 +177,20 @@ def test_non_finite_config_value_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("cmd, key, value", [
     ("winding", "nsub", "2.7"), ("winding", "nsub", "true"),
     ("spectrum", "n", "2.7"), ("spectrum", "n", "false"),
+    ("gap", "c", "true"), ("winding", "center", "false"),
 ])
-def test_non_integer_config_value_rejected(tmp_path, capsys, cmd, key, value):
-    # int() would truncate 2.7 to 2 and read true as 1
+def test_non_integer_config_value_rejected(tmp_path, capsys, monkeypatch,
+                                           cmd, key, value):
+    # int() would truncate 2.7 to 2, and int(), float() and complex() would
+    # read true/false as 1 or 0
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(f'{{"k": 0.1, "c": 1, "alpha": 0.5, "{key}": {value}}}')
-    assert cli.run([cmd, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
-    assert f"--{key} must be an integer" in capsys.readouterr().err
-    assert not (tmp_path / "x.json").exists()
+    assert cli.run([cmd, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"--{key} must be an? (integer|number|complex number), "
+                     "got", err), err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_integral_config_number_accepted(tmp_path):
@@ -298,6 +317,16 @@ def test_kernel_report_json(tmp_path, capsys):
     meta = _read_json(out + ".json")
     assert meta["theta1"] == pytest.approx(4.320087729757807, rel=1e-6)
     assert meta["theta2"] == pytest.approx(11.337868480767948, rel=1e-6)
+    assert set(meta["gram_residuals"]) == {"z1_eta1", "z1_eta2", "z2_eta1",
+                                           "z2_eta2"}
+    # the CSV holds the library's basis on the same grid, bit for bit
+    basis = kernel.kernel_basis(
+        solve_profile(WaveParams(0.1, 1.0), L=30.0, h=0.05), 0.5)
+    assert meta["theta1"] == basis.theta1
+    data = np.genfromtxt(out + ".csv", delimiter=",", names=True)
+    assert data.dtype.names == ("xi", "z1", "z2", "eta1", "eta2")
+    assert np.array_equal(data["z1"], basis.z1)
+    assert np.array_equal(data["eta2"], basis.eta2)
 
 
 def test_free_evolve_decay(tmp_path, capsys):
@@ -325,7 +354,17 @@ def test_linear_evolve_artifacts(tmp_path, capsys):
     capsys.readouterr()
     meta = _read_json(out + ".json")
     assert meta["solver"]["kind"] == "linear"
+    assert meta["solver"]["projected"] is True
     assert meta["decay_rate"] < 0.0
+    data = np.genfromtxt(out + ".csv", delimiter=",", names=True)
+    assert data.dtype.names == ("t", "norm_w", "ip_eta1", "ip_eta2")
+    # the CSV holds the library trajectory of the same run, bit for bit
+    with pytest.warns(UserWarning):
+        prof = solve_profile(WaveParams(0.1, 1.0), L=20.0, h=0.1)
+    w0 = np.exp(-((prof.xi - 2.0) ** 2) / 2.0)
+    traj = evolve.linear_evolve(w0, prof, 0.5, T=4.0, n_records=21)
+    for name in ("t", "norm_w", "ip_eta1", "ip_eta2"):
+        assert np.array_equal(data[name], getattr(traj, name)), name
 
 
 def test_nonlinear_evolve_artifacts(tmp_path, capsys):
@@ -339,9 +378,18 @@ def test_nonlinear_evolve_artifacts(tmp_path, capsys):
     meta = _read_json(out + ".json")
     for key in ("E", "Q", "H"):
         assert abs(meta["invariant_drift"][key]) < 1e-6
+    solver = meta["solver"]
+    assert solver["kind"] == "nonlinear" and solver["filter"] is True
+    assert solver["h"] == 0.1 and solver["T"] == 1.0
     with open(out + ".csv", encoding="utf-8") as fh:
         header = fh.readline().strip()
     assert header == "t,norm_w,ip_eta1,ip_eta2,E,Q,H"
+    data = np.genfromtxt(out + ".csv", delimiter=",", names=True)
+    # no kernel projection in the nonlinear flow
+    assert np.all(np.isnan(data["ip_eta1"])) and np.all(np.isnan(data["ip_eta2"]))
+    # the Q column is the recorded invariant the sidecar's drift came from
+    Q = data["Q"]
+    assert (Q[-1] - Q[0]) / abs(Q[0]) == meta["invariant_drift"]["Q"]
 
 
 def test_plot_script_references_csv(tmp_path, capsys):

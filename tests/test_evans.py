@@ -412,14 +412,3 @@ def test_contours_conjugate_closed(prof01, params01, monkeypatch):
     assert _marched_columns(rect, prof01, monkeypatch) == len(rect) // 2 + 1
     off_axis = evans.circle_contour(0.003 + 0.004j, 0.05, 64)
     assert _marched_columns(off_axis, prof01, monkeypatch) == 64
-
-
-def test_csv_roundtrip(tmp_path, prof01):
-    samples = [evans.evans_eval(lam, prof01, 0.5) for lam in (0.4, 0.9 + 0.2j)]
-    path = tmp_path / "evans.csv"
-    evans.write_evans_csv(samples, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "re_lambda,im_lambda,re_D,im_D,renorm_exponent"
-    row = [float(t) for t in lines[2].split(",")]
-    assert row[0] == 0.9 and row[1] == 0.2
-    assert abs(complex(row[2], row[3]) - samples[1].value) < 1e-15

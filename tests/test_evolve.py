@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import warnings
 
 import numpy as np
@@ -507,36 +506,6 @@ def test_evolution_state_invariants(params01):
             t=np.array([0.0, 1.0, 2.0]), norm_w=np.array([1.0, 0.0, 1.0]),
             ip_eta1=None, ip_eta2=None, w=ones,
         )
-
-
-def test_trajectory_writers(params01, prof60, tmp_path):
-    basis = kernel.kernel_basis(prof60, 0.5)
-    traj = evolve.linear_evolve(
-        basis.z1.copy(), prof60, 0.5, T=0.5, project_out=False, n_records=6
-    )
-    csv = tmp_path / "lin.csv"
-    evolve.write_trajectory_csv(traj, csv)
-    data = np.genfromtxt(csv, delimiter=",", names=True)
-    assert data.dtype.names == ("t", "norm_w", "ip_eta1", "ip_eta2")
-    assert np.array_equal(data["t"], traj.t)
-    assert np.array_equal(data["norm_w"], traj.norm_w)
-
-    run = evolve.nonlinear_evolve(prof60.mu.copy(), params01, T=0.2, h=prof60.h,
-                                  n_records=3)
-    csv2 = tmp_path / "non.csv"
-    evolve.write_trajectory_csv(run, csv2)
-    data2 = np.genfromtxt(csv2, delimiter=",", names=True)
-    assert data2.dtype.names == ("t", "norm_w", "ip_eta1", "ip_eta2", "E", "Q", "H")
-    assert np.array_equal(data2["Q"], run.extra["Q"])
-    assert np.all(np.isnan(data2["ip_eta1"]))
-
-    js = tmp_path / "run.json"
-    evolve.write_run_json(run, js)
-    cfg = json.loads(js.read_text())
-    assert cfg["kind"] == "nonlinear"
-    assert cfg["filter"] is True
-    assert cfg["h"] == prof60.h
-    assert cfg["T"] == 0.2
 
 
 def test_decay_rate_validation(params01):

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -189,6 +188,17 @@ def test_basis_cached(prof01):
     assert a is b
 
 
+def test_custom_speed_step_leaves_basis_unchanged(params01):
+    # kernel_basis reads the stored derivative, so only the default step may
+    # be stored: the derivative at dc = 0.05 shifts theta1 by about 1e-7
+    p = solve_profile(params01, L=30.0, h=0.05)
+    dc_profile(p, dc=0.05)
+    fresh = kernel.kernel_basis(solve_profile(params01, L=30.0, h=0.05), 0.5)
+    b = kernel.kernel_basis(p, 0.5)
+    assert b.theta1 == fresh.theta1
+    assert np.array_equal(b.z2, fresh.z2)
+
+
 def test_left_mode_tails(prof01):
     alpha = 0.5 * prof01.consts.alpha_crit
     b = kernel.kernel_basis(prof01, alpha)
@@ -219,19 +229,3 @@ def test_project_idempotent_and_orthogonal(prof01):
     assert abs(np.trapezoid(b.eta2 * rest, dx=b.h)) <= 1e-8
     with pytest.raises(ParameterError):
         kernel.project(f[:-1], b)
-
-
-def test_basis_export_roundtrip(prof01, tmp_path):
-    b = kernel.kernel_basis(prof01, 0.5 * prof01.consts.alpha_crit)
-    csv = tmp_path / "basis.csv"
-    js = tmp_path / "basis.json"
-    kernel.write_basis_csv(b, csv)
-    kernel.write_basis_json(b, js)
-    with open(csv) as fh:
-        assert fh.readline().strip() == "xi,z1,z2,eta1,eta2"
-    data = np.loadtxt(csv, delimiter=",", skiprows=1)
-    assert np.array_equal(data[:, 1], b.z1)
-    assert np.array_equal(data[:, 4], b.eta2)
-    rep = json.loads(js.read_text())
-    assert rep["theta1"] == b.theta1
-    assert set(rep["gram_residuals"]) == {"z1_eta1", "z1_eta2", "z2_eta1", "z2_eta2"}

@@ -10,7 +10,7 @@ from dpstab import (
     derived_constants,
     solve_profile,
 )
-from dpstab.wave import profile_meta, write_profile_csv
+from dpstab.wave import profile_meta
 
 # closed-form oracles: a = k(c-k)^3, E = kc - 2k^2, u_max = c - k - sqrt(ck),
 # r_decay = sqrt((c-4k)/(c-k)), evaluated once and frozen
@@ -156,14 +156,7 @@ def test_dc_profile_matches_independent_step(params01):
     assert np.abs(a - b).max() < 1e-8
 
 
-def test_csv_and_meta_roundtrip(tmp_path, prof01):
-    path = tmp_path / "profile.csv"
-    write_profile_csv(prof01, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "xi,u0,u0_p,u0_pp,u0_ppp,mu,dc_u0"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (len(prof01.xi), 7)
-    assert np.allclose(data[:, 1], prof01.u0, rtol=0, atol=1e-15)
+def test_profile_meta(prof01):
     meta = profile_meta(prof01)
     assert meta["u_max"] == prof01.consts.u_max
     assert meta["xistar"] > prof01.L
