@@ -64,7 +64,6 @@ def _out(stem):
 _TABLES = {
     "profile": {
         **_PARAMS, **_GRID,
-        "tol": _opt(float, 1e-13, "shooting tolerance"),
         **_out("profile"), **_PLOT, **_CONFIG,
     },
     "spectrum": {
@@ -307,12 +306,11 @@ def _params(options: dict) -> WaveParams:
 
 def _cmd_profile(cfg: RunConfig) -> int:
     o = cfg.options
-    prof = wave.solve_profile(_params(o), L=o["L"], h=o["h"], tol=o["tol"])
+    prof = wave.solve_profile(_params(o), L=o["L"], h=o["h"])
     meta = wave.profile_meta(prof)
     table = {name: getattr(prof, name)
              for name in ("xi", "u0", "u0_p", "u0_pp", "u0_ppp", "mu")}
-    table["dc_u0"] = (np.full_like(prof.u0, np.nan) if prof.dc_u0 is None
-                      else prof.dc_u0)
+    table["dc_u0"] = wave.dc_profile(prof)
     _emit(cfg, meta, table, "wave profile")
     print(f"u_max = {meta['u_max']:.10f}")
     print(f"wrote {o['out']}.csv, {o['out']}.json")

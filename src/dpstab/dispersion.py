@@ -37,7 +37,6 @@ __all__ = [
     "ess_spectrum_curve",
     "spectral_gap",
     "classify_roots",
-    "group_velocity",
     "default_sigma_grid",
     "sign_convention_report",
 ]
@@ -176,19 +175,6 @@ def classify_roots(lam: complex, alpha: float, params: WaveParams,
         alpha=float(alpha),
         tol=float(tol),
     )
-
-
-def group_velocity(ell, params: WaveParams):
-    """Co-moving group velocity of the linear wavetrain at wavenumber ell.
-
-    d/d ell of Im lambda(i ell) with opposite orientation:
-    v_g = -(c - k (ell^4 - ell^2 + 4)/(1 + ell^2)^2).
-    Ranges from -(c - 4k) at ell = 0 to -(c - k) as ell -> inf, dipping to
-    -(c - 5k/8) at ell^2 = 3; negative for every admissible (k, c).
-    """
-    k, c = params.k, params.c
-    l2 = np.asarray(ell, dtype=float) ** 2
-    return -(c - k * (l2 * l2 - l2 + 4.0) / (1.0 + l2) ** 2)
 
 
 def sign_convention_report(params: WaveParams | None = None) -> dict:

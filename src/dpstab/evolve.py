@@ -39,6 +39,7 @@ from .wave import (
     SolverError,
     WaveParams,
     derived_constants,
+    profile_w,
     solve_profile,
 )
 
@@ -321,8 +322,13 @@ def _spectral_radius(profile: Profile, alpha: float, iters: int = 50) -> float:
     return rho
 
 
-def _record_stride(nsteps: int, n_records: int) -> int:
-    return max(1, nsteps // max(1, n_records - 1))
+def _schedule(T: float, dt: float, n_records: int) -> tuple[int, float, set]:
+    """nsteps >= n_records - 1 equal steps of at most dt over [0, T], and the
+    n_records distinct steps round(linspace(0, nsteps, n_records)) to record."""
+    n_records = max(n_records, 2)
+    nsteps = max(int(np.ceil(T / dt)), n_records - 1)
+    record_at = set(np.rint(np.linspace(0, nsteps, n_records)).astype(int).tolist())
+    return nsteps, T / nsteps, record_at
 
 
 def linear_evolve(w0, profile: Profile, alpha: float, T: float,
@@ -352,9 +358,7 @@ def linear_evolve(w0, profile: Profile, alpha: float, T: float,
             f"dt={dt} exceeds the RK4 stability bound for the measured spectral "
             f"radius {rho:.3e}; use dt <= {2.5 / rho:.3e}"
         )
-    nsteps = max(1, int(np.ceil(T / dt)))
-    dt = T / nsteps
-    stride = _record_stride(nsteps, n_records)
+    nsteps, dt, record_at = _schedule(T, dt, n_records)
     h = profile.h
     n = w.size - 1
     rhs = _linearized_op(profile, alpha, n)
@@ -372,7 +376,7 @@ def linear_evolve(w0, profile: Profile, alpha: float, T: float,
     record(0.0, w)
     for step in range(1, nsteps + 1):
         w = _rk4(w, dt, rhs)
-        if step % stride == 0 or step == nsteps:
+        if step in record_at:
             if not np.all(np.isfinite(w)):
                 raise SolverError(f"linear evolution lost finiteness at t={step * dt}")
             record(step * dt, w)
@@ -438,9 +442,7 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
             f"dt={dt} exceeds the advective stability bound; "
             f"use dt <= {2.0 / (vmax * smax):.3e}"
         )
-    nsteps = max(1, int(np.ceil(T / dt)))
-    dt = T / nsteps
-    stride = _record_stride(nsteps, n_records)
+    nsteps, dt, record_at = _schedule(T, dt, n_records)
 
     ts, norms, E, Q, H = [], [], [], [], []
     snaps = []
@@ -466,7 +468,7 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
             raise SolverError(
                 f"momentum positivity lost at t={step * dt:.6f} (min m = {mn})"
             )
-        if step % stride == 0 or step == nsteps:
+        if step in record_at:
             record(step * dt, m)
     config = {
         "kind": "nonlinear", "k": k, "c": c, "alpha": None,
@@ -516,9 +518,9 @@ def modulation_fit(u, params: WaveParams, alpha: float, h: float,
     """Damped Gauss-Newton fit of (c, gamma) minimizing the weighted misfit.
 
     The Jacobian is frozen at the seed (c, 0): columns e^{alpha xi} dc_u0 and
-    -e^{alpha xi} u0'.  Each iterate re-solves the profile at the candidate
-    speed and evaluates it at shifted positions through the dense tail
-    representation, so gamma is not restricted to grid multiples.
+    -e^{alpha xi} u0'.  Each iterate evaluates the closed-form profile at the
+    candidate speed and shifted positions, so gamma is not restricted to
+    grid multiples.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size % 2 == 0:
@@ -539,15 +541,10 @@ def modulation_fit(u, params: WaveParams, alpha: float, h: float,
         [np.trapezoid(j_g * j_c, dx=h), np.trapezoid(j_g * j_g, dx=h)],
     ])
 
-    profiles = {}
-
     def model(cv, gv):
-        if cv not in profiles:
-            if not 0.0 < k < cv / 4.0:
-                raise SolverError(f"fit iterate left the admissible region: c={cv}")
-            profiles[cv] = solve_profile(WaveParams(k, cv), L=L, h=h)
-        w, _ = profiles[cv].eval_w(xi - gv)
-        return k + w
+        if not 0.0 < k < cv / 4.0:
+            raise SolverError(f"fit iterate left the admissible region: c={cv}")
+        return k + profile_w(WaveParams(k, cv), xi - gv)[0]
 
     def resid(cv, gv):
         return weight * (u - model(cv, gv))

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.blas import dtbsv, ztbsv
 
-from .wave import ParameterError, Profile, SolverError, dc_profile
+from .wave import ParameterError, Profile, SolverError, dc_profile, profile_w
 
 __all__ = [
     "ConservedValues",
@@ -252,10 +252,10 @@ def kernel_basis(profile: Profile, alpha: float) -> KernelBasis:
     if key in profile._cache:
         return profile._cache[key]
     h = profile.h
-    dc = profile.dc_u0 if profile.dc_u0 is not None else dc_profile(profile)
-    # the dense tail representation keeps u0 - k accurate far below eps(k),
-    # where the stored sum k + w has already quantized the tail away
-    w = profile.eval_w(profile.xi)[0]
+    dc = dc_profile(profile)
+    # the closed-form orbit keeps u0 - k accurate far below eps(k), where
+    # the stored sum k + w has already quantized the tail away
+    w = profile_w(profile.params, profile.xi)[0]
     bw = b_apply(w, h)
     dQ_dc = float(np.trapezoid(dc * bw, dx=h))
     if dQ_dc <= 0.0:

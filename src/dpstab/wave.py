@@ -10,23 +10,25 @@ Smooth solitary waves exist exactly for c > 0 and 0 < k < c/4.  The crest
 height is u_max = c - k - sqrt(c k), and the tails decay like
 exp(-r_decay |xi|) with r_decay = sqrt((c - 4k)/(c - k)).
 
-The homoclinic orbit is only marginally representable in double precision:
-an energy defect of order 1e-16 near the crest sends a centre-launched
-orbit inside the loop and it turns back around |xi| ~ 38.  solve_profile
-therefore launches on the unstable manifold of the tail state w = u0 - k = 0,
-where roundoff contamination decays, integrates to the turning point
-w' = 0, and mirrors the half orbit.  The right-hand side is evaluated in
-the cancellation-free form w - k*expm1(-3*log1p(-w/(c-k))).
+The orbit is known in closed form (Vakhnenko & Parkes, Chaos Solitons
+Fractals, 2004; Lenells, J. Math. Anal. Appl., 2005).  With w = u0 - k,
+A = c - 2k, B = sqrt(c k), theta* = arccosh(A/B), rho = sqrt((A + B)/(A - B)),
+the right half of the wave is, for theta in [0, theta*),
+
+    w = A - B cosh(theta),   xi = (2/r_decay) artanh(rho tanh(theta/2)) - theta,
+
+with slope |w'| = w B sinh(theta)/(c - k - w).  Any xi is inverted by
+Newton's method in log(theta* - theta), through tail forms that keep full
+relative accuracy as w -> 0, and at |xi|, so evenness holds bit for bit.
 """
 from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 __all__ = [
     "ParameterError",
@@ -37,6 +39,7 @@ __all__ = [
     "solve_profile",
     "dc_profile",
     "half_step_samples",
+    "profile_w",
     "Profile",
     "ProfileEval",
     "profile_meta",
@@ -111,14 +114,13 @@ class ProfileEval(NamedTuple):
 class Profile:
     """Solitary-wave profile sampled on a symmetric grid xi in [-L, L].
 
-    Arrays are built from the right half and mirrored, so evenness of u0
-    (and oddness of u0') holds bit for bit.  dc_u0 is filled by dc_profile at its default step.
+    The arrays are `eval(xi)`, so they are exactly even (u0, u0'', mu) or
+    odd (u0', u0''').  dc_u0 is filled by dc_profile.
     """
 
     params: WaveParams
     L: float
     h: float
-    tol: float
     xi: np.ndarray
     u0: np.ndarray
     u0_p: np.ndarray
@@ -126,9 +128,7 @@ class Profile:
     u0_ppp: np.ndarray
     u0_pppp: np.ndarray
     mu: np.ndarray
-    xistar: float
     dc_u0: np.ndarray | None = None
-    _tail: tuple = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -140,29 +140,8 @@ class Profile:
         """Index of xi = 0."""
         return (len(self.xi) - 1) // 2
 
-    def eval_w(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """w = u0 - k and w' at arbitrary positions (beyond the launch point
-        the pure exponential tail is used)."""
-        sol, xistar, delta0, r = self._tail
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        ax = np.abs(x)
-        tau = xistar - ax
-        w = np.empty_like(ax)
-        wp = np.empty_like(ax)
-        inside = tau >= 0.0
-        if np.any(inside):
-            vals = sol(tau[inside])
-            w[inside] = vals[0]
-            wp[inside] = vals[1]
-        if np.any(~inside):
-            wt = delta0 * np.exp(r * tau[~inside])
-            w[~inside] = wt
-            wp[~inside] = r * wt
-        return w, -np.sign(x) * wp
-
     def eval(self, x) -> ProfileEval:
-        w, wp = self.eval_w(x)
-        return _fields_from_w(self.params, w, wp)
+        return _fields_from_w(self.params, *profile_w(self.params, x))
 
 
 def _fields_from_w(params: WaveParams, w: np.ndarray, wp: np.ndarray) -> ProfileEval:
@@ -180,66 +159,75 @@ def _fields_from_w(params: WaveParams, w: np.ndarray, wp: np.ndarray) -> Profile
     return ProfileEval(u0, wp, u0_pp, u0_ppp, u0_pppp, mu)
 
 
-def _integrate_half(params: WaveParams, L: float, tol: float):
-    """Integrate the tail-launched half orbit up to the crest turning point."""
+# Newton meets the rounding floor of xi within 10 steps for k/c down to
+# 1e-20, within 5 for k/c >= 0.001; phi >= _PHI_MIN keeps w clear of underflow
+_NEWTON_STEPS = 10
+_PHI_MIN = 1e-280
+
+
+def _orbit_consts(k, c):
+    """B = sqrt(c k), D = sqrt(A^2 - B^2), theta* and rho = 1/tanh(theta*/2), the
+    form of sqrt((A + B)/(A - B)) that keeps xi = 0 exact at the crest as k -> c/4."""
+    A, B = c - 2.0 * k, np.sqrt(c * k)
+    D = np.sqrt((c - k) * (c - 4.0 * k))
+    ts = np.log((A + D) / B)
+    return B, D, ts, 1.0 / np.tanh(0.5 * ts)
+
+
+def _orbit(k, c, phi):
+    """w and xi at phi = theta* - theta; analytic in c, so a complex step in c is exact."""
+    B, D, ts, rho = _orbit_consts(k, c)
+    th = ts - phi
+    w = 2.0 * B * np.sinh(ts - 0.5 * phi) * np.sinh(0.5 * phi)
+    gap = rho * np.sinh(0.5 * phi) / (np.cosh(0.5 * ts) * np.cosh(0.5 * th))
+    xi = (c - k) / D * (np.log1p(rho * np.tanh(0.5 * th)) - np.log(gap)) - th
+    return w, xi
+
+
+def _invert(params: WaveParams, ax: np.ndarray) -> tuple:
+    """phi, w and |w'| on the orbit at xi = ax >= 0, by Newton's method in
+    log(phi); a fixed step count keeps each point independent of its batch."""
     k, c = params.k, params.c
-    d = derived_constants(params)
-    r = d.r_decay
-    ck = c - k
-    pad = 12.0 / r
-    delta0 = (d.u_max - k) * np.exp(-r * (L + pad))
-    if delta0 < 1e-280:
-        raise ParameterError(f"domain L={L} too long: launch amplitude underflows")
-
-    def rhs(_, y):
-        w = y[0]
-        return (y[1], w - k * np.expm1(-3.0 * np.log1p(-w / ck)))
-
-    def turning(_, y):
-        return y[1]
-
-    turning.terminal = True
-    turning.direction = -1
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, L + pad + 40.0 / r),
-        (delta0, r * delta0),
-        method="DOP853",
-        rtol=tol,
-        atol=delta0 * 1e-10,
-        dense_output=True,
-        events=turning,
-        max_step=0.25,  # keeps the dense interpolant accurate through the flat tail
-    )
-    if sol.status != 1 or len(sol.t_events[0]) == 0:
-        raise SolverError("profile integration did not reach the crest turning point")
-    xistar = float(sol.t_events[0][0])
-    if xistar <= L:
-        raise SolverError(
-            f"crest reached at xi*={xistar:.3f} inside the requested half-domain L={L}"
-        )
-    return sol.sol, xistar, delta0, r
+    B, D, ts, rho = _orbit_consts(k, c)
+    r = D / (c - k)
+    # tail asymptote xi ~ (log(4 cosh^2(theta*/2) / (rho phi)) - r theta*) / r
+    lead = np.log(4.0 * np.cosh(0.5 * ts) ** 2 / rho) - r * ts
+    x_max = (lead - np.log(_PHI_MIN)) / r
+    if not np.all(ax <= x_max):
+        raise ParameterError(f"|xi| = {np.max(ax):.6g} is beyond {x_max:.6g}, where "
+                             "the tail w ~ exp(-r_decay |xi|) underflows")
+    # start from the larger of the tail asymptote and the crest tangent
+    # theta = ax/xi'(0), a lower bound of phi as xi(theta) is convex
+    tangent = np.maximum(ts - ax * (c - 2.0 * k - B) / (k + B), _PHI_MIN)
+    psi_max = np.log(ts)                 # the crest, theta = 0
+    psi = np.clip(np.log(tangent), lead - r * ax, psi_max)
+    phi = np.exp(psi)
+    w, xi = _orbit(k, c, phi)
+    for _ in range(_NEWTON_STEPS):
+        # dxi/dpsi = -phi ((c - k)/w - 1)
+        psi = np.minimum(psi + (xi - ax) * w / (phi * (c - k - w)), psi_max)
+        phi = np.exp(psi)
+        w, xi = _orbit(k, c, phi)
+    if not np.all(r * np.abs(xi - ax) <= 1e-12 * (1.0 + r * ax)):
+        raise SolverError(f"profile inversion did not converge at k={k}, c={c}")
+    th = ts - phi                        # c - k - w = k + B cosh(theta)
+    return phi, w, w * B * np.sinh(th) / (k + B * np.cosh(th))
 
 
-def _check_grid(L: float, h: float) -> int:
+def profile_w(params: WaveParams, x) -> tuple[np.ndarray, np.ndarray]:
+    """w = u0 - k and w' at arbitrary positions."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    _, w, slope = _invert(params, np.abs(x))
+    return w, np.sign(-x) * slope
+
+
+def solve_profile(params: WaveParams, L: float = 40.0, h: float = 0.02) -> Profile:
+    """The profile on xi in [-L, L] with grid step h."""
     if L <= 0 or h <= 0:
         raise ParameterError(f"need L > 0 and h > 0, got L={L}, h={h}")
     n = round(L / h)
     if n < 4 or abs(n * h - L) > 1e-9 * max(1.0, L):
         raise ParameterError(f"L={L} must be an integer multiple of h={h}")
-    return n
-
-
-def solve_profile(params: WaveParams, L: float = 40.0, h: float = 0.02,
-                  tol: float = 1e-13) -> Profile:
-    """Solve the profile on xi in [-L, L] with grid step h.
-
-    The half orbit is computed once at accuracy ~tol and evaluated through
-    the integrator's dense output; evenness of the returned arrays is exact
-    by mirroring.
-    """
-    n = _check_grid(L, h)
     d = derived_constants(params)
     # relative slack: r_decay is computed, and (k, c) = (0.2, 1) at L = 40
     # gives L r = 19.999999999999996 for the exact 20
@@ -249,56 +237,24 @@ def solve_profile(params: WaveParams, L: float = 40.0, h: float = 0.02,
             "truncated tails exceed ~2e-9",
             stacklevel=2,
         )
-    dense, xistar, delta0, r = _integrate_half(params, L, tol)
-    xh = h * np.arange(n + 1)
-    vals = dense(xistar - xh)
-    w_h, wp_h = vals[0], vals[1]
-    wp_h = -wp_h  # d/dx at x > 0; orbit parameter runs opposite to x
-    wp_h[0] = 0.0  # crest slope, exact by symmetry
-
-    w = np.concatenate([w_h[:0:-1], w_h])
-    wp = np.concatenate([-wp_h[:0:-1], wp_h])
-    xi = np.concatenate([-xh[:0:-1], xh])
-    f = _fields_from_w(params, w, wp)
-    return Profile(
-        params=params, L=float(L), h=float(h), tol=float(tol), xi=xi,
-        u0=f.u0, u0_p=f.u0_p, u0_pp=f.u0_pp, u0_ppp=f.u0_ppp,
-        u0_pppp=f.u0_pppp, mu=f.mu, xistar=xistar,
-        _tail=(dense, xistar, delta0, r),
-    )
+    xi = h * np.arange(-n, n + 1)
+    f = _fields_from_w(params, *profile_w(params, xi))
+    return Profile(params=params, L=float(L), h=float(h), xi=xi, **f._asdict())
 
 
-def dc_profile(profile: Profile, dc: float | None = None) -> np.ndarray:
-    """Derivative of the profile with respect to the wave speed, at fixed k.
+def dc_profile(profile: Profile) -> np.ndarray:
+    """Speed derivative of the profile at fixed k and xi, stored as `profile.dc_u0`.
 
-    Centered differences at spacings dc and dc/2 combined by one Richardson
-    step; profiles at the shifted speeds share the grid and are centered at
-    their own crests, so the difference is taken at matched phase.  Only the
-    default step dc = 1e-4 c is stored as `profile.dc_u0`, which
-    `kernel_basis` reads, so a custom step cannot change later results.
+    Implicit differentiation of the orbit, d_c w|_xi = d_c w|_phi + |w'| d_c xi|_phi,
+    with the partials at fixed phi from one complex step in c: exact to rounding.
     """
-    params = profile.params
-    k, c = params.k, params.c
-    store = dc is None
-    if store:
-        dc = 1e-4 * c
-    if dc <= 0 or c - dc <= 4.0 * k:
-        raise ParameterError(f"speed step dc={dc} leaves the admissible region")
-
-    n = round(profile.L / profile.h)
-    xh = profile.h * np.arange(n + 1)
-
-    def half(cv: float) -> np.ndarray:
-        dense, xistar, _, _ = _integrate_half(WaveParams(k, cv), profile.L, profile.tol)
-        return dense(xistar - xh)[0]
-
-    d1 = (half(c + dc) - half(c - dc)) / (2.0 * dc)
-    d2 = (half(c + dc / 2) - half(c - dc / 2)) / dc
-    dh = (4.0 * d2 - d1) / 3.0
-    out = np.concatenate([dh[:0:-1], dh])
-    if store:
-        profile.dc_u0 = out
-    return out
+    if profile.dc_u0 is None:
+        k, c = profile.params.k, profile.params.c
+        phi = _invert(profile.params, np.abs(profile.xi))[0]
+        step = 1e-20 * c
+        w, xi = _orbit(k, c + 1j * step, phi)
+        profile.dc_u0 = (w.imag + np.abs(profile.u0_p) * xi.imag) / step
+    return profile.dc_u0
 
 
 def half_step_samples(profile: Profile, nsub: int) -> dict:
@@ -341,18 +297,5 @@ def half_step_samples(profile: Profile, nsub: int) -> dict:
 
 def profile_meta(profile: Profile) -> dict:
     """Scalar metadata for JSON sidecars."""
-    d = profile.consts
-    return {
-        "k": profile.params.k,
-        "c": profile.params.c,
-        "L": profile.L,
-        "h": profile.h,
-        "tol": profile.tol,
-        "a": d.a,
-        "E": d.E,
-        "u_max": d.u_max,
-        "r_decay": d.r_decay,
-        "alpha_crit": d.alpha_crit,
-        "xistar": profile.xistar,
-        "u0_center": float(profile.u0[(len(profile.xi) - 1) // 2]),
-    }
+    return {"k": profile.params.k, "c": profile.params.c, "L": profile.L, "h": profile.h,
+            **asdict(profile.consts), "u0_center": float(profile.u0[profile.i0])}

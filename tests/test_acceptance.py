@@ -14,7 +14,8 @@ import pytest
 
 from dpstab import evans, evolve, kernel, lax
 from dpstab.dispersion import lambda_of_r, spectral_gap
-from dpstab.wave import WaveParams, derived_constants, solve_profile
+from dpstab.wave import WaveParams, derived_constants, profile_w, solve_profile
+from profile_oracle import dop853_w
 
 PARAMS_SAMPLE = [WaveParams(0.1, 1.0), WaveParams(0.05, 1.0),
                  WaveParams(0.2, 1.0)]
@@ -33,7 +34,7 @@ def report(capfd):
 
 
 def test_criterion_01_profile_exactness(report):
-    worst_height, worst_slope = 0.0, 0.0
+    worst_height, worst_slope, worst_route = 0.0, 0.0, 0.0
     for p in PARAMS_SAMPLE:
         d = derived_constants(p)
         # the bounded crest solves E = ku + (c-u)u - ... at c - k - sqrt(ck);
@@ -42,13 +43,20 @@ def test_criterion_01_profile_exactness(report):
         prof = solve_profile(p)
         worst_height = max(worst_height, abs(prof.u0[prof.i0] - target))
         xs = np.linspace(20.0, 30.0, 201)
-        w, _ = prof.eval_w(xs)
+        w, _ = profile_w(prof.params, xs)
         slope = np.polyfit(xs, np.log(w), 1)[0]
         worst_slope = max(worst_slope, abs(slope + d.r_decay) / d.r_decay)
-    ok = worst_height <= 1e-8 and worst_slope <= 0.01
+        # second route: the tail-launched DOP853 quadrature, on x > 0
+        x = prof.xi[prof.i0 + 1:]
+        w_q, wp_q = dop853_w(p, prof.L, x)
+        w, wp = profile_w(prof.params, x)
+        worst_route = max(worst_route, np.abs(w / w_q - 1.0).max(),
+                          np.abs(wp / wp_q - 1.0).max())
+    ok = worst_height <= 1e-8 and worst_slope <= 0.01 and worst_route <= 1e-11
     assert report(1, ok, "crest height error "
                    f"{worst_height:.2e} (tol 1e-8), tail slope error "
-                   f"{worst_slope:.2e} relative (tol 1e-2) "
+                   f"{worst_slope:.2e} relative (tol 1e-2), closed form vs "
+                   f"DOP853 {worst_route:.1e} relative in w and w' (tol 1e-11) "
                    f"over {len(PARAMS_SAMPLE)} parameter pairs")
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from dpstab import cli, evolve, kernel
 from dpstab.dispersion import spectral_gap
-from dpstab.wave import SolverError, WaveParams, solve_profile
+from dpstab.wave import SolverError, WaveParams, dc_profile, solve_profile
 
 K, C = "0.1", "1"
 
@@ -49,9 +49,11 @@ def test_profile_artifacts(tmp_path, capsys):
     data = np.loadtxt(out + ".csv", delimiter=",", skiprows=1)
     assert data.shape == (len(prof.xi), 7)
     assert np.max(np.abs(data[:, 1] - prof.u0)) <= 1e-15
-    # the speed derivative is not computed by this command
-    assert np.all(np.isnan(data[:, 6]))
+    # the exact speed derivative on the same grid
+    assert not np.any(np.isnan(data[:, 6]))
+    assert np.array_equal(data[:, 6], dc_profile(prof))
     meta = _read_json(out + ".json")
+    assert "tol" not in meta and "xistar" not in meta
     assert meta["u_max"] == pytest.approx(0.5837722339831621, abs=1e-12)
     assert meta["config"]["subcommand"] == "profile"
     assert meta["config"]["k"] == 0.1
@@ -112,6 +114,11 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
                   "--config", str(cfg)])
     assert rc == 2
     assert "unknown config key" in capsys.readouterr().err
+    # profile has no tol: the closed-form profile has no quadrature tolerance
+    cfg.write_text(json.dumps({"tol": 1e-13}))
+    rc = cli.run(["profile", "--k", K, "--c", C, "--config", str(cfg)])
+    assert rc == 2
+    assert "unknown config key: tol" in capsys.readouterr().err
 
 
 def test_config_malformed_json_rejected(tmp_path, capsys):
@@ -242,7 +249,9 @@ def test_selftest_without_sympy_names_the_extra(monkeypatch, capsys):
 
 def test_import_leaves_heavy_scipy_subpackages_out():
     # each of these pulls in dozens of modules that no command uses
-    heavy = ("scipy.signal", "scipy.stats", "scipy.ndimage", "scipy.interpolate")
+    heavy = ("scipy.signal", "scipy.stats", "scipy.ndimage", "scipy.interpolate",
+             "scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.spatial",
+             "scipy.special")
     code = ("import sys, dpstab.cli; print(' '.join(m for m in sys.modules "
             f"if m.startswith({heavy!r})))")
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -358,6 +367,7 @@ def test_linear_evolve_artifacts(tmp_path, capsys):
     assert meta["decay_rate"] < 0.0
     data = np.genfromtxt(out + ".csv", delimiter=",", names=True)
     assert data.dtype.names == ("t", "norm_w", "ip_eta1", "ip_eta2")
+    assert data.size == 21
     # the CSV holds the library trajectory of the same run, bit for bit
     with pytest.warns(UserWarning):
         prof = solve_profile(WaveParams(0.1, 1.0), L=20.0, h=0.1)
@@ -385,6 +395,7 @@ def test_nonlinear_evolve_artifacts(tmp_path, capsys):
         header = fh.readline().strip()
     assert header == "t,norm_w,ip_eta1,ip_eta2,E,Q,H"
     data = np.genfromtxt(out + ".csv", delimiter=",", names=True)
+    assert data.size == 21
     # no kernel projection in the nonlinear flow
     assert np.all(np.isnan(data["ip_eta1"])) and np.all(np.isnan(data["ip_eta2"]))
     # the Q column is the recorded invariant the sidecar's drift came from

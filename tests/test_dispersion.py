@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from dpstab import ParameterError, WaveParams, derived_constants
+from dpstab import ParameterError, derived_constants
 from dpstab.dispersion import (
     char_poly,
     char_roots,
     classify_roots,
     default_sigma_grid,
     ess_spectrum_curve,
-    group_velocity,
     im_lambda,
     lambda_of_r,
     re_lambda,
@@ -128,24 +127,6 @@ def test_large_lambda_root_asymptotics(params01):
     assert abs(rts[-1] - lam / (c - k)) < 0.1
     assert min(abs(rts[0] + 1.0), abs(rts[0] - 1.0)) < 0.05
     assert min(abs(rts[1] + 1.0), abs(rts[1] - 1.0)) < 0.05
-
-
-def test_group_velocity(params01):
-    k, c = params01.k, params01.c
-    assert group_velocity(0.0, params01) == pytest.approx(-(c - 4 * k), abs=1e-14)
-    assert group_velocity(1e6, params01) == pytest.approx(-(c - k), abs=1e-9)
-    assert group_velocity(np.sqrt(3.0), params01) == pytest.approx(-(c - 5 * k / 8), abs=1e-12)
-    ell = np.linspace(0.0, 50.0, 500)
-    assert np.all(group_velocity(ell, params01) < 0.0)
-
-
-def test_group_velocity_negative_over_admissible_region():
-    rng = np.random.default_rng(5)
-    ell = np.linspace(0.0, 20.0, 100)
-    for _ in range(25):
-        c = rng.uniform(0.2, 5.0)
-        k = rng.uniform(1e-3, 0.249) * c
-        assert np.all(group_velocity(ell, WaveParams(k, c)) < 0.0)
 
 
 def test_default_sigma_grid_shape(params01):

@@ -7,7 +7,7 @@ import pytest
 from dpstab import WaveParams, derived_constants, solve_profile
 from dpstab import evolve, kernel
 from dpstab.dispersion import lambda_of_r, spectral_gap
-from dpstab.wave import ParameterError, SolverError
+from dpstab.wave import ParameterError, SolverError, profile_w
 
 LAM_BRANCH_01 = 0.45 / np.sqrt(3.0)  # double spatial root at r = 1/sqrt(3)
 
@@ -454,7 +454,7 @@ def test_real_fft_operator_matches_complex_oracle(params01, prof60):
 
 
 def test_modulation_fit_exact_member(params01, prof60):
-    u = prof60.eval_w(prof60.xi - 0.3)[0] + params01.k
+    u = profile_w(prof60.params, prof60.xi - 0.3)[0] + params01.k
     fit = evolve.modulation_fit(u, params01, 0.5, prof60.h)
     assert fit.converged
     assert abs(fit.c_star - params01.c) <= 1e-8

@@ -188,17 +188,6 @@ def test_basis_cached(prof01):
     assert a is b
 
 
-def test_custom_speed_step_leaves_basis_unchanged(params01):
-    # kernel_basis reads the stored derivative, so only the default step may
-    # be stored: the derivative at dc = 0.05 shifts theta1 by about 1e-7
-    p = solve_profile(params01, L=30.0, h=0.05)
-    dc_profile(p, dc=0.05)
-    fresh = kernel.kernel_basis(solve_profile(params01, L=30.0, h=0.05), 0.5)
-    b = kernel.kernel_basis(p, 0.5)
-    assert b.theta1 == fresh.theta1
-    assert np.array_equal(b.z2, fresh.z2)
-
-
 def test_left_mode_tails(prof01):
     alpha = 0.5 * prof01.consts.alpha_crit
     b = kernel.kernel_basis(prof01, alpha)

@@ -5,12 +5,15 @@ import pytest
 
 from dpstab import (
     ParameterError,
+    SolverError,
     WaveParams,
     dc_profile,
     derived_constants,
     solve_profile,
 )
-from dpstab.wave import profile_meta
+from dpstab import wave
+from dpstab.wave import profile_meta, profile_w
+from profile_oracle import dop853_w, fd_dc_w
 
 # closed-form oracles: a = k(c-k)^3, E = kc - 2k^2, u_max = c - k - sqrt(ck),
 # r_decay = sqrt((c-4k)/(c-k)), evaluated once and frozen
@@ -103,14 +106,14 @@ def test_second_order_residual_and_grid_convergence(params01):
 def test_tail_slope_and_endpoint(prof01):
     d = prof01.consts
     k = prof01.params.k
-    # w = u0 - k through eval_w, free of the k + w storage roundoff
+    # w = u0 - k through profile_w, free of the k + w storage roundoff
     x = np.linspace(prof01.L - 10.0, prof01.L, 201)
-    w, _ = prof01.eval_w(x)
+    w, _ = profile_w(prof01.params, x)
     slope = np.polyfit(x, np.log(w), 1)[0]
     assert abs(slope + d.r_decay) < 1e-7 * d.r_decay
     assert 0.0 < prof01.u0[-1] - k < 1e-13
     # stored u0 recovers the same tail up to the ulp grid of k
-    w_grid, _ = prof01.eval_w(prof01.xi[-201:])
+    w_grid, _ = profile_w(prof01.params, prof01.xi[-201:])
     assert np.abs((prof01.u0[-201:] - k) - w_grid).max() < 1e-16
 
 
@@ -143,20 +146,96 @@ def test_dc_profile_center_value_and_symmetry(prof01):
     assert abs(prof01.dc_u0[-1]) < 1e-10
 
 
-def test_dc_profile_rejects_bad_step(prof01):
-    with pytest.raises(ParameterError):
-        dc_profile(prof01, dc=-1.0)
-
-
-def test_dc_profile_matches_independent_step(params01):
-    # same derivative from a different step size
+def test_dc_profile_is_stored_and_reused(params01):
     p = solve_profile(params01, L=30.0, h=0.05)
-    a = dc_profile(p, dc=1e-4).copy()
-    b = dc_profile(p, dc=5e-5)
-    assert np.abs(a - b).max() < 1e-8
+    assert p.dc_u0 is None
+    d = dc_profile(p)
+    assert p.dc_u0 is d and dc_profile(p) is d
+    assert np.all(np.isfinite(d))
+
+
+def test_dc_profile_matches_finite_difference_route(params01):
+    # second route: Richardson-refined centered differences of the DOP853
+    # quadrature at speeds c +- dc, c +- dc/2, matched at crest phase
+    p = solve_profile(params01, L=30.0, h=0.05)
+    n = p.i0
+    fd = fd_dc_w(params01, p.L, p.xi[n:])
+    exact = dc_profile(p)[n:]
+    assert np.abs(exact - fd).max() <= 1e-8 * np.abs(exact).max()
+
+
+# k/c over the admissible region, and one pair with c != 1
+ROUTE_CASES = [(0.01, 1.0), (0.05, 1.0), (0.1, 1.0), (0.2, 1.0), (0.24, 1.0),
+               (0.3, 2.0)]
+
+
+@pytest.mark.parametrize("k,c", ROUTE_CASES)
+def test_closed_form_matches_dop853_route(k, c):
+    params = WaveParams(k, c)
+    L = 30.0 / derived_constants(params).r_decay
+    x = np.linspace(0.0, L, 601)
+    w, wp = profile_w(params, x)
+    w_q, wp_q = dop853_w(params, L, x)
+    assert np.abs(w / w_q - 1.0).max() <= 1e-11
+    # w' vanishes at the crest; compare relative on x > 0
+    assert np.abs(wp[1:] / wp_q[1:] - 1.0).max() <= 1e-11
+    assert wp[0] == 0.0
+
+
+@pytest.mark.parametrize("kc", [1e-16, 1e-8, 0.249999, 0.24999999])
+def test_newton_converges_at_the_ends_of_the_admissible_region(kc):
+    # near peakons (k -> 0) and near the small-amplitude limit (k -> c/4),
+    # out to r_decay |xi| = 600
+    params = WaveParams(kc, 1.0)
+    d = derived_constants(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, wp = profile_w(params, np.linspace(0.0, 600.0 / d.r_decay, 4001))
+    # crest w = A - B = (c - k)(c - 4k)/(A + B), free of the cancellation
+    # in c - 2k - sqrt(c k) near k = c/4
+    crest = (1.0 - kc) * (1.0 - 4.0 * kc) / (1.0 - 2.0 * kc + np.sqrt(kc))
+    assert w[0] == pytest.approx(crest, rel=1e-13)
+    assert np.all(w > 0.0) and np.all(np.diff(w) < 0.0)
+    assert wp[0] == 0.0 and np.all(wp[1:] < 0.0)
+
+
+def test_newton_result_independent_of_batch(params01):
+    x = np.linspace(-45.0, 45.0, 9001)
+    w, wp = profile_w(params01, x)
+    for i in range(0, x.size, 997):
+        wi, wpi = profile_w(params01, x[i])
+        assert wi[0] == w[i] and wpi[0] == wp[i]
+    w2, _ = profile_w(params01, x[::-7])
+    assert np.array_equal(w2, w[::-7])
+
+
+def test_newton_failure_raises_solver_error(params01, monkeypatch):
+    monkeypatch.setattr(wave, "_NEWTON_STEPS", 1)
+    with pytest.raises(SolverError, match="did not converge"):
+        solve_profile(params01)
+
+
+def test_long_domain_ends_in_parameter_error(params01):
+    # r_decay L ~ 800: the tail exp(-r_decay L) is below the smallest double;
+    # the inversion must stop before any log(0) or division by zero
+    r = derived_constants(params01).r_decay
+    assert 790.0 < 980.0 * r < 810.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="underflows"):
+            solve_profile(params01, L=980.0, h=10.0)
+        with pytest.raises(ParameterError, match="underflows"):
+            profile_w(params01, [0.0, np.inf])
+        # inside the limit (r_decay L ~ 600) the far tail is finite,
+        # positive and decaying
+        p = solve_profile(params01, L=735.0, h=7.35)
+        w, _ = profile_w(p.params, p.xi[p.i0:])
+        assert np.all(np.isfinite(p.u0)) and np.all(np.isfinite(p.u0_pppp))
+        assert np.all(w > 0.0) and np.all(np.diff(w) < 0.0)
 
 
 def test_profile_meta(prof01):
     meta = profile_meta(prof01)
     assert meta["u_max"] == prof01.consts.u_max
-    assert meta["xistar"] > prof01.L
+    assert meta["u0_center"] == prof01.u0[prof01.i0]
+    assert "tol" not in meta and "xistar" not in meta
