@@ -34,31 +34,27 @@ class _Opt:
     help: str
 
 
-def _opt(typ, default, help):
-    return _Opt(typ, default, help)
-
-
 _PARAMS = {
-    "k": _opt(float, _REQUIRED, "background height k, 0 < k < c/4"),
-    "c": _opt(float, _REQUIRED, "wave speed c > 0"),
+    "k": _Opt(float, _REQUIRED, "background height k, 0 < k < c/4"),
+    "c": _Opt(float, _REQUIRED, "wave speed c > 0"),
 }
-_ALPHA_REQ = {"alpha": _opt(float, _REQUIRED, "exponential weight rate")}
-_ALPHA_OPT = {"alpha": _opt(float, 0.0, "exponential weight rate")}
+_ALPHA_REQ = {"alpha": _Opt(float, _REQUIRED, "exponential weight rate")}
+_ALPHA_OPT = {"alpha": _Opt(float, 0.0, "exponential weight rate")}
 _GRID = {
-    "L": _opt(float, 40.0, "half-length of the grid"),
-    "h": _opt(float, 0.02, "grid spacing"),
+    "L": _Opt(float, 40.0, "half-length of the grid"),
+    "h": _Opt(float, 0.02, "grid spacing"),
 }
-_CONFIG = {"config": _opt(str, None, "JSON file whose entries override flags")}
-_PLOT = {"plot_script": _opt(str, None,
+_CONFIG = {"config": _Opt(str, None, "JSON file whose entries override flags")}
+_PLOT = {"plot_script": _Opt(str, None,
                              "write a plain-text plotting script to this path")}
 _BUMP = {
-    "center": _opt(float, 2.0, "center of the Gaussian disturbance"),
-    "width": _opt(float, 1.0, "width of the Gaussian disturbance"),
+    "center": _Opt(float, 2.0, "center of the Gaussian disturbance"),
+    "width": _Opt(float, 1.0, "width of the Gaussian disturbance"),
 }
 
 
 def _out(stem):
-    return {"out": _opt(str, stem, "output path prefix")}
+    return {"out": _Opt(str, stem, "output path prefix")}
 
 
 _TABLES = {
@@ -68,40 +64,40 @@ _TABLES = {
     },
     "spectrum": {
         **_PARAMS, **_ALPHA_REQ,
-        "sigma_max": _opt(float, 40.0, "half-width of the frequency window"),
-        "n": _opt(int, 2001, "number of frequency samples"),
+        "sigma_max": _Opt(float, 40.0, "half-width of the frequency window"),
+        "n": _Opt(int, 2001, "number of frequency samples"),
         **_out("spectrum"), **_PLOT, **_CONFIG,
     },
     "gap": {**_PARAMS, **_ALPHA_REQ, **_CONFIG},
     "evans": {
         **_PARAMS, **_ALPHA_OPT,
-        "lam_re": _opt(float, _REQUIRED, "real part of lambda"),
-        "lam_im": _opt(float, 0.0, "imaginary part of lambda"),
+        "lam_re": _Opt(float, _REQUIRED, "real part of lambda"),
+        "lam_im": _Opt(float, 0.0, "imaginary part of lambda"),
         **_GRID,
-        "nsub": _opt(int, 10, "integration substeps per grid cell"),
-        "out": _opt(str, None, "optional JSON output path prefix"),
+        "nsub": _Opt(int, 10, "integration substeps per grid cell"),
+        "out": _Opt(str, None, "optional JSON output path prefix"),
         **_CONFIG,
     },
     "winding": {
         **_PARAMS, **_ALPHA_OPT,
-        "contour": _opt(str, "circle", "contour kind: circle, rectangle, keyhole"),
-        "center": _opt(complex, 0j, "contour center, Python complex syntax"),
-        "radius": _opt(float, 0.05, "circle radius"),
-        "n_nodes": _opt(int, 64, "initial node count on a circle"),
-        "re_min": _opt(float, -0.2, "rectangle left edge"),
-        "re_max": _opt(float, 2.0, "rectangle right edge"),
-        "im_abs": _opt(float, 2.0, "rectangle half-height"),
-        "hole_radius": _opt(float, 0.05, "keyhole excluded-disc radius"),
-        "density": _opt(float, 8.0, "rectangle nodes per unit length"),
+        "contour": _Opt(str, "circle", "contour kind: circle, rectangle, keyhole"),
+        "center": _Opt(complex, 0j, "contour center, Python complex syntax"),
+        "radius": _Opt(float, 0.05, "circle radius"),
+        "n_nodes": _Opt(int, 64, "initial node count on a circle"),
+        "re_min": _Opt(float, -0.2, "rectangle left edge"),
+        "re_max": _Opt(float, 2.0, "rectangle right edge"),
+        "im_abs": _Opt(float, 2.0, "rectangle half-height"),
+        "hole_radius": _Opt(float, 0.05, "keyhole excluded-disc radius"),
+        "density": _Opt(float, 8.0, "rectangle nodes per unit length"),
         **_GRID,
-        "nsub": _opt(int, None, "fixed integration substeps per grid cell; default: "
+        "nsub": _Opt(int, None, "fixed integration substeps per grid cell; default: "
                      "error-controlled, nsub 1 and 2 refined per node up to 16"),
         **_out("winding"), **_CONFIG,
     },
     "lax": {
         **_PARAMS,
-        "lam_re": _opt(float, _REQUIRED, "real part of lambda"),
-        "lam_im": _opt(float, 0.0, "imaginary part of lambda"),
+        "lam_re": _Opt(float, _REQUIRED, "real part of lambda"),
+        "lam_im": _Opt(float, 0.0, "imaginary part of lambda"),
         **_out("lax"), **_CONFIG,
     },
     "kernel": {
@@ -110,38 +106,38 @@ _TABLES = {
     },
     "free-evolve": {
         **_PARAMS, **_ALPHA_REQ,
-        "t_final": _opt(float, 40.0, "final time"),
-        "n_records": _opt(int, 201, "number of recorded times"),
-        "width": _opt(float, 3.0, "width of the Gaussian datum"),
+        "t_final": _Opt(float, 40.0, "final time"),
+        "n_records": _Opt(int, 201, "number of recorded times"),
+        "width": _Opt(float, 3.0, "width of the Gaussian datum"),
         **_GRID,
         **_out("free-evolve"), **_PLOT, **_CONFIG,
     },
     "linear-evolve": {
         **_PARAMS, **_ALPHA_REQ,
-        "t_final": _opt(float, 25.0, "final time"),
-        "dt": _opt(float, None, "time step, default from the spectral radius"),
-        "n_records": _opt(int, 201, "number of recorded times"),
+        "t_final": _Opt(float, 25.0, "final time"),
+        "dt": _Opt(float, None, "time step, default from the spectral radius"),
+        "n_records": _Opt(int, 201, "number of recorded times"),
         **_BUMP,
-        "no_project": _opt(bool, False,
+        "no_project": _Opt(bool, False,
                            "skip the complementary kernel projection"),
         **_GRID,
         **_out("linear-evolve"), **_PLOT, **_CONFIG,
     },
     "nonlinear-evolve": {
         **_PARAMS,
-        "t_final": _opt(float, 5.0, "final time"),
-        "dt": _opt(float, None, "time step, default from the advective bound"),
-        "delta": _opt(float, 1e-3, "disturbance amplitude"),
-        "n_records": _opt(int, 201, "number of recorded times"),
+        "t_final": _Opt(float, 5.0, "final time"),
+        "dt": _Opt(float, None, "time step, default from the advective bound"),
+        "delta": _Opt(float, 1e-3, "disturbance amplitude"),
+        "n_records": _Opt(int, 201, "number of recorded times"),
         **_BUMP,
-        "no_filter": _opt(bool, False, "disable the high-mode filter"),
-        "L": _opt(float, 40.0, "half-length of the grid"),
-        "h": _opt(float, 0.05, "grid spacing"),
+        "no_filter": _Opt(bool, False, "disable the high-mode filter"),
+        "L": _Opt(float, 40.0, "half-length of the grid"),
+        "h": _Opt(float, 0.05, "grid spacing"),
         **_out("nonlinear-evolve"), **_PLOT, **_CONFIG,
     },
     "selftest": {
-        "k": _opt(float, 0.1, "background height k"),
-        "c": _opt(float, 1.0, "wave speed c"),
+        "k": _Opt(float, 0.1, "background height k"),
+        "c": _Opt(float, 1.0, "wave speed c"),
         **_CONFIG,
     },
 }
@@ -281,7 +277,7 @@ def _emit(cfg: RunConfig, meta: dict, table: dict | None = None,
 
 def _trajectory_table(traj: evolve.EvolutionState) -> dict:
     """Columns t, norm_w, ip_eta1, ip_eta2 (NaN when not projected), then
-    whichever of E, Q, H, c_fit, gamma_fit the run recorded."""
+    whichever of E, Q, H the run recorded."""
     nan = np.full_like(traj.t, np.nan)
     table = {
         "t": traj.t,
@@ -289,7 +285,7 @@ def _trajectory_table(traj: evolve.EvolutionState) -> dict:
         "ip_eta1": nan if traj.ip_eta1 is None else traj.ip_eta1,
         "ip_eta2": nan if traj.ip_eta2 is None else traj.ip_eta2,
     }
-    for name in ("E", "Q", "H", "c_fit", "gamma_fit"):
+    for name in ("E", "Q", "H"):
         if name in traj.extra:
             table[name] = traj.extra[name]
     return table
@@ -404,32 +400,23 @@ def _cmd_kernel(cfg: RunConfig) -> int:
     return 0
 
 
+def _bump(xi, width: float, center: float = 0.0) -> np.ndarray:
+    """The Gaussian datum exp(-(xi - center)^2 / (2 width^2))."""
+    if width <= 0.0:
+        raise ParameterError("width must be positive")
+    return np.exp(-((xi - center) ** 2) / (2.0 * width ** 2))
+
+
 def _cmd_free_evolve(cfg: RunConfig) -> int:
     o = cfg.options
-    params = _params(o)
-    if o["t_final"] <= 0.0:
-        raise ParameterError("t-final must be positive")
-    if o["n_records"] < 4:
-        raise ParameterError("need at least 4 records")
-    if o["width"] <= 0.0:
-        raise ParameterError("width must be positive")
     if o["L"] <= 0.0 or o["h"] <= 0.0:
         raise ParameterError("L and h must be positive")
     n = int(round(2.0 * o["L"] / o["h"]))
     if n < 16:
         raise ParameterError("grid too small")
-    xi = -o["L"] + o["h"] * np.arange(n)
-    w0 = np.exp(-xi * xi / (2.0 * o["width"] ** 2))
-    times = np.linspace(0.0, o["t_final"], o["n_records"])
-    norms = np.empty(times.size)
-    flow = evolve.free_flow(w0, params, o["alpha"], o["h"])
-    for i, t in enumerate(times):
-        w = evolve.free_evolve(w0, params, o["alpha"], float(t), o["h"], flow)
-        norms[i] = evolve.l2_norm(w, o["h"])
-    traj = evolve.EvolutionState(
-        kind="free", params=params, alpha=o["alpha"], h=o["h"],
-        dt=float(times[1] - times[0]), T=o["t_final"], t=times, norm_w=norms,
-        ip_eta1=None, ip_eta2=None, w=w, config=cfg.resolved())
+    w0 = _bump(-o["L"] + o["h"] * np.arange(n), o["width"])
+    traj = evolve.free_evolve(w0, _params(o), o["alpha"], o["t_final"], o["h"],
+                              n_records=o["n_records"])
     rate = evolve.decay_rate(traj)
     _emit(cfg, {"decay_rate": rate}, _trajectory_table(traj),
           "constant-background decay", logy=True)
@@ -440,8 +427,7 @@ def _cmd_free_evolve(cfg: RunConfig) -> int:
 def _cmd_linear_evolve(cfg: RunConfig) -> int:
     o = cfg.options
     prof = wave.solve_profile(_params(o), L=o["L"], h=o["h"])
-    xi = prof.xi
-    w0 = np.exp(-((xi - o["center"]) ** 2) / (2.0 * o["width"] ** 2))
+    w0 = _bump(prof.xi, o["width"], o["center"])
     traj = evolve.linear_evolve(w0, prof, o["alpha"], T=o["t_final"],
                                 dt=o["dt"], project_out=not o["no_project"],
                                 n_records=o["n_records"])
@@ -456,10 +442,8 @@ def _cmd_nonlinear_evolve(cfg: RunConfig) -> int:
     o = cfg.options
     params = _params(o)
     prof = wave.solve_profile(params, L=o["L"], h=o["h"])
-    xi = prof.xi
-    u = prof.u0 + o["delta"] * np.exp(-((xi - o["center"]) ** 2)
-                                      / (2.0 * o["width"] ** 2))
-    sig = 2.0 * np.pi * np.fft.fftfreq(xi.size, d=o["h"])
+    u = prof.u0 + o["delta"] * _bump(prof.xi, o["width"], o["center"])
+    sig = 2.0 * np.pi * np.fft.fftfreq(prof.xi.size, d=o["h"])
     m0 = np.fft.ifft((1.0 + sig * sig) * np.fft.fft(u)).real
     traj = evolve.nonlinear_evolve(m0, params, T=o["t_final"], h=o["h"],
                                    dt=o["dt"],

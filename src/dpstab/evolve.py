@@ -18,10 +18,13 @@ with the local factor 1 - (d - alpha)^2.  Both the jump constant and the
 composition are pinned by a manufactured-solution oracle in the tests rather
 than assumed.
 
-Time stepping is classical RK4 with the step chosen against a measured
-spectral radius; nonlinear runs apply a mild exponential filter
-exp(-36 theta^36) on the top eighth of modes (theta ramps 0 to 1 across that
-band) unless disabled.
+The three flows share one shape: datum, parameters, final time T, grid and
+n_records go in; an `EvolutionState` recorded at n_records times from 0 to T
+comes out.  The free flow is exact, one inverse transform per record; the
+linearized and nonlinear flows are classical RK4 on one validated schedule,
+the step chosen against a measured spectral radius or the advective bound.
+Nonlinear runs apply a mild exponential filter exp(-36 theta^36) on the top
+eighth of modes (theta ramps 0 to 1 across that band) unless disabled.
 """
 from __future__ import annotations
 
@@ -45,7 +48,6 @@ from .wave import (
 
 __all__ = [
     "apply_linearized",
-    "free_flow",
     "free_evolve",
     "GreenFunction",
     "free_green",
@@ -124,29 +126,6 @@ def apply_linearized(w, profile: Profile, alpha: float, adjoint: bool = False):
     if w.shape != profile.xi.shape:
         raise ParameterError("w is not on the profile grid")
     return _linearized_op(profile, alpha, w.size, adjoint)(w)
-
-
-def free_flow(w0, params: WaveParams, alpha: float, h: float) -> tuple:
-    """(fft(w0), lambda(i sigma - alpha), w0 is real): free_evolve's per-datum part."""
-    _check_alpha(alpha)
-    w0 = np.asarray(w0)
-    ac = derived_constants(params).alpha_crit
-    if alpha < 0.0 or ac <= alpha < 1.0:
-        warnings.warn(
-            f"weight alpha={alpha} has no spectral gap: growth expected",
-            stacklevel=3,
-        )
-    lam = lambda_of_r(1j * _freq(w0.size, h) - alpha, params)
-    return np.fft.fft(w0), lam, np.isrealobj(w0)
-
-
-def free_evolve(w0, params: WaveParams, alpha: float, t: float, h: float,
-                flow: tuple | None = None):
-    """Exact multiplier evolution over the flat background: w(t) from w0,
-    reusing flow = free_flow(w0, params, alpha, h) if it is given."""
-    w0_hat, lam, real = flow or free_flow(w0, params, alpha, h)
-    out = np.fft.ifft(np.exp(lam * t) * w0_hat)
-    return out.real if real else out
 
 
 @dataclass(frozen=True)
@@ -275,10 +254,6 @@ def resolvent_norm_scan(params: WaveParams, alpha: float, xs,
 class EvolutionState:
     """Recorded time evolution: norms, kernel pairings, and the final state."""
 
-    kind: str
-    params: WaveParams
-    alpha: float | None
-    h: float
     dt: float
     T: float
     t: np.ndarray
@@ -322,13 +297,76 @@ def _spectral_radius(profile: Profile, alpha: float, iters: int = 50) -> float:
     return rho
 
 
-def _schedule(T: float, dt: float, n_records: int) -> tuple[int, float, set]:
-    """nsteps >= n_records - 1 equal steps of at most dt over [0, T], and the
-    n_records distinct steps round(linspace(0, nsteps, n_records)) to record."""
-    n_records = max(n_records, 2)
+def _check_records(T: float, n_records: int) -> None:
+    if not 0.0 < T < np.inf:
+        raise ParameterError(f"final time must be positive and finite, got T={T}")
+    if n_records < 2:
+        raise ParameterError(f"need at least 2 records, got n_records={n_records}")
+
+
+def _schedule(T: float, n_records: int, dt: float | None, dt_safe: float,
+              dt_max: float, bound: str) -> tuple[int, float, set]:
+    """nsteps >= n_records - 1 equal steps of at most dt (default dt_safe)
+    over [0, T], and the n_records distinct steps round(linspace(0, nsteps,
+    n_records)) to record; dt must lie in (0, dt_max], dt_max being `bound`."""
+    _check_records(T, n_records)
+    if dt is None:
+        dt = dt_safe
+    elif not 0.0 < dt <= dt_max:
+        raise ParameterError(
+            f"dt={dt} is outside (0, {dt_max:.3e}], the {bound}; "
+            f"use dt <= {dt_safe:.3e}"
+        )
     nsteps = max(int(np.ceil(T / dt)), n_records - 1)
     record_at = set(np.rint(np.linspace(0, nsteps, n_records)).astype(int).tolist())
     return nsteps, T / nsteps, record_at
+
+
+def _march(w, rhs, schedule: tuple, observe, after_step=None):
+    """RK4 over the schedule on the periodic grid.  observe(t, v) returns
+    the record row of the state v closed by its seam node, at t = 0 and at
+    every record step; after_step(w, t) may filter or check each new state.
+    Returns the closed final state and the record columns."""
+    nsteps, dt, record_at = schedule
+    rows = [observe(0.0, _closed(w))]
+    for step in range(1, nsteps + 1):
+        w = _rk4(w, dt, rhs)
+        if after_step is not None:
+            w = after_step(w, step * dt)
+        if step in record_at:
+            rows.append(observe(step * dt, _closed(w)))
+    return _closed(w), np.array(rows).T
+
+
+def free_evolve(w0, params: WaveParams, alpha: float, T: float, h: float,
+                n_records: int = 201) -> EvolutionState:
+    """Exact multiplier evolution over the flat background, recorded at
+    linspace(0, T, n_records): one fft of w0 and one symbol per run, then
+    one inverse fft per record."""
+    _check_alpha(alpha)
+    _check_records(T, n_records)
+    w0 = np.asarray(w0)
+    ac = derived_constants(params).alpha_crit
+    if alpha < 0.0 or ac <= alpha < 1.0:
+        warnings.warn(
+            f"weight alpha={alpha} has no spectral gap: growth expected",
+            stacklevel=2,
+        )
+    lam = lambda_of_r(1j * _freq(w0.size, h) - alpha, params)
+    w0_hat = np.fft.fft(w0)
+    times = np.linspace(0.0, T, n_records)
+    norms = np.empty(n_records)
+    for i, t in enumerate(times):
+        w = np.fft.ifft(np.exp(lam * t) * w0_hat)
+        if np.isrealobj(w0):
+            w = w.real
+        norms[i] = l2_norm(w, h)
+    config = {"kind": "free", "k": params.k, "c": params.c, "alpha": alpha,
+              "h": h, "n_fft": w0.size, "T": T}
+    return EvolutionState(
+        dt=float(times[1] - times[0]), T=T, t=times, norm_w=norms,
+        ip_eta1=None, ip_eta2=None, w=w, config=config,
+    )
 
 
 def linear_evolve(w0, profile: Profile, alpha: float, T: float,
@@ -342,54 +380,38 @@ def linear_evolve(w0, profile: Profile, alpha: float, T: float,
     periodic grid of the first N - 1 profile nodes; recorded and returned
     states carry the seam node as a copy of node 0.
     """
-    _check_alpha(alpha)
     basis = kernel.kernel_basis(profile, alpha)
     w = np.array(w0, dtype=float, copy=True)
     if w.shape != profile.xi.shape:
         raise ParameterError("w0 is not on the profile grid")
+    if not np.all(np.isfinite(w)):
+        raise ParameterError("w0 must be finite")
     if project_out:
         _, w = kernel.project(w, basis)
     rho = _spectral_radius(profile, alpha)
-    dt_max = 2.8 / rho
-    if dt is None:
-        dt = 2.5 / rho
-    elif dt > dt_max:
-        raise ParameterError(
-            f"dt={dt} exceeds the RK4 stability bound for the measured spectral "
-            f"radius {rho:.3e}; use dt <= {2.5 / rho:.3e}"
-        )
-    nsteps, dt, record_at = _schedule(T, dt, n_records)
+    schedule = _schedule(
+        T, n_records, dt, 2.5 / rho, 2.8 / rho,
+        f"RK4 stability bound for the measured spectral radius {rho:.3e}",
+    )
     h = profile.h
     n = w.size - 1
-    rhs = _linearized_op(profile, alpha, n)
-    w = w[:n]
 
-    ts, norms, ip1, ip2 = [], [], [], []
+    def observe(t, v):
+        if not np.all(np.isfinite(v)):
+            raise SolverError(f"linear evolution lost finiteness at t={t}")
+        return (t, l2_norm(v, h), float(np.trapezoid(basis.eta1 * v, dx=h)),
+                float(np.trapezoid(basis.eta2 * v, dx=h)))
 
-    def record(t, v):
-        v = _closed(v)
-        ts.append(t)
-        norms.append(l2_norm(v, h))
-        ip1.append(float(np.trapezoid(basis.eta1 * v, dx=h)))
-        ip2.append(float(np.trapezoid(basis.eta2 * v, dx=h)))
-
-    record(0.0, w)
-    for step in range(1, nsteps + 1):
-        w = _rk4(w, dt, rhs)
-        if step in record_at:
-            if not np.all(np.isfinite(w)):
-                raise SolverError(f"linear evolution lost finiteness at t={step * dt}")
-            record(step * dt, w)
+    w, (t, norms, ip1, ip2) = _march(
+        w[:n], _linearized_op(profile, alpha, n), schedule, observe)
+    dt = schedule[1]
     config = {
         "kind": "linear", "k": profile.params.k, "c": profile.params.c,
         "alpha": alpha, "L": profile.L, "h": h, "n_fft": n, "dt": dt, "T": T,
         "projected": bool(project_out), "filter": None, "seed": None,
     }
-    return EvolutionState(
-        kind="linear", params=profile.params, alpha=alpha, h=h, dt=dt, T=T,
-        t=np.array(ts), norm_w=np.array(norms), ip_eta1=np.array(ip1),
-        ip_eta2=np.array(ip2), w=_closed(w), config=config,
-    )
+    return EvolutionState(dt=dt, T=T, t=t, norm_w=norms, ip_eta1=ip1,
+                          ip_eta2=ip2, w=w, config=config)
 
 
 def _exp_filter(sig: np.ndarray) -> np.ndarray:
@@ -413,7 +435,7 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
     m = np.array(m0, dtype=float, copy=True)
     if m.ndim != 1 or m.size < 16 or m.size % 2 == 0:
         raise ParameterError("m0 must be a 1-d grid function with an odd length")
-    if np.min(m) <= 0.0:
+    if not np.all(m > 0.0):
         raise ParameterError("m0 must be positive everywhere")
     k, c = params.k, params.c
     n = m.size - 1
@@ -434,55 +456,39 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
     u0_k = irfft(inv_helm * rfft(m - k), n)
     vmax = float(np.max(np.abs(u0_k + k - c)))
     smax = float(sig.max())
-    dt_max = 2.8 / (vmax * smax)
-    if dt is None:
-        dt = 2.0 / (vmax * smax)
-    elif dt > dt_max:
-        raise ParameterError(
-            f"dt={dt} exceeds the advective stability bound; "
-            f"use dt <= {2.0 / (vmax * smax):.3e}"
-        )
-    nsteps, dt, record_at = _schedule(T, dt, n_records)
+    schedule = _schedule(T, n_records, dt, 2.0 / (vmax * smax),
+                         2.8 / (vmax * smax), "advective stability bound")
 
-    ts, norms, E, Q, H = [], [], [], [], []
-    snaps = []
-
-    def record(t, mm):
-        mm = _closed(mm)
-        ts.append(t)
-        norms.append(l2_norm(mm - k, h))
-        cv = kernel.conserved(params, h, m=mm)
-        E.append(cv.E_mass)
-        Q.append(cv.Q)
-        H.append(cv.H)
-        if snapshots:
-            snaps.append((t, mm))
-
-    record(0.0, m)
-    for step in range(1, nsteps + 1):
-        m = _rk4(m, dt, rhs)
+    def after_step(mm, t):
         if filter_modes:
-            m = k + irfft(filt * rfft(m - k), n)
-        mn = float(np.min(m))
+            mm = k + irfft(filt * rfft(mm - k), n)
+        mn = float(np.min(mm))
         if not np.isfinite(mn) or mn <= 0.0:
             raise SolverError(
-                f"momentum positivity lost at t={step * dt:.6f} (min m = {mn})"
+                f"momentum positivity lost at t={t:.6f} (min m = {mn})"
             )
-        if step in record_at:
-            record(step * dt, m)
+        return mm
+
+    snaps = []
+
+    def observe(t, mm):
+        cv = kernel.conserved(params, h, m=mm)
+        if snapshots:
+            snaps.append((t, mm))
+        return t, l2_norm(mm - k, h), cv.E_mass, cv.Q, cv.H
+
+    m, (t, norms, E, Q, H) = _march(m, rhs, schedule, observe, after_step)
+    dt = schedule[1]
     config = {
         "kind": "nonlinear", "k": k, "c": c, "alpha": None,
         "L": 0.5 * h * n, "h": h, "n_fft": n, "dt": dt, "T": T,
         "filter": bool(filter_modes), "seed": None,
     }
-    extra = {"E": np.array(E), "Q": np.array(Q), "H": np.array(H)}
+    extra = {"E": E, "Q": Q, "H": H}
     if snapshots:
         extra["snapshots"] = snaps
-    return EvolutionState(
-        kind="nonlinear", params=params, alpha=None, h=h, dt=dt, T=T,
-        t=np.array(ts), norm_w=np.array(norms), ip_eta1=None, ip_eta2=None,
-        w=_closed(m), config=config, extra=extra,
-    )
+    return EvolutionState(dt=dt, T=T, t=t, norm_w=norms, ip_eta1=None,
+                          ip_eta2=None, w=m, config=config, extra=extra)
 
 
 def decay_rate(traj: EvolutionState, window: tuple | None = None) -> float:

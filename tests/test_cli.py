@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,13 +62,18 @@ def test_profile_artifacts(tmp_path, capsys):
 
 
 def test_rerun_is_byte_identical(tmp_path, capsys):
-    # one command per CSV shape: profile, spectrum, kernel basis, trajectory
+    # one command per CSV shape: profile, spectrum, kernel basis, and the
+    # trajectories of the three evolve flows
     grid = ["--L", "30", "--h", "0.05"]
     for argv in (["profile"] + grid,
                  ["spectrum", "--alpha", "0.5", "--n", "101"],
                  ["kernel", "--alpha", "0.5"] + grid,
                  ["linear-evolve", "--alpha", "0.5", "--t-final", "1",
-                  "--n-records", "11"] + grid):
+                  "--n-records", "11"] + grid,
+                 ["free-evolve", "--alpha", "0.5", "--t-final", "5",
+                  "--n-records", "11"] + grid,
+                 ["nonlinear-evolve", "--t-final", "1", "--n-records", "11"]
+                 + grid):
         out = str(tmp_path / argv[0])
         argv = argv + ["--k", K, "--c", C, "--out", out]
         assert cli.run(argv) == 0
@@ -207,12 +213,42 @@ def test_integral_config_number_accepted(tmp_path):
     assert _read_json(tmp_path / "x.json")["config"]["n"] == 101
 
 
-@pytest.mark.parametrize("grid", [["--h", "0"], ["--L", "-1"]])
-def test_free_evolve_rejects_nonpositive_grid(tmp_path, capsys, grid):
-    rc = cli.run(["free-evolve", "--k", K, "--c", C, "--alpha", "0.5",
-                  "--out", str(tmp_path / "x")] + grid)
+_BAD_EVOLVE = {
+    "t-final-0": (["--t-final", "0"], "final time must be positive"),
+    "t-final-neg": (["--t-final", "-2"], "final time must be positive"),
+    "dt-0": (["--dt", "0"], "use dt <="),
+    "dt-neg": (["--dt", "-0.01"], "use dt <="),
+    "n-records-1": (["--n-records", "1"], "at least 2 records"),
+    "width-0": (["--width", "0"], "width must be positive"),
+    "width-neg": (["--width", "-1"], "width must be positive"),
+    "h-0": (["--h", "0"], "L and h must be positive"),
+    "L-neg": (["--L", "-1"], "L and h must be positive"),
+}
+_EVOLVE_CASES = [
+    (cmd, bad) for cmd in ("free-evolve", "linear-evolve", "nonlinear-evolve")
+    for bad in _BAD_EVOLVE
+    # free-evolve has no time step; only it checks the grid before a profile
+    if not (cmd == "free-evolve" and bad.startswith("dt"))
+    and (cmd == "free-evolve" or bad[0] not in "hL")
+]
+
+
+@pytest.mark.parametrize("cmd, bad", _EVOLVE_CASES,
+                         ids=[f"{cmd}-{bad}" for cmd, bad in _EVOLVE_CASES])
+def test_evolve_rejects_bad_input(tmp_path, capsys, cmd, bad):
+    # a validation error: exit 2, one error line, no artifact, no warning
+    flags, message = _BAD_EVOLVE[bad]
+    alpha = [] if cmd == "nonlinear-evolve" else ["--alpha", "0.5"]
+    argv = [cmd, "--k", K, "--c", C, "--L", "30", "--h", "0.1",
+            "--out", str(tmp_path / "x"), *alpha, *flags]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.run(argv)
     assert rc == 2
-    assert "L and h must be positive" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):

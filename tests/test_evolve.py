@@ -99,29 +99,66 @@ def test_adjoint_pairing(prof01):
 
 
 def test_free_evolve_zero(params01):
-    w = evolve.free_evolve(np.zeros(512), params01, 0.5, 3.0, 0.05)
-    assert np.all(w == 0.0)
+    with pytest.raises(SolverError, match="strictly positive"):
+        evolve.free_evolve(np.zeros(512), params01, 0.5, 3.0, 0.05)
 
 
 def test_free_evolve_unitary_at_alpha_zero(params01):
     rng = np.random.default_rng(3)
     w0 = rng.standard_normal(4001)
     n0 = evolve.l2_norm(w0, 0.03)
-    for t in (1.0, 10.0):
-        nt = evolve.l2_norm(evolve.free_evolve(w0, params01, 0.0, t, 0.03), 0.03)
-        assert abs(nt / n0 - 1.0) <= 1e-10
+    traj = evolve.free_evolve(w0, params01, 0.0, 10.0, 0.03, n_records=11)
+    assert np.max(np.abs(traj.norm_w / n0 - 1.0)) <= 1e-10
 
 
 def test_free_evolve_decay_rate(params01):
     h = 0.025
     xi = _grid(60.0, h)
     w0 = np.exp(-xi ** 2 / 18.0) * (1.0 + 0.3 * np.cos(1.1 * xi))
-    ts = np.linspace(5.0, 40.0, 8)
-    norms = [
-        evolve.l2_norm(evolve.free_evolve(w0, params01, 0.5, t, h), h) for t in ts
-    ]
-    slope = np.polyfit(ts, np.log(norms), 1)[0]
+    traj = evolve.free_evolve(w0, params01, 0.5, 40.0, h, n_records=9)
+    # records at t = 5, 10, ..., 40
+    slope = np.polyfit(traj.t[1:], np.log(traj.norm_w[1:]), 1)[0]
     assert -0.27 <= slope <= -0.24  # gap 0.25 plus curvature prefactor
+
+
+def test_free_evolve_record(params01):
+    # the last record is the exact multiplier flow of the datum at T
+    h = 0.05
+    xi = _grid(20.0, h)[:-1]
+    w0 = np.exp(-xi ** 2 / 4.0)
+    traj = evolve.free_evolve(w0, params01, 0.5, 3.0, h, n_records=7)
+    assert np.array_equal(traj.t, np.linspace(0.0, 3.0, 7))
+    assert traj.T == 3.0 and traj.dt == 0.5
+    lam = lambda_of_r(1j * _grid_freq(xi.size, h) - 0.5, params01)
+    w = np.fft.ifft(np.exp(3.0 * lam) * np.fft.fft(w0))
+    assert np.max(np.abs(traj.w - w)) <= 1e-14
+    assert traj.w.dtype == np.float64
+    assert traj.norm_w[-1] == evolve.l2_norm(traj.w, h)
+
+
+@pytest.mark.parametrize("T, n_records", [(0.0, 11), (-2.0, 11), (np.nan, 11),
+                                          (1.0, 1), (1.0, -5)])
+def test_record_schedule_rejected(params01, prof60, T, n_records):
+    xi = _grid(10.0, 0.05)
+    with pytest.raises(ParameterError):
+        evolve.free_evolve(np.exp(-xi ** 2), params01, 0.5, T, 0.05,
+                           n_records=n_records)
+    with pytest.raises(ParameterError):
+        evolve.linear_evolve(np.exp(-prof60.xi ** 2), prof60, 0.5, T,
+                             n_records=n_records)
+    with pytest.raises(ParameterError):
+        evolve.nonlinear_evolve(0.1 + np.exp(-xi ** 2), params01, T, 0.05,
+                                n_records=n_records)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01, np.nan])
+def test_nonpositive_dt_rejected(params01, prof60, dt):
+    xi = _grid(10.0, 0.05)
+    with pytest.raises(ParameterError, match="use dt <="):
+        evolve.linear_evolve(np.exp(-prof60.xi ** 2), prof60, 0.5, 1.0, dt=dt)
+    with pytest.raises(ParameterError, match="use dt <="):
+        evolve.nonlinear_evolve(0.1 + np.exp(-xi ** 2), params01, 1.0, 0.05,
+                                dt=dt)
 
 
 def test_free_evolve_warnings(params01):
@@ -301,6 +338,10 @@ def test_linear_evolve_step_rejection(prof60):
         evolve.linear_evolve(basis.z1, prof60, 0.5, T=1.0, dt=1.0)
     with pytest.raises(ParameterError):
         evolve.linear_evolve(basis.z1[:-1], prof60, 0.5, T=1.0)
+    bad = basis.z1.copy()
+    bad[7] = np.nan
+    with pytest.raises(ParameterError, match="finite"):
+        evolve.linear_evolve(bad, prof60, 0.5, T=1.0)
 
 
 def test_linear_evolve_rk4_order(prof60):
@@ -348,6 +389,10 @@ def test_nonlinear_validation(params01):
         evolve.nonlinear_evolve(np.full(xi.size, -0.1), params01, 1.0, 0.05)
     with pytest.raises(ParameterError):
         evolve.nonlinear_evolve(np.full((4, 4), 0.1), params01, 1.0, 0.05)
+    nan_m0 = np.full(xi.size, 0.1)
+    nan_m0[7] = np.nan
+    with pytest.raises(ParameterError, match="positive"):
+        evolve.nonlinear_evolve(nan_m0, params01, 1.0, 0.05)
     m0 = 0.1 + np.exp(-xi ** 2)
     with pytest.raises(ParameterError, match="use dt <="):
         evolve.nonlinear_evolve(m0, params01, 1.0, 0.05, dt=0.5)
@@ -492,27 +537,24 @@ def test_modulation_fit_trust_region(params01, prof60):
 # ------------------------------------------------------------ trajectories
 
 
-def test_evolution_state_invariants(params01):
+def test_evolution_state_invariants():
     t = np.array([0.0, 1.0, 1.0])
     ones = np.ones_like(t)
     with pytest.raises(SolverError):
         evolve.EvolutionState(
-            kind="linear", params=params01, alpha=0.5, h=0.1, dt=0.1, T=1.0,
-            t=t, norm_w=ones, ip_eta1=None, ip_eta2=None, w=ones,
+            dt=0.1, T=1.0, t=t, norm_w=ones, ip_eta1=None, ip_eta2=None, w=ones,
         )
     with pytest.raises(SolverError):
         evolve.EvolutionState(
-            kind="linear", params=params01, alpha=0.5, h=0.1, dt=0.1, T=1.0,
-            t=np.array([0.0, 1.0, 2.0]), norm_w=np.array([1.0, 0.0, 1.0]),
-            ip_eta1=None, ip_eta2=None, w=ones,
+            dt=0.1, T=1.0, t=np.array([0.0, 1.0, 2.0]),
+            norm_w=np.array([1.0, 0.0, 1.0]), ip_eta1=None, ip_eta2=None, w=ones,
         )
 
 
-def test_decay_rate_validation(params01):
+def test_decay_rate_validation():
     t = np.linspace(0.0, 10.0, 21)
     traj = evolve.EvolutionState(
-        kind="linear", params=params01, alpha=0.5, h=0.1, dt=0.5, T=10.0,
-        t=t, norm_w=np.exp(-0.3 * t), ip_eta1=None, ip_eta2=None,
+        dt=0.5, T=10.0, t=t, norm_w=np.exp(-0.3 * t), ip_eta1=None, ip_eta2=None,
         w=np.ones(5),
     )
     assert abs(evolve.decay_rate(traj) + 0.3) <= 1e-12
