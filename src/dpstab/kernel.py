@@ -19,7 +19,7 @@ e^{-m|xi|}/(2m): each grid panel contributes the integral of its degree-5
 interpolant against the exponential, so the sweep is order-6 in the step and
 respects decay at the ends (no periodization).  The running sum
 C_i = e^{-m h} C_{i-1} + inc_i is one BLAS bidiagonal solve (dtbsv/ztbsv).
-Running integrals use matching degree-5 panel quadrature.
+Running integrals are the same sweep at rate 0.
 """
 from __future__ import annotations
 
@@ -45,22 +45,6 @@ __all__ = [
 ]
 
 
-def _poly_panel_weights() -> np.ndarray:
-    # integral over [s, s+1] of the degree-5 Lagrange basis on nodes 0..5,
-    # one row per panel offset s = 0..4 (interior panels use s = 2)
-    W = np.empty((5, 6))
-    for m in range(6):
-        nodes = [j for j in range(6) if j != m]
-        den = np.prod([float(m - j) for j in nodes])
-        P = np.polyint(np.poly(nodes) / den)
-        for s in range(5):
-            W[s, m] = np.polyval(P, s + 1.0) - np.polyval(P, s)
-    return W
-
-
-_W6 = _poly_panel_weights()
-
-
 @lru_cache(maxsize=8)
 def _window_index(n: int):
     i = np.arange(n - 1)
@@ -71,16 +55,12 @@ def _window_index(n: int):
 
 
 def cumint6(f, h: float) -> np.ndarray:
-    """Cumulative integral from the left end, zero there, order-6 panels."""
+    """Cumulative integral from the left end, zero there, order-6 panels:
+    the exponential sweep at rate 0."""
     f = np.asarray(f)
     if f.ndim != 1 or f.size < 6:
         raise ParameterError("need a 1-d array with at least 6 samples")
-    idx, s = _window_index(f.size)
-    inc = h * np.einsum("ij,ij->i", _W6[s], f[idx])
-    out = np.empty(f.size, dtype=inc.dtype)
-    out[0] = 0.0
-    np.cumsum(inc, out=out[1:])
-    return out
+    return causal_exp_conv(f, 0.0, h)
 
 
 def _exp_moments(a) -> np.ndarray:

@@ -24,7 +24,8 @@ def test_cumint6_polynomial_exact():
     F = ((x - 0.3) ** 6 / 6 - x ** 4 / 2 + x ** 2 / 2) / 10.0
     out = kernel.cumint6(f, h)
     scale = np.max(np.abs(F - F[0]))
-    assert np.max(np.abs(out - (F - F[0]))) <= 1e-13 * scale
+    # the rate-0 exponential sweep reaches about 1e-15 here
+    assert np.max(np.abs(out - (F - F[0]))) <= 1e-14 * scale
 
 
 def test_cumint6_order():
