@@ -46,7 +46,7 @@ _GRID = {
 }
 _CONFIG = {"config": _Opt(str, None, "JSON file whose entries override flags")}
 _PLOT = {"plot_script": _Opt(str, None,
-                             "write a plain-text plotting script to this path")}
+                              "write a plain-text plotting script to this path")}
 _BUMP = {
     "center": _Opt(float, 2.0, "center of the Gaussian disturbance"),
     "width": _Opt(float, 1.0, "width of the Gaussian disturbance"),
@@ -91,7 +91,7 @@ _TABLES = {
         "density": _Opt(float, 8.0, "rectangle nodes per unit length"),
         **_GRID,
         "nsub": _Opt(int, None, "fixed integration substeps per grid cell; default: "
-                     "error-controlled, nsub 1 and 2 refined per node up to 16"),
+                      "error-controlled, nsub 1 and 2 refined per node up to 16"),
         **_out("winding"), **_CONFIG,
     },
     "lax": {
@@ -119,7 +119,7 @@ _TABLES = {
         "n_records": _Opt(int, 201, "number of recorded times"),
         **_BUMP,
         "no_project": _Opt(bool, False,
-                           "skip the complementary kernel projection"),
+                            "skip the complementary kernel projection"),
         **_GRID,
         **_out("linear-evolve"), **_PLOT, **_CONFIG,
     },
