@@ -23,6 +23,9 @@ n_records go in; an `EvolutionState` recorded at n_records times from 0 to T
 comes out.  The free flow is exact, one inverse transform per record; the
 linearized and nonlinear flows are classical RK4 on one validated schedule,
 the step chosen against a measured spectral radius or the advective bound.
+The linearized flow carries the rfft half-spectrum of its state, so each
+RK4 stage costs two real transforms; the nonlinear flow steps the momentum
+on the grid.
 Nonlinear runs apply a mild exponential filter exp(-36 theta^36) on the top
 eighth of modes (theta ramps 0 to 1 across that band) unless disabled.
 """
@@ -82,21 +85,28 @@ def l2_norm(w, h: float) -> float:
     return float(np.sqrt(h * np.sum(np.abs(w) ** 2)))
 
 
-def _linearized_op(profile: Profile, alpha: float, n: int, adjoint: bool = False):
-    """w -> A_alpha w (or its L^2 adjoint) on the periodic grid of the first
-    n profile nodes.
-
-    c - u0, p(sigma) = d (4 - d^2)/(1 - d^2) and 3c q(sigma) = 3c d/(1 - d^2)
-    are built once on the rfft half-spectrum; each application costs three
-    real transforms, and complex input is applied to its real and imaginary
-    parts separately.
-    """
+def _symbols(profile: Profile, alpha: float, n: int, adjoint: bool = False):
+    """c - u0 on the first n profile nodes, and p(sigma) = d (4 - d^2)/(1 - d^2)
+    and 3c q(sigma) = 3c d/(1 - d^2) on the rfft half-spectrum, with
+    d = i sigma - alpha (-i sigma - alpha for the adjoint)."""
     c = profile.params.c
-    cmu = c - profile.u0[:n]
     sig = 2.0 * np.pi * rfftfreq(n, d=profile.h)
     d = (-1j if adjoint else 1j) * sig - alpha
     p = d * (4.0 - d * d) / (1.0 - d * d)
     q3 = 3.0 * c * d / (1.0 - d * d)
+    return c - profile.u0[:n], p, q3
+
+
+def _linearized_op(profile: Profile, alpha: float, n: int, adjoint: bool = False):
+    """w -> A_alpha w (or its L^2 adjoint) on the periodic grid of the first
+    n profile nodes.
+
+    The symbols are built once; applying the operator to a real grid
+    function costs three real transforms, and complex input is applied to
+    its real and imaginary parts separately.  The linearized flow steps the
+    spectrum instead (`_spectral_rhs`, two transforms).
+    """
+    cmu, p, q3 = _symbols(profile, alpha, n, adjoint)
 
     if adjoint:
         def real(v):
@@ -112,6 +122,25 @@ def _linearized_op(profile: Profile, alpha: float, n: int, adjoint: bool = False
         return real(w)
 
     return apply
+
+
+def _spectral_rhs(profile: Profile, alpha: float, n: int):
+    """v -> rfft(A_alpha irfft(v, n)) for the rfft half-spectrum v of a real
+    grid function on the first n profile nodes: two real transforms.
+
+    irfft discards the imaginary parts of the DC and (n even) Nyquist
+    entries, so the result has them zeroed; an RK4 march on v then stays the
+    spectrum of the physical-space march instead of growing in those parts.
+    """
+    cmu, p, q3 = _symbols(profile, alpha, n)
+    real_modes = np.array([0, n // 2] if n % 2 == 0 else [0])
+
+    def rhs(v):
+        out = p * rfft(cmu * irfft(v, n)) - q3 * v
+        out.imag[real_modes] = 0.0
+        return out
+
+    return rhs
 
 
 def _closed(w: np.ndarray) -> np.ndarray:
@@ -297,18 +326,28 @@ def _spectral_radius(profile: Profile, alpha: float, iters: int = 50) -> float:
     return rho
 
 
+# fixed work limits of one run, far above the defaults (201 records, about
+# 1400 RK4 steps at L = 40, h = 0.02)
+_MAX_RECORDS = 100_000
+_MAX_STEPS = 1_000_000
+
+
 def _check_records(T: float, n_records: int) -> None:
     if not 0.0 < T < np.inf:
         raise ParameterError(f"final time must be positive and finite, got T={T}")
     if n_records < 2:
         raise ParameterError(f"need at least 2 records, got n_records={n_records}")
+    if n_records > _MAX_RECORDS:
+        raise ParameterError(
+            f"at most {_MAX_RECORDS} records per run, got n_records={n_records}")
 
 
 def _schedule(T: float, n_records: int, dt: float | None, dt_safe: float,
               dt_max: float, bound: str) -> tuple[int, float, set]:
     """nsteps >= n_records - 1 equal steps of at most dt (default dt_safe)
     over [0, T], and the n_records distinct steps round(linspace(0, nsteps,
-    n_records)) to record; dt must lie in (0, dt_max], dt_max being `bound`."""
+    n_records)) to record; dt must lie in (0, dt_max], dt_max being `bound`.
+    A run takes at most 1 000 000 RK4 steps and 100 000 records."""
     _check_records(T, n_records)
     if dt is None:
         dt = dt_safe
@@ -317,25 +356,29 @@ def _schedule(T: float, n_records: int, dt: float | None, dt_safe: float,
             f"dt={dt} is outside (0, {dt_max:.3e}], the {bound}; "
             f"use dt <= {dt_safe:.3e}"
         )
+    if T > _MAX_STEPS * dt:
+        raise ParameterError(
+            f"T={T} at dt={dt:.3e} needs more than {_MAX_STEPS} RK4 steps, "
+            "the limit of one run"
+        )
     nsteps = max(int(np.ceil(T / dt)), n_records - 1)
     record_at = set(np.rint(np.linspace(0, nsteps, n_records)).astype(int).tolist())
     return nsteps, T / nsteps, record_at
 
 
 def _march(w, rhs, schedule: tuple, observe, after_step=None):
-    """RK4 over the schedule on the periodic grid.  observe(t, v) returns
-    the record row of the state v closed by its seam node, at t = 0 and at
-    every record step; after_step(w, t) may filter or check each new state.
-    Returns the closed final state and the record columns."""
+    """RK4 over the schedule.  observe(t, w) returns the record row of the
+    state w at t = 0 and at every record step; after_step(w, t) may filter or
+    check each new state.  Returns the final state and the record columns."""
     nsteps, dt, record_at = schedule
-    rows = [observe(0.0, _closed(w))]
+    rows = [observe(0.0, w)]
     for step in range(1, nsteps + 1):
         w = _rk4(w, dt, rhs)
         if after_step is not None:
             w = after_step(w, step * dt)
         if step in record_at:
-            rows.append(observe(step * dt, _closed(w)))
-    return _closed(w), np.array(rows).T
+            rows.append(observe(step * dt, w))
+    return w, np.array(rows).T
 
 
 def free_evolve(w0, params: WaveParams, alpha: float, T: float, h: float,
@@ -377,8 +420,9 @@ def linear_evolve(w0, profile: Profile, alpha: float, T: float,
     With project_out the data is first reduced by the complementary kernel
     projection; the recorded pairings <eta_j, w(t)> then measure how well the
     projection commutes with the discrete flow.  The flow runs on the
-    periodic grid of the first N - 1 profile nodes; recorded and returned
-    states carry the seam node as a copy of node 0.
+    periodic grid of the first N - 1 profile nodes, stepping the rfft
+    half-spectrum of the state; recorded and returned states are back on the
+    grid and carry the seam node as a copy of node 0.
     """
     basis = kernel.kernel_basis(profile, alpha)
     w = np.array(w0, dtype=float, copy=True)
@@ -397,13 +441,14 @@ def linear_evolve(w0, profile: Profile, alpha: float, T: float,
     n = w.size - 1
 
     def observe(t, v):
-        if not np.all(np.isfinite(v)):
+        w = _closed(irfft(v, n))
+        if not np.all(np.isfinite(w)):
             raise SolverError(f"linear evolution lost finiteness at t={t}")
-        return (t, l2_norm(v, h), float(np.trapezoid(basis.eta1 * v, dx=h)),
-                float(np.trapezoid(basis.eta2 * v, dx=h)))
+        return (t, l2_norm(w, h), float(np.trapezoid(basis.eta1 * w, dx=h)),
+                float(np.trapezoid(basis.eta2 * w, dx=h)))
 
-    w, (t, norms, ip1, ip2) = _march(
-        w[:n], _linearized_op(profile, alpha, n), schedule, observe)
+    v, (t, norms, ip1, ip2) = _march(
+        rfft(w[:n]), _spectral_rhs(profile, alpha, n), schedule, observe)
     dt = schedule[1]
     config = {
         "kind": "linear", "k": profile.params.k, "c": profile.params.c,
@@ -411,7 +456,7 @@ def linear_evolve(w0, profile: Profile, alpha: float, T: float,
         "projected": bool(project_out), "filter": None, "seed": None,
     }
     return EvolutionState(dt=dt, T=T, t=t, norm_w=norms, ip_eta1=ip1,
-                          ip_eta2=ip2, w=w, config=config)
+                          ip_eta2=ip2, w=_closed(irfft(v, n)), config=config)
 
 
 def _exp_filter(sig: np.ndarray) -> np.ndarray:
@@ -472,6 +517,7 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
     snaps = []
 
     def observe(t, mm):
+        mm = _closed(mm)
         cv = kernel.conserved(params, h, m=mm)
         if snapshots:
             snaps.append((t, mm))
@@ -488,7 +534,7 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
     if snapshots:
         extra["snapshots"] = snaps
     return EvolutionState(dt=dt, T=T, t=t, norm_w=norms, ip_eta1=None,
-                          ip_eta2=None, w=m, config=config, extra=extra)
+                          ip_eta2=None, w=_closed(m), config=config, extra=extra)
 
 
 def decay_rate(traj: EvolutionState, window: tuple | None = None) -> float:
@@ -504,7 +550,17 @@ def decay_rate(traj: EvolutionState, window: tuple | None = None) -> float:
     norms = traj.norm_w[mask]
     if np.any(norms <= 0.0):
         raise SolverError("norm record is not strictly positive in the window")
-    return float(np.polyfit(traj.t[mask], np.log(norms), 1)[0])
+    t = traj.t[mask]
+    # polyfit scales the time column by its 2-norm, which must be a normal
+    # float: squares that underflow or overflow leave a singular fit
+    with np.errstate(over="ignore", under="ignore"):
+        tt = float(np.dot(t, t))
+    if not np.finfo(float).tiny <= tt < np.inf:
+        raise ParameterError(
+            f"record times in the window [{window[0]:.3g}, {window[1]:.3g}] "
+            "are too small or too large for a least-squares fit"
+        )
+    return float(np.polyfit(t, np.log(norms), 1)[0])
 
 
 @dataclass(frozen=True)

@@ -223,24 +223,38 @@ _BAD_EVOLVE = {
     "width-neg": (["--width", "-1"], "width must be positive"),
     "h-0": (["--h", "0"], "L and h must be positive"),
     "L-neg": (["--L", "-1"], "L and h must be positive"),
+    "t-final-huge": (["--t-final", "1e9"], "RK4 steps"),
+    "n-records-huge": (["--n-records", "1000000000"], "at most 100000 records"),
+    "t-final-tiny": (["--t-final", "1e-300"], "least-squares fit"),
 }
-_EVOLVE_CASES = [
-    (cmd, bad) for cmd in ("free-evolve", "linear-evolve", "nonlinear-evolve")
-    for bad in _BAD_EVOLVE
-    # free-evolve has no time step; only it checks the grid before a profile
-    if not (cmd == "free-evolve" and bad.startswith("dt"))
-    and (cmd == "free-evolve" or bad[0] not in "hL")
-]
+# free-evolve has no time step; only it checks the grid before a profile;
+# nonlinear-evolve fits no decay rate
+_NOT_APPLICABLE = {
+    "free-evolve": ("dt-0", "dt-neg", "t-final-huge"),
+    "linear-evolve": ("h-0", "L-neg"),
+    "nonlinear-evolve": ("h-0", "L-neg", "t-final-tiny"),
+}
+_EVOLVE_CASES = [(cmd, bad) for cmd, skip in _NOT_APPLICABLE.items()
+                 for bad in _BAD_EVOLVE if bad not in skip]
 
 
 @pytest.mark.parametrize("cmd, bad", _EVOLVE_CASES,
                          ids=[f"{cmd}-{bad}" for cmd, bad in _EVOLVE_CASES])
-def test_evolve_rejects_bad_input(tmp_path, capsys, cmd, bad):
-    # a validation error: exit 2, one error line, no artifact, no warning
+def test_evolve_rejects_bad_input(tmp_path, capsys, monkeypatch, cmd, bad):
+    # a validation error: exit 2, one error line, no artifact, no warning,
+    # and no RK4 step before it unless the failed check is the decay fit
     flags, message = _BAD_EVOLVE[bad]
     alpha = [] if cmd == "nonlinear-evolve" else ["--alpha", "0.5"]
     argv = [cmd, "--k", K, "--c", C, "--L", "30", "--h", "0.1",
             "--out", str(tmp_path / "x"), *alpha, *flags]
+    steps = []
+    rk4 = evolve._rk4
+
+    def counting_rk4(*args):
+        steps.append(1)
+        return rk4(*args)
+
+    monkeypatch.setattr(evolve, "_rk4", counting_rk4)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = cli.run(argv)
@@ -249,6 +263,7 @@ def test_evolve_rejects_bad_input(tmp_path, capsys, cmd, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
     assert list(tmp_path.iterdir()) == []
+    assert (len(steps) > 0) == (bad == "t-final-tiny" and cmd == "linear-evolve")
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):

@@ -137,7 +137,7 @@ def test_free_evolve_record(params01):
 
 
 @pytest.mark.parametrize("T, n_records", [(0.0, 11), (-2.0, 11), (np.nan, 11),
-                                          (1.0, 1), (1.0, -5)])
+                                          (1.0, 1), (1.0, -5), (1.0, 10 ** 9)])
 def test_record_schedule_rejected(params01, prof60, T, n_records):
     xi = _grid(10.0, 0.05)
     with pytest.raises(ParameterError):
@@ -327,6 +327,9 @@ def test_linear_evolve_step_rejection(prof60):
     for dt in (1.0, 0.0, -0.01, np.nan):
         with pytest.raises(ParameterError, match="use dt <="):
             evolve.linear_evolve(basis.z1, prof60, 0.5, T=1.0, dt=dt)
+    for T, dt in ((1e9, None), (1.0, 1e-300)):
+        with pytest.raises(ParameterError, match="RK4 steps"):
+            evolve.linear_evolve(basis.z1, prof60, 0.5, T=T, dt=dt)
     with pytest.raises(ParameterError):
         evolve.linear_evolve(basis.z1[:-1], prof60, 0.5, T=1.0)
     bad = basis.z1.copy()
@@ -349,6 +352,58 @@ def test_linear_evolve_rk4_order(prof60):
     e1 = evolve.l2_norm(outs[1] - outs[8], prof60.h)
     e2 = evolve.l2_norm(outs[2] - outs[8], prof60.h)
     assert 12.0 <= e1 / e2 <= 20.0
+
+
+def test_spectral_rhs_matches_physical_operator(prof60):
+    # random spectra of real functions, enveloped in frequency, on an odd
+    # (closed) and an even (periodic) grid length
+    rng = np.random.default_rng(3)
+    size = prof60.xi.size
+    for n in (size, size - 1):
+        sig = 2.0 * np.pi * np.fft.rfftfreq(n, d=prof60.h)
+        v = np.exp(-(4.0 * sig / sig.max()) ** 2) * (
+            rng.standard_normal(sig.size) + 1j * rng.standard_normal(sig.size))
+        v.imag[0] = 0.0
+        if n % 2 == 0:
+            v.imag[-1] = 0.0
+        w = np.fft.irfft(v, n)
+        if n == size:
+            aw = evolve.apply_linearized(w, prof60, 0.5)
+        else:
+            aw = evolve._linearized_op(prof60, 0.5, n)(w)
+        ref = np.fft.rfft(aw)
+        out = evolve._spectral_rhs(prof60, 0.5, n)(v)
+        err = np.max(np.abs(out - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-13, (n, err)
+        # irfft drops these parts; a march that kept them would drift
+        assert out.imag[0] == 0.0
+        if n % 2 == 0:
+            assert out.imag[-1] == 0.0
+
+
+def test_spectral_march_matches_physical_rk4(prof60):
+    w0 = np.exp(-prof60.xi ** 2 / 16.0) * (1.0 + 0.2 * np.cos(2.3 * prof60.xi))
+    h, T = prof60.h, 0.2
+    nsteps = int(np.ceil(T * evolve._spectral_radius(prof60, 0.5)))
+    traj = evolve.linear_evolve(w0, prof60, 0.5, T, dt=T / nsteps,
+                                project_out=False, n_records=nsteps + 1)
+    basis = kernel.kernel_basis(prof60, 0.5)
+    n = w0.size - 1
+    op = evolve._linearized_op(prof60, 0.5, n)
+    w = w0[:n]
+    rows = []
+    for step in range(nsteps + 1):
+        if step:
+            w = evolve._rk4(w, traj.dt, op)
+        wc = np.append(w, w[0])
+        rows.append((evolve.l2_norm(wc, h), np.trapezoid(basis.eta1 * wc, dx=h),
+                     np.trapezoid(basis.eta2 * wc, dx=h)))
+    norms, ip1, ip2 = np.array(rows).T
+    n0 = evolve.l2_norm(w0, h)
+    assert np.max(np.abs(traj.norm_w - norms) / norms) <= 1e-13
+    assert np.max(np.abs(traj.ip_eta1 - ip1)) <= 1e-14 * n0
+    assert np.max(np.abs(traj.ip_eta2 - ip2)) <= 1e-14 * n0
+    assert np.max(np.abs(traj.w - wc)) <= 1e-13 * np.max(np.abs(wc))
 
 
 # --------------------------------------------------------- nonlinear flow
@@ -388,6 +443,8 @@ def test_nonlinear_validation(params01):
     for dt in (0.5, 0.0, -0.01, np.nan):
         with pytest.raises(ParameterError, match="use dt <="):
             evolve.nonlinear_evolve(m0, params01, 1.0, 0.05, dt=dt)
+    with pytest.raises(ParameterError, match="RK4 steps"):
+        evolve.nonlinear_evolve(m0, params01, 1e9, 0.05)
     with pytest.raises(ParameterError, match="odd length"):
         evolve.nonlinear_evolve(m0[:-1], params01, 1.0, 0.05)
 
@@ -552,3 +609,8 @@ def test_decay_rate_validation():
     assert abs(evolve.decay_rate(traj) + 0.3) <= 1e-12
     with pytest.raises(ParameterError):
         evolve.decay_rate(traj, window=(9.9, 10.0))
+    # record times whose squares under- or overflow: no fit, no LAPACK failure
+    for T in (1e-300, 1e-160, 1e160):
+        short = dataclasses.replace(traj, T=T, t=t * (T / 10.0))
+        with pytest.raises(ParameterError, match="least-squares fit"):
+            evolve.decay_rate(short)
