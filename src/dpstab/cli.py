@@ -443,8 +443,7 @@ def _cmd_nonlinear_evolve(cfg: RunConfig) -> int:
     params = _params(o)
     prof = wave.solve_profile(params, L=o["L"], h=o["h"])
     u = prof.u0 + o["delta"] * _bump(prof.xi, o["width"], o["center"])
-    sig = 2.0 * np.pi * np.fft.fftfreq(prof.xi.size, d=o["h"])
-    m0 = np.fft.ifft((1.0 + sig * sig) * np.fft.fft(u)).real
+    m0 = params.k + kernel.spectral_multiplier(u - params.k, o["h"], lambda s: 1.0 + s * s)
     traj = evolve.nonlinear_evolve(m0, params, T=o["t_final"], h=o["h"],
                                    dt=o["dt"],
                                    filter_modes=not o["no_filter"],

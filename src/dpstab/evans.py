@@ -18,6 +18,7 @@ D(0) = 0 from translation invariance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,6 +106,24 @@ def _check_region(lam: complex, s: np.ndarray, alpha: float) -> None:
         )
 
 
+@lru_cache(maxsize=4096)
+def _launch(lam: complex, alpha: float, params) -> tuple:
+    """Decaying shifted root s1 and the launch vectors of X+ and Y- at lambda;
+    memoized, as error control marches each node at several nsub."""
+    s, Q2, Q1, Q0 = _shifted_monic(lam, alpha, params)
+    _check_region(lam, s, alpha)
+    s1 = s[0]
+    v = np.array([1.0, s1, s1 * s1])
+    w = np.array([s1 * s1 - Q2 * s1 - Q1, s1 - Q2, 1.0])
+    norm = w @ v
+    if abs(norm) < 1e-12:
+        raise ParameterError(
+            f"degenerate decaying root at lambda={lam}: eigenvector normalization "
+            f"|v- . v+| = {abs(norm):.2e}"
+        )
+    return s1, v, w / norm
+
+
 def _meet_index(arrays: dict, meet: float, L: float) -> tuple[int, int]:
     hs = arrays["hs"]
     n = arrays["n"]
@@ -149,19 +168,7 @@ def _evans_march(lams: np.ndarray, profile: Profile, alpha: float, nsub: int,
     vplus = np.empty((B, 3), dtype=complex)
     wminus = np.empty((B, 3), dtype=complex)
     for i, lam in enumerate(lams):
-        s, Q2, Q1, Q0 = _shifted_monic(lam, alpha, params)
-        _check_region(lam, s, alpha)
-        s1 = s[0]
-        shifts[i] = s1
-        vplus[i] = (1.0, s1, s1 * s1)
-        w = np.array([s1 * s1 - Q2 * s1 - Q1, s1 - Q2, 1.0])
-        norm = w @ vplus[i]
-        if abs(norm) < 1e-12:
-            raise ParameterError(
-                f"degenerate decaying root at lambda={lam}: eigenvector normalization "
-                f"|v- . v+| = {abs(norm):.2e}"
-            )
-        wminus[i] = w / norm
+        shifts[i], vplus[i], wminus[i] = _launch(lam, alpha, params)
 
     X = _march(arrays, "desc", jd, lams, alpha, shifts, vplus, -1.0, False)
     Y = _march(arrays, "asc", ja, lams, alpha, shifts, wminus, 1.0, True)

@@ -23,9 +23,10 @@ n_records go in; an `EvolutionState` recorded at n_records times from 0 to T
 comes out.  The free flow is exact, one inverse transform per record; the
 linearized and nonlinear flows are classical RK4 on one validated schedule,
 the step chosen against a measured spectral radius or the advective bound.
-The linearized flow carries the rfft half-spectrum of its state, so each
-RK4 stage costs two real transforms; the nonlinear flow steps the momentum
-on the grid.
+A_alpha has one discretization, on the rfft half-spectrum (`_spectral_rhs`):
+the linearized flow steps it at two real transforms per RK4 stage, and
+`apply_linearized` and the step bound apply it on the grid through
+`kernel.real_spectral_map`.  The nonlinear flow steps the momentum on the grid.
 Nonlinear runs apply a mild exponential filter exp(-36 theta^36) on the top
 eighth of modes (theta ramps 0 to 1 across that band) unless disabled.
 """
@@ -67,10 +68,6 @@ __all__ = [
 ]
 
 
-def _freq(n: int, h: float) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-
-
 def _check_alpha(alpha: float) -> None:
     if abs(abs(alpha) - 1.0) < 1e-12:
         raise ParameterError(
@@ -85,58 +82,26 @@ def l2_norm(w, h: float) -> float:
     return float(np.sqrt(h * np.sum(np.abs(w) ** 2)))
 
 
-def _symbols(profile: Profile, alpha: float, n: int, adjoint: bool = False):
-    """c - u0 on the first n profile nodes, and p(sigma) = d (4 - d^2)/(1 - d^2)
-    and 3c q(sigma) = 3c d/(1 - d^2) on the rfft half-spectrum, with
-    d = i sigma - alpha (-i sigma - alpha for the adjoint)."""
+def _spectral_rhs(profile: Profile, alpha: float, n: int, adjoint: bool = False):
+    """v -> rfft(A irfft(v, n)), A = A_alpha or its L^2 adjoint, for the rfft
+    half-spectrum v of a real function on the first n profile nodes: two real
+    transforms.  With p = d (4 - d^2)/(1 - d^2) and q = d/(1 - d^2), A_alpha =
+    p (c - u0) - 3c q at d = i sigma - alpha, its adjoint (c - u0) p - 3c q at
+    d = -i sigma - alpha.  The DC and (n even) Nyquist imaginary parts, which
+    irfft discards, are zeroed, so an RK4 march on v stays the grid march's."""
     c = profile.params.c
+    cmu = c - profile.u0[:n]
     sig = 2.0 * np.pi * rfftfreq(n, d=profile.h)
     d = (-1j if adjoint else 1j) * sig - alpha
     p = d * (4.0 - d * d) / (1.0 - d * d)
     q3 = 3.0 * c * d / (1.0 - d * d)
-    return c - profile.u0[:n], p, q3
-
-
-def _linearized_op(profile: Profile, alpha: float, n: int, adjoint: bool = False):
-    """w -> A_alpha w (or its L^2 adjoint) on the periodic grid of the first
-    n profile nodes.
-
-    The symbols are built once; applying the operator to a real grid
-    function costs three real transforms, and complex input is applied to
-    its real and imaginary parts separately.  The linearized flow steps the
-    spectrum instead (`_spectral_rhs`, two transforms).
-    """
-    cmu, p, q3 = _symbols(profile, alpha, n, adjoint)
-
-    if adjoint:
-        def real(v):
-            vk = rfft(v)
-            return cmu * irfft(p * vk, n) - irfft(q3 * vk, n)
-    else:
-        def real(v):
-            return irfft(p * rfft(cmu * v) - q3 * rfft(v), n)
-
-    def apply(w):
-        if np.iscomplexobj(w):
-            return real(w.real) + 1j * real(w.imag)
-        return real(w)
-
-    return apply
-
-
-def _spectral_rhs(profile: Profile, alpha: float, n: int):
-    """v -> rfft(A_alpha irfft(v, n)) for the rfft half-spectrum v of a real
-    grid function on the first n profile nodes: two real transforms.
-
-    irfft discards the imaginary parts of the DC and (n even) Nyquist
-    entries, so the result has them zeroed; an RK4 march on v then stays the
-    spectrum of the physical-space march instead of growing in those parts.
-    """
-    cmu, p, q3 = _symbols(profile, alpha, n)
     real_modes = np.array([0, n // 2] if n % 2 == 0 else [0])
 
     def rhs(v):
-        out = p * rfft(cmu * irfft(v, n)) - q3 * v
+        if adjoint:
+            out = rfft(cmu * irfft(p * v, n)) - q3 * v
+        else:
+            out = p * rfft(cmu * irfft(v, n)) - q3 * v
         out.imag[real_modes] = 0.0
         return out
 
@@ -154,7 +119,7 @@ def apply_linearized(w, profile: Profile, alpha: float, adjoint: bool = False):
     w = np.asarray(w)
     if w.shape != profile.xi.shape:
         raise ParameterError("w is not on the profile grid")
-    return _linearized_op(profile, alpha, w.size, adjoint)(w)
+    return kernel.real_spectral_map(w, _spectral_rhs(profile, alpha, w.size, adjoint))
 
 
 @dataclass(frozen=True)
@@ -236,10 +201,7 @@ def green_apply(gf: GreenFunction, phi, h: float) -> np.ndarray:
     phi = np.asarray(phi)
     if phi.ndim != 1 or phi.size < 8:
         raise ParameterError("phi must be a 1-d grid function with at least 8 samples")
-    d = 1j * _freq(phi.size, h) - gf.alpha
-    psi = np.fft.ifft((1.0 - d * d) * np.fft.fft(phi))
-    if np.isrealobj(phi):
-        psi = psi.real
+    psi = kernel.spectral_multiplier(phi, h, lambda s: 1.0 - (1j * s - gf.alpha) ** 2)
     s1, s2, s3 = gf.roots
     a1, a2, a3 = gf.a
     u = a1 * kernel.causal_exp_conv(psi, -s1, h)
@@ -296,7 +258,7 @@ class EvolutionState:
     def __post_init__(self):
         if np.any(np.diff(self.t) <= 0.0):
             raise SolverError("trajectory timestamps must increase strictly")
-        if np.any(self.norm_w <= 0.0):
+        if not np.all(self.norm_w > 0.0):
             raise SolverError("trajectory norm record must be strictly positive")
 
 
@@ -313,13 +275,13 @@ def _spectral_radius(profile: Profile, alpha: float, iters: int = 50) -> float:
     if key in profile._cache:
         return profile._cache[key]
     n = profile.xi.size - 1
-    op = _linearized_op(profile, alpha, n)
+    rhs = _spectral_rhs(profile, alpha, n)
     rng = np.random.default_rng(0)
     w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     w /= np.linalg.norm(w)
     rho = 0.0
     for _ in range(iters):
-        aw = op(w)
+        aw = kernel.real_spectral_map(w, rhs)
         rho = float(np.linalg.norm(aw))
         w = aw / rho
     profile._cache[key] = rho
@@ -384,28 +346,29 @@ def _march(w, rhs, schedule: tuple, observe, after_step=None):
 def free_evolve(w0, params: WaveParams, alpha: float, T: float, h: float,
                 n_records: int = 201) -> EvolutionState:
     """Exact multiplier evolution over the flat background, recorded at
-    linspace(0, T, n_records): one fft of w0 and one symbol per run, then
-    one inverse fft per record."""
+    linspace(0, T, n_records): one rfft of the real datum w0 and one symbol
+    per run, then one irfft per record."""
     _check_alpha(alpha)
     _check_records(T, n_records)
     w0 = np.asarray(w0)
+    if w0.ndim != 1 or w0.size < 2 or np.iscomplexobj(w0) or not np.all(np.isfinite(w0)):
+        raise ParameterError("w0 must be a real, finite 1-d grid function")
     ac = derived_constants(params).alpha_crit
     if alpha < 0.0 or ac <= alpha < 1.0:
         warnings.warn(
             f"weight alpha={alpha} has no spectral gap: growth expected",
             stacklevel=2,
         )
-    lam = lambda_of_r(1j * _freq(w0.size, h) - alpha, params)
-    w0_hat = np.fft.fft(w0)
+    n = w0.size
+    lam = lambda_of_r(2j * np.pi * rfftfreq(n, d=h) - alpha, params)
+    w0_hat = rfft(w0)
     times = np.linspace(0.0, T, n_records)
     norms = np.empty(n_records)
     for i, t in enumerate(times):
-        w = np.fft.ifft(np.exp(lam * t) * w0_hat)
-        if np.isrealobj(w0):
-            w = w.real
+        w = irfft(np.exp(lam * t) * w0_hat, n)
         norms[i] = l2_norm(w, h)
     config = {"kind": "free", "k": params.k, "c": params.c, "alpha": alpha,
-              "h": h, "n_fft": w0.size, "T": T}
+              "h": h, "n_fft": n, "T": T}
     return EvolutionState(
         dt=float(times[1] - times[0]), T=T, t=times, norm_w=norms,
         ip_eta1=None, ip_eta2=None, w=w, config=config,
@@ -541,6 +504,8 @@ def decay_rate(traj: EvolutionState, window: tuple | None = None) -> float:
     """Least-squares slope of log ||w(t)|| over the fitting window.
 
     Defaults to [T/5, 4T/5], excluding the transient and the truncation tail.
+    The slope resolves to about eps max(1, max |log ||w|||) over the window
+    length; a fit whose rounding floor exceeds 1e-6 is refused.
     """
     if window is None:
         window = (traj.T / 5.0, 4.0 * traj.T / 5.0)
@@ -548,7 +513,7 @@ def decay_rate(traj: EvolutionState, window: tuple | None = None) -> float:
     if np.count_nonzero(mask) < 3:
         raise ParameterError("fitting window contains fewer than 3 records")
     norms = traj.norm_w[mask]
-    if np.any(norms <= 0.0):
+    if not np.all(norms > 0.0):
         raise SolverError("norm record is not strictly positive in the window")
     t = traj.t[mask]
     # polyfit scales the time column by its 2-norm, which must be a normal
@@ -560,7 +525,14 @@ def decay_rate(traj: EvolutionState, window: tuple | None = None) -> float:
             f"record times in the window [{window[0]:.3g}, {window[1]:.3g}] "
             "are too small or too large for a least-squares fit"
         )
-    return float(np.polyfit(t, np.log(norms), 1)[0])
+    log_norms = np.log(norms)
+    floor = np.finfo(float).eps * max(1.0, float(np.max(np.abs(log_norms)))) / (t[-1] - t[0])
+    if not floor <= 1e-6:
+        raise ParameterError(
+            f"the window [{window[0]:.3g}, {window[1]:.3g}] is too short to fit a "
+            f"slope: its rounding floor {floor:.3g} exceeds 1e-6"
+        )
+    return float(np.polyfit(t, log_norms, 1)[0])
 
 
 @dataclass(frozen=True)

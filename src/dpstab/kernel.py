@@ -19,7 +19,8 @@ e^{-m|xi|}/(2m): each grid panel contributes the integral of its degree-5
 interpolant against the exponential, so the sweep is order-6 in the step and
 respects decay at the ends (no periodization).  The running sum
 C_i = e^{-m h} C_{i-1} + inc_i is one BLAS bidiagonal solve (dtbsv/ztbsv).
-Running integrals are the same sweep at rate 0.
+Running integrals are the same sweep at rate 0.  Every periodic Fourier map of
+the package goes through `real_spectral_map`, on the real-FFT half-spectrum.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import irfft, rfft, rfftfreq
 from scipy.linalg.blas import dtbsv, ztbsv
 
 from .wave import ParameterError, Profile, SolverError, dc_profile, profile_w
@@ -36,6 +38,8 @@ __all__ = [
     "KernelBasis",
     "cumint6",
     "causal_exp_conv",
+    "real_spectral_map",
+    "spectral_multiplier",
     "helmholtz_solve",
     "b_apply",
     "conserved",
@@ -162,10 +166,19 @@ class ConservedValues:
     f_valid: bool
 
 
-def _spectral_multiplier(w: np.ndarray, h: float, mult) -> np.ndarray:
-    n = w.size
-    sig = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
-    return np.fft.irfft(np.fft.rfft(w) * mult(sig), n=n)
+def real_spectral_map(w, f) -> np.ndarray:
+    """irfft(f(rfft(w)), w.size), the periodic grid map acting as f on the
+    real-FFT half-spectrum; a complex w is mapped by its real and imaginary parts."""
+    w = np.asarray(w)
+    if np.iscomplexobj(w):
+        return real_spectral_map(w.real, f) + 1j * real_spectral_map(w.imag, f)
+    return irfft(f(rfft(w)), w.size)
+
+
+def spectral_multiplier(w, h: float, mult) -> np.ndarray:
+    """The periodic multiplier mult(sigma) on the grid of spacing h."""
+    sym = mult(2.0 * np.pi * rfftfreq(np.size(w), d=h))
+    return real_spectral_map(w, lambda wk: sym * wk)
 
 
 def conserved(params, h: float, u=None, m=None) -> ConservedValues:
@@ -180,7 +193,7 @@ def conserved(params, h: float, u=None, m=None) -> ConservedValues:
     k = params.k
     if m is None:
         u = np.asarray(u, dtype=float)
-        m = k + _spectral_multiplier(u - k, h, lambda s: 1.0 + s * s)
+        m = k + spectral_multiplier(u - k, h, lambda s: 1.0 + s * s)
     else:
         m = np.asarray(m, dtype=float)
         u = k + helmholtz_solve(m - k, 1, h)
@@ -192,7 +205,7 @@ def conserved(params, h: float, u=None, m=None) -> ConservedValues:
     if np.any(m <= 0.0):
         return ConservedValues(float(H), float(Q), float(E_mass), np.nan, np.nan, False)
     F1 = np.trapezoid(np.cbrt(m) - np.cbrt(k), dx=h)
-    m_x = _spectral_multiplier(m - k, h, lambda s: 1j * s)
+    m_x = spectral_multiplier(m - k, h, lambda s: 1j * s)
     F2 = np.trapezoid(
         (m_x * m_x / (9.0 * m * m) + 1.0) / np.cbrt(m) - 1.0 / np.cbrt(k), dx=h
     )

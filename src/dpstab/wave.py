@@ -115,7 +115,9 @@ class Profile:
     """Solitary-wave profile sampled on a symmetric grid xi in [-L, L].
 
     The arrays are `eval(xi)`, so they are exactly even (u0, u0'', mu) or
-    odd (u0', u0''').  dc_u0 is filled by dc_profile.
+    odd (u0', u0''').  dc_u0 is filled by dc_profile.  Neither it nor the
+    cache of derived data is a constructor argument, so a profile made by
+    `dataclasses.replace` starts both afresh.
     """
 
     params: WaveParams
@@ -128,8 +130,8 @@ class Profile:
     u0_ppp: np.ndarray
     u0_pppp: np.ndarray
     mu: np.ndarray
-    dc_u0: np.ndarray | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    dc_u0: np.ndarray | None = field(default=None, init=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def consts(self) -> DerivedConstants:

@@ -222,13 +222,13 @@ def test_criterion_09_resolvent_scaling(params01, report):
     var1 = float(prod1.max() / prod1.min())
     ok = (gap_err <= 1e-12 and fourier_err <= 1e-10
           and q.min() >= 1.0 - 2e-3 and q.max() <= 1.0 + 1e-6
-          and var1 <= 1.05)
+          and var1 <= 1.05 and var2 >= 3.0)
     assert report(9, ok, f"Fourier norm times (x + {gap:.2f}) within "
                    f"{fourier_err:.1e} of 1 (tol 1e-10), Green-function "
                    f"ratio in [{q.min():.5f}, {q.max():.5f}] (tol "
                    f"[1-2e-3, 1+1e-6]) on [10,200], first-power scaling "
                    f"varies by {var1:.3f} (tol 1.05), |lambda|^2 scaling "
-                   f"varies by {var2:.2f} (not flat in L^2)")
+                   f"varies by {var2:.2f} (tol >= 3, not flat in L^2)")
 
 
 def test_criterion_10_nonlinear_demonstration(params01, report):

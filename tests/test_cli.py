@@ -226,13 +226,14 @@ _BAD_EVOLVE = {
     "t-final-huge": (["--t-final", "1e9"], "RK4 steps"),
     "n-records-huge": (["--n-records", "1000000000"], "at most 100000 records"),
     "t-final-tiny": (["--t-final", "1e-300"], "least-squares fit"),
+    "t-final-short": (["--t-final", "1e-20"], "rounding floor"),
 }
 # free-evolve has no time step; only it checks the grid before a profile;
 # nonlinear-evolve fits no decay rate
 _NOT_APPLICABLE = {
     "free-evolve": ("dt-0", "dt-neg", "t-final-huge"),
     "linear-evolve": ("h-0", "L-neg"),
-    "nonlinear-evolve": ("h-0", "L-neg", "t-final-tiny"),
+    "nonlinear-evolve": ("h-0", "L-neg", "t-final-tiny", "t-final-short"),
 }
 _EVOLVE_CASES = [(cmd, bad) for cmd, skip in _NOT_APPLICABLE.items()
                  for bad in _BAD_EVOLVE if bad not in skip]
@@ -263,7 +264,22 @@ def test_evolve_rejects_bad_input(tmp_path, capsys, monkeypatch, cmd, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
     assert list(tmp_path.iterdir()) == []
-    assert (len(steps) > 0) == (bad == "t-final-tiny" and cmd == "linear-evolve")
+    assert (len(steps) > 0) == (bad in ("t-final-tiny", "t-final-short")
+                                and cmd == "linear-evolve")
+
+
+@pytest.mark.parametrize("flags, rate", [
+    (["--alpha", "0.5", "--t-final", "1e-8"], -0.291196),
+    (["--alpha", "0"], 0.0),
+])
+def test_decay_fit_above_rounding_floor(tmp_path, capsys, flags, rate):
+    # a short window that still resolves the slope, and a flat norm, are
+    # fitted; "t-final-short" above is refused
+    rc = cli.run(["free-evolve", "--k", K, "--c", C, "--L", "30", "--h", "0.1",
+                  "--out", str(tmp_path / "x"), *flags])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert abs(float(out.split("decay rate = ")[1]) - rate) <= 1e-6, out
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):

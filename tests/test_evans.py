@@ -374,6 +374,26 @@ def test_conjugate_pairs_marched_once(prof01, monkeypatch):
     assert abs(D[1] - direct) <= 1e-13 * abs(direct)
 
 
+def test_launch_data_once_per_node(prof01, monkeypatch):
+    # the error-controlled count marches the 33 distinct lambda of the
+    # default circle at nsub 1 and 2; the roots are found once per lambda
+    loop = evans.circle_contour(0.0, 0.05, 64)
+    values = evans.winding_count(loop, prof01, 0.5).values[0]
+    roots = []
+    char_roots = evans.char_roots
+
+    def counting(lam, params):
+        roots.append(complex(lam))
+        return char_roots(lam, params)
+
+    monkeypatch.setattr(evans, "char_roots", counting)
+    evans._launch.cache_clear()
+    res = evans.winding_count(loop, prof01, 0.5)
+    assert len(roots) == len(set(roots)) == 33
+    assert np.array_equal(res.values[0], values)
+    assert res.err_ratio <= 1e-2 and res.nsub_max == 2
+
+
 def _marched_columns(nodes, prof, monkeypatch):
     """Columns the forward march receives for one evans_batch call."""
     cols = []

@@ -141,7 +141,7 @@ def test_lax_arrays_mirror(prof01):
 
 
 def test_one_sampling_serves_evans_and_lax(prof01, params01, monkeypatch):
-    prof = dataclasses.replace(prof01, _cache={})
+    prof = dataclasses.replace(prof01)
     points = []
     evaluate = wave.Profile.eval
 

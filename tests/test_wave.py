@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from dpstab import (
     derived_constants,
     solve_profile,
 )
-from dpstab import wave
+from dpstab import evolve, kernel, wave
 from dpstab.wave import profile_meta, profile_w
 from profile_oracle import dop853_w, fd_dc_w
 
@@ -152,6 +153,24 @@ def test_dc_profile_is_stored_and_reused(params01):
     d = dc_profile(p)
     assert p.dc_u0 is d and dc_profile(p) is d
     assert np.all(np.isfinite(d))
+
+
+def test_replaced_profile_starts_fresh_caches(params01):
+    # a profile rebuilt by dataclasses.replace for another wave must not
+    # answer from the caches or the speed derivative of the original
+    p = solve_profile(params01, L=30.0, h=0.05)
+    q = solve_profile(WaveParams(0.1, 1.2), L=30.0, h=0.05)
+    rho_p = evolve._spectral_radius(p, 0.5)
+    theta_p = kernel.kernel_basis(p, 0.5).theta1
+    fields = ("params", "u0", "u0_p", "u0_pp", "u0_ppp", "u0_pppp", "mu")
+    r = dataclasses.replace(p, **{name: getattr(q, name) for name in fields})
+    assert r._cache == {} and r.dc_u0 is None
+    assert evolve._spectral_radius(r, 0.5) == evolve._spectral_radius(q, 0.5)
+    assert kernel.kernel_basis(r, 0.5).theta1 == kernel.kernel_basis(q, 0.5).theta1
+    assert abs(evolve._spectral_radius(r, 0.5) - rho_p) > 10.0
+    assert abs(kernel.kernel_basis(r, 0.5).theta1 - theta_p) > 0.5
+    with pytest.raises(ValueError):
+        dataclasses.replace(p, _cache={})
 
 
 def test_dc_profile_matches_finite_difference_route(params01):
