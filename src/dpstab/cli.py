@@ -6,8 +6,9 @@ exit codes: 0 on success, 2 on a validation error (including unknown
 flags), 3 on a numerical failure.  A ``--config file.json`` path
 overrides flag values so a run can be replayed from its own sidecar.
 Identical resolved configuration yields byte-identical outputs.  This is
-the only module that writes files: the library returns arrays and
-dataclasses, and `_emit` owns every artifact format.
+the only module that reads or writes files: the library returns arrays and
+dataclasses, each subcommand shapes its JSON sidecar and CSV columns from
+them, and `_emit` writes every artifact.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -303,7 +304,8 @@ def _params(options: dict) -> WaveParams:
 def _cmd_profile(cfg: RunConfig) -> int:
     o = cfg.options
     prof = wave.solve_profile(_params(o), L=o["L"], h=o["h"])
-    meta = wave.profile_meta(prof)
+    meta = {"k": prof.params.k, "c": prof.params.c, "L": prof.L, "h": prof.h,
+            **asdict(prof.consts), "u0_center": float(prof.u0[prof.i0])}
     table = {name: getattr(prof, name)
              for name in ("xi", "u0", "u0_p", "u0_pp", "u0_ppp", "mu")}
     table["dc_u0"] = wave.dc_profile(prof)
@@ -381,7 +383,8 @@ def _cmd_winding(cfg: RunConfig) -> int:
 def _cmd_lax(cfg: RunConfig) -> int:
     o = cfg.options
     data = lax.m_cubic(complex(o["lam_re"], o["lam_im"]), _params(o))
-    _emit(cfg, lax.root_report(data))
+    _emit(cfg, {"lambda": data.lam, "discriminant": data.discriminant,
+                "branches": [asdict(b) for b in data.branches]})
     print(f"discriminant = {_fmt_c(data.discriminant)}")
     return 0
 
@@ -390,13 +393,13 @@ def _cmd_kernel(cfg: RunConfig) -> int:
     o = cfg.options
     prof = wave.solve_profile(_params(o), L=o["L"], h=o["h"])
     basis = kernel.kernel_basis(prof, o["alpha"])
-    report = kernel.basis_report(basis)
-    _emit(cfg, report,
+    _emit(cfg, {name: getattr(basis, name)
+                for name in ("alpha", "theta1", "theta2", "gram_residuals")},
           {name: getattr(basis, name)
            for name in ("xi", "z1", "z2", "eta1", "eta2")},
           "generalized kernel basis")
-    print(f"theta1 = {report['theta1']:.12g}")
-    print(f"theta2 = {report['theta2']:.12g}")
+    print(f"theta1 = {basis.theta1:.12g}")
+    print(f"theta2 = {basis.theta2:.12g}")
     return 0
 
 

@@ -14,8 +14,8 @@ lambda(i sigma - alpha), sigma real, with
 For 0 < alpha < alpha_crit = sqrt((c-4k)/(c-k)) the curve lies in
 Re lambda <= -Delta with gap Delta = alpha (c - k - 3k/(1 - alpha^2));
 for alpha > 1 the gap is alpha (c - k); weights in [alpha_crit, 1] give a
-marginal or unstable band and alpha = 1 is singular (1 - r^2 vanishes at
-sigma = 0).
+marginal or unstable band, and alpha = +-1 is singular (1 - r^2 vanishes
+at sigma = 0).
 """
 from __future__ import annotations
 
@@ -128,11 +128,21 @@ def default_sigma_grid(n: int = 2001, span: float = 50.0, q: float = 0.999) -> n
     return np.concatenate([-pos[:0:-1], pos])
 
 
+def _check_alpha(alpha: float) -> None:
+    """Every weight must be finite with |alpha| != 1; callers add their own range."""
+    if not np.isfinite(alpha):
+        raise ParameterError(f"weight alpha must be finite, got {alpha}")
+    if abs(abs(alpha) - 1.0) < 1e-12:
+        raise ParameterError(
+            "weight alpha = +-1 is singular: the symbol 1 - (i sigma - alpha)^2 "
+            "vanishes at sigma = 0"
+        )
+
+
 def ess_spectrum_curve(params: WaveParams, alpha: float,
                        sigma: np.ndarray | None = None) -> SpectralCurve:
     """Sample the weighted essential-spectrum curve lambda(i sigma - alpha)."""
-    if abs(alpha - 1.0) < 1e-12:
-        raise ParameterError("weight alpha = 1 is singular: 1 - r^2 vanishes at sigma = 0")
+    _check_alpha(alpha)
     if sigma is None:
         sigma = default_sigma_grid()
     sigma = np.asarray(sigma, dtype=float)
@@ -148,11 +158,10 @@ def spectral_gap(params: WaveParams, alpha: float) -> float:
     rejected: the curve touches or crosses the imaginary axis.
     """
     k, c = params.k, params.c
+    _check_alpha(alpha)
     ac = derived_constants(params).alpha_crit
     if alpha <= 0.0:
         raise ParameterError(f"need a positive weight, got alpha={alpha}")
-    if abs(alpha - 1.0) < 1e-12:
-        raise ParameterError("weight alpha = 1 is singular")
     if alpha < ac:
         return alpha * (c - k - 3.0 * k / (1.0 - alpha * alpha))
     if alpha > 1.0:

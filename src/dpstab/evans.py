@@ -134,13 +134,6 @@ def _meet_index(arrays: dict, meet: float, L: float) -> tuple[int, int]:
     return jd, ja
 
 
-def _march(arrays, tag, nsteps, lams, alpha, shifts, inits, sign, adjoint):
-    p0, p1, p2, pinv = arrays[tag]
-    m = 2 * nsteps + 1
-    return _backend.shoot_final(p0[:m], p1[:m], p2[:m], pinv[:m], lams, alpha,
-                                shifts, inits, arrays["hs"], sign, adjoint)
-
-
 def _fold_conjugates(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct lambda to march, one per exact conjugate pair, and the map back.
 
@@ -156,29 +149,6 @@ def _fold_conjugates(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.array(list(slots), dtype=complex), index, mirrored
 
 
-def _evans_march(lams: np.ndarray, profile: Profile, alpha: float, nsub: int,
-                 meet: float) -> tuple[np.ndarray, np.ndarray]:
-    """Evans values and renormalization exponents, marching every lambda."""
-    params = profile.params
-    arrays = half_step_samples(profile, nsub)
-    jd, ja = _meet_index(arrays, meet, profile.L)
-
-    B = len(lams)
-    shifts = np.empty(B, dtype=complex)
-    vplus = np.empty((B, 3), dtype=complex)
-    wminus = np.empty((B, 3), dtype=complex)
-    for i, lam in enumerate(lams):
-        shifts[i], vplus[i], wminus[i] = _launch(lam, alpha, params)
-
-    X = _march(arrays, "desc", jd, lams, alpha, shifts, vplus, -1.0, False)
-    Y = _march(arrays, "asc", ja, lams, alpha, shifts, wminus, 1.0, True)
-    D = np.sum(X * Y, axis=1)
-    if not np.all(np.isfinite(D)):
-        bad = lams[~np.isfinite(D)][0]
-        raise SolverError(f"shooting overflowed at lambda={bad}")
-    return D, -2.0 * profile.L * shifts.real
-
-
 def evans_batch(lams, profile: Profile, alpha: float = 0.0, nsub: int = 10,
                 meet: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Evans values and renormalization exponents for a batch of lambda.
@@ -192,12 +162,26 @@ def evans_batch(lams, profile: Profile, alpha: float = 0.0, nsub: int = 10,
     """
     if not 0.0 <= alpha < 1.0:
         raise ParameterError(f"weight must satisfy 0 <= alpha < 1, got {alpha}")
-    lams = np.asarray(lams, dtype=complex).ravel()
-    reps, index, mirrored = _fold_conjugates(lams)
-    D, ex = _evans_march(reps, profile, alpha, nsub, meet)
+    reps, index, mirrored = _fold_conjugates(np.asarray(lams, dtype=complex).ravel())
+    arrays = half_step_samples(profile, nsub)
+    jd, ja = _meet_index(arrays, meet, profile.L)
+    B = len(reps)
+    shifts = np.empty(B, dtype=complex)
+    vplus = np.empty((B, 3), dtype=complex)
+    wminus = np.empty((B, 3), dtype=complex)
+    for i, lam in enumerate(reps):
+        shifts[i], vplus[i], wminus[i] = _launch(lam, alpha, profile.params)
+    # X+ marched down from +L and Y- up from -L, each to the meeting point
+    X = _backend.shoot_final(*(p[:2 * jd + 1] for p in arrays["desc"]), reps, alpha,
+                             shifts, vplus, arrays["hs"], -1.0, False)
+    Y = _backend.shoot_final(*(p[:2 * ja + 1] for p in arrays["asc"]), reps, alpha,
+                             shifts, wminus, arrays["hs"], 1.0, True)
+    D = np.sum(X * Y, axis=1)
+    if not np.all(np.isfinite(D)):
+        raise SolverError(f"shooting overflowed at lambda={reps[~np.isfinite(D)][0]}")
     D = D[index]
     D[mirrored] = D[mirrored].conj()
-    return D, ex[index]
+    return D, (-2.0 * profile.L * shifts.real)[index]
 
 
 def evans_eval(lam: complex, profile: Profile, alpha: float = 0.0,

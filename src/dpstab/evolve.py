@@ -36,10 +36,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.fft import irfft, rfft, rfftfreq
+from numpy.fft import irfft, rfft
 
 from . import kernel
-from .dispersion import classify_roots, lambda_of_r, spectral_gap
+from .dispersion import _check_alpha, classify_roots, lambda_of_r, spectral_gap
 from .wave import (
     ParameterError,
     Profile,
@@ -68,14 +68,6 @@ __all__ = [
 ]
 
 
-def _check_alpha(alpha: float) -> None:
-    if abs(abs(alpha) - 1.0) < 1e-12:
-        raise ParameterError(
-            "weight alpha = +-1 is singular: the symbol 1 - (i sigma - alpha)^2 "
-            "vanishes at sigma = 0"
-        )
-
-
 def l2_norm(w, h: float) -> float:
     # rectangle rule: exact Parseval partner of the periodic Fourier evolution
     w = np.asarray(w)
@@ -91,7 +83,7 @@ def _spectral_rhs(profile: Profile, alpha: float, n: int, adjoint: bool = False)
     irfft discards, are zeroed, so an RK4 march on v stays the grid march's."""
     c = profile.params.c
     cmu = c - profile.u0[:n]
-    sig = 2.0 * np.pi * rfftfreq(n, d=profile.h)
+    sig = kernel.rfft_sigma(n, profile.h)
     d = (-1j if adjoint else 1j) * sig - alpha
     p = d * (4.0 - d * d) / (1.0 - d * d)
     q3 = 3.0 * c * d / (1.0 - d * d)
@@ -353,14 +345,14 @@ def free_evolve(w0, params: WaveParams, alpha: float, T: float, h: float,
     w0 = np.asarray(w0)
     if w0.ndim != 1 or w0.size < 2 or np.iscomplexobj(w0) or not np.all(np.isfinite(w0)):
         raise ParameterError("w0 must be a real, finite 1-d grid function")
+    n = w0.size
+    lam = lambda_of_r(1j * kernel.rfft_sigma(n, h) - alpha, params)
     ac = derived_constants(params).alpha_crit
     if alpha < 0.0 or ac <= alpha < 1.0:
         warnings.warn(
             f"weight alpha={alpha} has no spectral gap: growth expected",
             stacklevel=2,
         )
-    n = w0.size
-    lam = lambda_of_r(2j * np.pi * rfftfreq(n, d=h) - alpha, params)
     w0_hat = rfft(w0)
     times = np.linspace(0.0, T, n_records)
     norms = np.empty(n_records)
@@ -448,7 +440,7 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
     k, c = params.k, params.c
     n = m.size - 1
     m = m[:n]
-    sig = 2.0 * np.pi * rfftfreq(n, d=h)
+    sig = kernel.rfft_sigma(n, h)
     inv_helm = 1.0 / (1.0 + sig * sig)
     dsym = 1j * sig
     dsym_inv_helm = dsym * inv_helm

@@ -20,7 +20,9 @@ interpolant against the exponential, so the sweep is order-6 in the step and
 respects decay at the ends (no periodization).  The running sum
 C_i = e^{-m h} C_{i-1} + inc_i is one BLAS bidiagonal solve (dtbsv/ztbsv).
 Running integrals are the same sweep at rate 0.  Every periodic Fourier map of
-the package goes through `real_spectral_map`, on the real-FFT half-spectrum.
+the package goes through `real_spectral_map`, on the real-FFT half-spectrum,
+and every frequency grid through `rfft_sigma`.  Both the sweep and the
+frequency grid reject a grid spacing that is not finite and positive.
 """
 from __future__ import annotations
 
@@ -39,14 +41,21 @@ __all__ = [
     "cumint6",
     "causal_exp_conv",
     "real_spectral_map",
+    "rfft_sigma",
     "spectral_multiplier",
     "helmholtz_solve",
     "b_apply",
     "conserved",
     "kernel_basis",
     "project",
-    "basis_report",
 ]
+
+
+def _spacing(h) -> float:
+    """The grid spacing as a float; it must be finite and positive."""
+    if not 0.0 < h < np.inf:
+        raise ParameterError(f"grid spacing must be finite and positive, got h={h}")
+    return float(h)
 
 
 @lru_cache(maxsize=8)
@@ -114,7 +123,7 @@ def causal_exp_conv(g, rate, h: float, start=0.0) -> np.ndarray:
 
     Re rate > 0; the result is complex for a complex rate or complex g."""
     g = np.asarray(g)
-    rows, q = _exp_rows(rate, float(h), g.size)
+    rows, q = _exp_rows(rate, _spacing(h), g.size)
     inc = np.einsum("ij,ij->i", rows, g[_window_index(g.size)[0]])
     return _recurrence(np.concatenate([[start], inc]), q)
 
@@ -138,7 +147,7 @@ def helmholtz_solve(g, msq: int, h: float) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.ndim != 1 or g.size < 8:
         raise ParameterError("g must be a 1-d grid function with at least 8 samples")
-    m, h = float(np.sqrt(msq)), float(h)
+    m, h = float(np.sqrt(msq)), _spacing(h)
     left = causal_exp_conv(g, m, h, _tail_moment(g[0], g[1], m, h))
     g = g[::-1]
     right = causal_exp_conv(g, m, h, _tail_moment(g[0], g[1], m, h))[::-1]
@@ -175,9 +184,15 @@ def real_spectral_map(w, f) -> np.ndarray:
     return irfft(f(rfft(w)), w.size)
 
 
+def rfft_sigma(n: int, h: float) -> np.ndarray:
+    """Angular frequencies sigma = 2 pi rfftfreq(n, h) of the real-FFT
+    half-spectrum of n samples at spacing h."""
+    return 2.0 * np.pi * rfftfreq(n, d=_spacing(h))
+
+
 def spectral_multiplier(w, h: float, mult) -> np.ndarray:
     """The periodic multiplier mult(sigma) on the grid of spacing h."""
-    sym = mult(2.0 * np.pi * rfftfreq(np.size(w), d=h))
+    sym = mult(rfft_sigma(np.size(w), h))
     return real_spectral_map(w, lambda wk: sym * wk)
 
 
@@ -292,13 +307,3 @@ def project(f, basis: KernelBasis):
     c2 = np.trapezoid(basis.eta2 * f, dx=basis.h)
     pf = c1 * basis.z1 + c2 * basis.z2
     return pf, f - pf
-
-
-def basis_report(basis: KernelBasis) -> dict:
-    """JSON-ready scalars of the basis."""
-    return {
-        "alpha": basis.alpha,
-        "theta1": basis.theta1,
-        "theta2": basis.theta2,
-        "gram_residuals": dict(basis.gram_residuals),
-    }

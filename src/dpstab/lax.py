@@ -41,7 +41,6 @@ __all__ = [
     "squared_eigenfunction",
     "completeness_scan",
     "mcubic_selftest",
-    "root_report",
 ]
 
 _SEP_TOL = 1e-8
@@ -168,28 +167,6 @@ def _rel_poly(lam: complex, M: complex, params: WaveParams) -> float:
     val = ((c0 * M + c1) * M + c2) * M + c3
     scale = max(abs(c0 * M ** 3), abs(c1 * M * M), abs(c2 * M), abs(c3), 1e-300)
     return abs(val) / scale
-
-
-def root_report(data: LaxRootData) -> dict:
-    """JSON-ready report for one lambda."""
-
-    def cs(z):
-        z = complex(z)
-        return [z.real, z.imag]
-
-    return {
-        "lambda": cs(data.lam),
-        "discriminant": cs(data.discriminant),
-        "branches": [
-            {
-                "M": cs(b.M), "P": cs(b.P), "l1": cs(b.l1), "l2": cs(b.l2),
-                "sigma": cs(b.sigma), "r1": cs(b.r1), "r2": cs(b.r2),
-                "degenerate": b.degenerate,
-                "checks": {key: float(val) for key, val in b.checks.items()},
-            }
-            for b in data.branches
-        ],
-    }
 
 
 def l_roots(ksigma: complex, adjoint: bool = False) -> np.ndarray:

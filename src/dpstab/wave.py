@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +42,6 @@ __all__ = [
     "profile_w",
     "Profile",
     "ProfileEval",
-    "profile_meta",
 ]
 
 
@@ -225,8 +224,8 @@ def profile_w(params: WaveParams, x) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_profile(params: WaveParams, L: float = 40.0, h: float = 0.02) -> Profile:
     """The profile on xi in [-L, L] with grid step h."""
-    if L <= 0 or h <= 0:
-        raise ParameterError(f"need L > 0 and h > 0, got L={L}, h={h}")
+    if not (0.0 < L < np.inf and 0.0 < h < np.inf):
+        raise ParameterError(f"need finite L > 0 and h > 0, got L={L}, h={h}")
     n = round(L / h)
     if n < 4 or abs(n * h - L) > 1e-9 * max(1.0, L):
         raise ParameterError(f"L={L} must be an integer multiple of h={h}")
@@ -295,9 +294,3 @@ def half_step_samples(profile: Profile, nsub: int) -> dict:
            "mu": f.mu}
     profile._cache[key] = out
     return out
-
-
-def profile_meta(profile: Profile) -> dict:
-    """Scalar metadata for JSON sidecars."""
-    return {"k": profile.params.k, "c": profile.params.c, "L": profile.L, "h": profile.h,
-            **asdict(profile.consts), "u0_center": float(profile.u0[profile.i0])}

@@ -1,5 +1,6 @@
 """Command line dispatch: artifacts, config merge, and exit codes."""
 
+import ast
 import json
 import os
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpstab import cli, evolve, kernel
+from dpstab import cli, evolve, kernel, lax
 from dpstab.dispersion import spectral_gap
 from dpstab.wave import SolverError, WaveParams, dc_profile, solve_profile
 
@@ -56,6 +57,8 @@ def test_profile_artifacts(tmp_path, capsys):
     meta = _read_json(out + ".json")
     assert "tol" not in meta and "xistar" not in meta
     assert meta["u_max"] == pytest.approx(0.5837722339831621, abs=1e-12)
+    assert meta["u_max"] == prof.consts.u_max
+    assert meta["u0_center"] == prof.u0[prof.i0]
     assert meta["config"]["subcommand"] == "profile"
     assert meta["config"]["k"] == 0.1
     assert meta["config"]["c"] == 1.0
@@ -162,6 +165,17 @@ def test_validation_error_exit_code(capsys):
     rc = cli.run(["gap", "--k", "0.3", "--c", C, "--alpha", "0.5"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_singular_weight_is_validation(tmp_path, capsys):
+    # rejected before the curve is sampled: one error line and no warning
+    rc = cli.run(["spectrum", "--k", K, "--c", C, "--alpha", "-1",
+                  "--out", str(tmp_path / "x")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "singular" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -314,6 +328,31 @@ def test_selftest_without_sympy_names_the_extra(monkeypatch, capsys):
     assert "dpstab[selftest]" in capsys.readouterr().err
 
 
+def _file_access(path):
+    """Names of the file-format and file-writing operations in one module:
+    an import of json, and calls of open() or savetxt()."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update("json" for a in node.names if a.name.split(".")[0] == "json")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+            found.add("json")
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("open", "savetxt"):
+                found.add(name)
+    return found
+
+
+def test_only_cli_touches_files():
+    # the library returns arrays and dataclasses; cli alone reads config
+    # files and shapes and writes every artifact
+    src = Path(cli.__file__).parent
+    access = {p.name: _file_access(p) for p in sorted(src.glob("*.py"))}
+    assert access.pop("cli.py") == {"json", "open", "savetxt"}
+    assert {name: found for name, found in access.items() if found} == {}
+
+
 def test_import_leaves_heavy_scipy_subpackages_out():
     # each of these pulls in dozens of modules that no command uses
     heavy = ("scipy.signal", "scipy.stats", "scipy.ndimage", "scipy.interpolate",
@@ -382,6 +421,12 @@ def test_lax_report_json(tmp_path, capsys):
     meta = _read_json(out + ".json")
     assert meta["lambda"] == [0.3, 0.1]
     assert len(meta["branches"]) == 3
+    assert all("sigma" in b and "checks" in b for b in meta["branches"])
+    # complex values as [re, im], each the library's to the last bit
+    data = lax.m_cubic(0.3 + 0.1j, WaveParams(0.1, 1.0))
+    assert meta["discriminant"] == [data.discriminant.real, data.discriminant.imag]
+    assert [complex(*b["sigma"]) for b in meta["branches"]] == [
+        b.sigma for b in data.branches]
 
 
 def test_kernel_report_json(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from dpstab import WaveParams, derived_constants, solve_profile
 from dpstab import evolve, kernel
-from dpstab.dispersion import lambda_of_r, spectral_gap
+from dpstab.dispersion import ess_spectrum_curve, lambda_of_r, spectral_gap
 from dpstab.wave import ParameterError, SolverError, profile_w
 
 LAM_BRANCH_01 = 0.45 / np.sqrt(3.0)  # double spatial root at r = 1/sqrt(3)
@@ -296,6 +296,38 @@ def test_green_apply_real_and_validation(params01):
     assert u.dtype == np.float64
     with pytest.raises(ParameterError):
         evolve.green_apply(gf, phi[:4], h)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
+@pytest.mark.parametrize("entry", ["free_evolve", "green_apply", "nonlinear_evolve"])
+def test_bad_spacing_rejected(params01, entry, h):
+    g = 0.1 + np.exp(-_grid(5.0, 0.1) ** 2)
+    call = {
+        "free_evolve": lambda: evolve.free_evolve(g, params01, 0.5, 1.0, h),
+        "green_apply": lambda: evolve.green_apply(
+            evolve.free_green(1.0, 0.5, params01), g, h),
+        "nonlinear_evolve": lambda: evolve.nonlinear_evolve(g, params01, 1.0, h),
+    }[entry]
+    with pytest.raises(ParameterError, match="grid spacing must be finite and positive"):
+        call()
+
+
+@pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("entry", ["ess_spectrum_curve", "spectral_gap",
+                                   "apply_linearized", "free_green", "free_evolve"])
+def test_singular_or_non_finite_weight_rejected(params01, prof01, entry, alpha):
+    # one rule for every weighted routine: alpha finite and |alpha| != 1
+    call = {
+        "ess_spectrum_curve": lambda: ess_spectrum_curve(params01, alpha),
+        "spectral_gap": lambda: spectral_gap(params01, alpha),
+        "apply_linearized": lambda: evolve.apply_linearized(
+            np.zeros(prof01.xi.size), prof01, alpha),
+        "free_green": lambda: evolve.free_green(1.0, alpha, params01),
+        "free_evolve": lambda: evolve.free_evolve(
+            np.exp(-_grid(5.0, 0.1) ** 2), params01, alpha, 1.0, 0.1),
+    }[entry]
+    with pytest.raises(ParameterError, match="singular" if alpha == -1.0 else "finite"):
+        call()
 
 
 # ------------------------------------------------------------ linear flow

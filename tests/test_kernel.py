@@ -57,6 +57,27 @@ def test_helmholtz_fourier_route(prof01):
         assert np.max(np.abs(mine - _fourier_inverse(g, msq, h))) <= 1e-10
 
 
+_G = np.exp(-np.linspace(-5.0, 5.0, 101) ** 2)
+_SPACED = {
+    "cumint6": lambda h: kernel.cumint6(_G, h),
+    "causal_exp_conv": lambda h: kernel.causal_exp_conv(_G, 1.0, h),
+    "helmholtz_solve": lambda h: kernel.helmholtz_solve(_G, 4, h),
+    "b_apply": lambda h: kernel.b_apply(_G, h),
+    "rfft_sigma": lambda h: kernel.rfft_sigma(_G.size, h),
+    "spectral_multiplier": lambda h: kernel.spectral_multiplier(_G, h, lambda s: s),
+    "conserved-u": lambda h: kernel.conserved(WaveParams(0.1, 1.0), h, u=0.1 + _G),
+    "conserved-m": lambda h: kernel.conserved(WaveParams(0.1, 1.0), h, m=0.1 + _G),
+}
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
+@pytest.mark.parametrize("entry", list(_SPACED))
+def test_bad_spacing_rejected(entry, h):
+    # one check for every grid map: no ZeroDivisionError, warning or numbers
+    with pytest.raises(ParameterError, match="grid spacing must be finite and positive"):
+        _SPACED[entry](h)
+
+
 def test_helmholtz_zero_and_errors(prof01):
     out = kernel.helmholtz_solve(np.zeros(101), 1, 0.1)
     assert np.all(out == 0.0)

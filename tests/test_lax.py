@@ -92,13 +92,6 @@ def test_m_cubic_degenerate_P_zero(params01):
     assert len(deg) == 1 and deg[0].degenerate
 
 
-def test_root_report_shape(params01):
-    rep = lax.root_report(lax.m_cubic(1j, params01))
-    assert rep["lambda"] == [0.0, 1.0]
-    assert len(rep["branches"]) == 3
-    assert all("sigma" in b and "checks" in b for b in rep["branches"])
-
-
 def test_l_roots_limit_and_adjoint():
     r = lax.l_roots(0.0)
     assert np.allclose(r, [-1.0, 0.0, 1.0], atol=1e-14)

@@ -13,7 +13,7 @@ from dpstab import (
     solve_profile,
 )
 from dpstab import evolve, kernel, wave
-from dpstab.wave import profile_meta, profile_w
+from dpstab.wave import profile_w
 from profile_oracle import dop853_w, fd_dc_w
 
 # closed-form oracles: a = k(c-k)^3, E = kc - 2k^2, u_max = c - k - sqrt(ck),
@@ -45,6 +45,14 @@ def test_inadmissible_parameters_rejected(k, c):
 def test_bad_grid_rejected(params01):
     with pytest.raises(ParameterError):
         solve_profile(params01, L=40.0, h=0.023)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf])
+def test_non_positive_or_non_finite_grid_rejected(params01, bad):
+    with pytest.raises(ParameterError, match="need finite L > 0 and h > 0"):
+        solve_profile(params01, L=bad, h=0.02)
+    with pytest.raises(ParameterError, match="need finite L > 0 and h > 0"):
+        solve_profile(params01, L=40.0, h=bad)
 
 
 def test_short_domain_warns(params01):
@@ -251,10 +259,3 @@ def test_long_domain_ends_in_parameter_error(params01):
         w, _ = profile_w(p.params, p.xi[p.i0:])
         assert np.all(np.isfinite(p.u0)) and np.all(np.isfinite(p.u0_pppp))
         assert np.all(w > 0.0) and np.all(np.diff(w) < 0.0)
-
-
-def test_profile_meta(prof01):
-    meta = profile_meta(prof01)
-    assert meta["u_max"] == prof01.consts.u_max
-    assert meta["u0_center"] == prof01.u0[prof01.i0]
-    assert "tol" not in meta and "xistar" not in meta
