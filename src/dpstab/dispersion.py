@@ -41,6 +41,10 @@ __all__ = [
     "sign_convention_report",
 ]
 
+# the center band of classify_roots, and default_sigma_grid's size, reach and map
+_ROOT_TOL = 1e-9
+_SIGMA_POINTS, _SIGMA_SPAN, _SIGMA_Q = 2001, 50.0, 0.999
+
 
 @dataclass(frozen=True)
 class SpectralCurve:
@@ -59,8 +63,8 @@ class SpectralCurve:
 class RootTriple:
     """Spatial roots of P(lambda, . - alpha), sorted by real part.
 
-    n_left/n_center/n_right count roots with real part below -tol, within
-    tol, and above +tol.  In the resolvent set right of the weighted
+    n_left/n_center/n_right count roots with real part below -1e-9, within
+    1e-9 of 0, and above 1e-9.  In the resolvent set right of the weighted
     essential spectrum the split is 1/0/2.
     """
 
@@ -69,7 +73,6 @@ class RootTriple:
     n_center: int
     n_right: int
     alpha: float
-    tol: float
 
 
 def char_poly(lam, r, params: WaveParams):
@@ -113,18 +116,14 @@ def im_lambda(sigma, alpha: float, params: WaveParams):
     return sigma * (c - k - 3.0 * k * (a2 + s2 + 1.0) / den)
 
 
-def default_sigma_grid(n: int = 2001, span: float = 50.0, q: float = 0.999) -> np.ndarray:
-    """Frequency grid clustered near sigma = 0, reaching +-span.
+def default_sigma_grid() -> np.ndarray:
+    """Frequency grid of 2001 points clustered near sigma = 0, reaching +-50.
 
-    Image of a uniform grid under the atanh map; n odd keeps sigma = 0 an
-    exact node.
+    Image of a uniform grid under x -> atanh(0.999 x); the odd size keeps
+    sigma = 0 an exact node.
     """
-    if n < 3:
-        raise ParameterError(f"need at least 3 grid points, got {n}")
-    if n % 2 == 0:
-        raise ParameterError(f"grid size must be odd so sigma = 0 is a node, got {n}")
-    x = np.linspace(0.0, 1.0, (n + 1) // 2)
-    pos = span * np.arctanh(q * x) / np.arctanh(q)
+    x = np.linspace(0.0, 1.0, (_SIGMA_POINTS + 1) // 2)
+    pos = _SIGMA_SPAN * np.arctanh(_SIGMA_Q * x) / np.arctanh(_SIGMA_Q)
     return np.concatenate([-pos[:0:-1], pos])
 
 
@@ -171,18 +170,16 @@ def spectral_gap(params: WaveParams, alpha: float) -> float:
     )
 
 
-def classify_roots(lam: complex, alpha: float, params: WaveParams,
-                   tol: float = 1e-9) -> RootTriple:
+def classify_roots(lam: complex, alpha: float, params: WaveParams) -> RootTriple:
     """Shifted spatial roots s_j = r_j + alpha and their real-part split."""
     s = char_roots(lam, params) + alpha
     re = s.real
     return RootTriple(
         roots=tuple(s),
-        n_left=int(np.sum(re < -tol)),
-        n_center=int(np.sum(np.abs(re) <= tol)),
-        n_right=int(np.sum(re > tol)),
+        n_left=int(np.sum(re < -_ROOT_TOL)),
+        n_center=int(np.sum(np.abs(re) <= _ROOT_TOL)),
+        n_right=int(np.sum(re > _ROOT_TOL)),
         alpha=float(alpha),
-        tol=float(tol),
     )
 
 

@@ -45,6 +45,11 @@ _SEP_TOL = 1e-8
 _TAU = 1e-2
 _NSUB_BASE = 1
 _NSUB_CAP = 16
+# refinement passes per loop, nodes on a keyhole's disc, and certify_eta's
+# keyholes [-eta, 2] x [-2, 2] minus a disc of radius <= 0.05 in 7 eta steps
+_MAX_PASSES = 14
+_HOLE_NODES = 48
+_CERT_RE_MAX, _CERT_IM_ABS, _CERT_HOLE, _CERT_STEPS = 2.0, 2.0, 0.05, 7
 
 
 @dataclass(frozen=True)
@@ -243,15 +248,15 @@ def rectangle_contour(re_min: float, re_max: float, im_abs: float,
 
 def keyhole_contour(re_min: float, re_max: float, im_abs: float,
                     hole_radius: float = 0.05, hole_center: complex = 0.0,
-                    density: float = 8.0, n_circle: int = 48) -> list[np.ndarray]:
-    """Rectangle with a small disc excised: returns [ccw rectangle, cw circle].
+                    density: float = 8.0) -> list[np.ndarray]:
+    """Rectangle with a small disc excised: [ccw rectangle, cw circle of 48 nodes].
 
     Slit edges of the classical keyhole cancel in the winding sum, so the
     two loops are traversed separately and their windings added.
     """
     return [
         rectangle_contour(re_min, re_max, im_abs, density),
-        circle_contour(hole_center, hole_radius, n_circle, orientation=-1),
+        circle_contour(hole_center, hole_radius, _HOLE_NODES, orientation=-1),
     ]
 
 
@@ -259,10 +264,10 @@ def _wrap(dph: np.ndarray) -> np.ndarray:
     return (dph + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def _loop_winding(nodes: np.ndarray, evalf, max_passes: int) -> tuple[int, np.ndarray, np.ndarray]:
+def _loop_winding(nodes: np.ndarray, evalf) -> tuple[int, np.ndarray, np.ndarray]:
     nodes = np.asarray(nodes, dtype=complex)
     vals = evalf(nodes)
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         if np.any(np.abs(vals) < 1e-250):
             raise SolverError("contour passes through a zero of D")
         ph = np.angle(vals)
@@ -306,12 +311,12 @@ def _controlled_batch(nodes: np.ndarray, profile: Profile, alpha: float, stats: 
     return vals
 
 
-def winding_count(contour, profile: Profile, alpha: float = 0.0, nsub: int | None = None,
-                  max_passes: int = 14) -> WindingResult:
+def winding_count(contour, profile: Profile, alpha: float = 0.0,
+                  nsub: int | None = None) -> WindingResult:
     """Total winding of D over one loop (array) or several loops (list).
 
-    Refines each loop by midpoint insertion until consecutive phase steps
-    are below pi/2, then sums the unwrapped increments.  By default
+    Refines each loop by midpoint insertion, at most 14 passes, until phase
+    steps are below pi/2, then sums the unwrapped increments.  By default
     (nsub=None) every node is marched at nsub 1 and 2 and kept when the RK4
     error estimate |D_2 - D_1|/15 is at most 1e-2 |D|; other nodes are
     re-marched at 2/4, 4/8, 8/16, past which SolverError is raised.  An
@@ -332,7 +337,7 @@ def winding_count(contour, profile: Profile, alpha: float = 0.0, nsub: int | Non
     total = 0
     out_nodes, out_vals = [], []
     for loop in loops:
-        w, nodes, vals = _loop_winding(loop, evalf, max_passes)
+        w, nodes, vals = _loop_winding(loop, evalf)
         total += w
         out_nodes.append(nodes)
         out_vals.append(vals)
@@ -341,24 +346,22 @@ def winding_count(contour, profile: Profile, alpha: float = 0.0, nsub: int | Non
                          values=tuple(out_vals), alpha=float(alpha), **stats)
 
 
-def certify_eta(profile: Profile, alpha: float, re_max: float = 2.0,
-                im_abs: float = 2.0, hole_radius: float = 0.05, steps: int = 7,
-                nsub: int | None = None) -> dict:
-    """Largest eta, stepped in multiples of gap/8, with zero winding of D
-    around [-eta, re_max] x [-im_abs, im_abs] minus a disc at the origin.
+def certify_eta(profile: Profile, alpha: float) -> dict:
+    """Largest eta in gap/8, 2 gap/8, ..., 7 gap/8 with zero winding of D around
+    [-eta, 2] x [-2, 2] minus a disc at the origin of radius min(0.05, 0.6 eta).
 
     The spectral gap bounds how far the rectangle may reach; eta certifies
     a concrete zero-free strip beyond the imaginary axis.  Each keyhole is
-    counted by `winding_count` at nsub, error-controlled by default.
+    counted by the error-controlled `winding_count`.
     """
     gap = spectral_gap(profile.params, alpha)
     certified = 0.0
     tried, windings = [], []
-    for j in range(1, steps + 1):
+    for j in range(1, _CERT_STEPS + 1):
         eta = j * gap / 8.0
-        loops = keyhole_contour(-eta, re_max, im_abs,
-                                hole_radius=min(hole_radius, 0.6 * eta))
-        res = winding_count(loops, profile, alpha, nsub)
+        loops = keyhole_contour(-eta, _CERT_RE_MAX, _CERT_IM_ABS,
+                                hole_radius=min(_CERT_HOLE, 0.6 * eta))
+        res = winding_count(loops, profile, alpha)
         tried.append(eta)
         windings.append(res.winding)
         if res.winding != 0:

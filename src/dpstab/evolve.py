@@ -67,6 +67,12 @@ __all__ = [
     "l2_norm",
 ]
 
+# power iterations of the spectral radius, the resolvent scan's sigma grid,
+# and the step cap of the damped Gauss-Newton modulation fit
+_POWER_ITERS = 50
+_SCAN_SIGMA_MAX, _SCAN_POINTS = 400.0, 160_001
+_FIT_MAX_ITER = 50
+
 
 def l2_norm(w, h: float) -> float:
     # rectangle rule: exact Parseval partner of the periodic Fourier evolution
@@ -204,21 +210,19 @@ def green_apply(gf: GreenFunction, phi, h: float) -> np.ndarray:
     return u
 
 
-def resolvent_norm_scan(params: WaveParams, alpha: float, xs,
-                        sigma: np.ndarray | None = None) -> dict:
+def resolvent_norm_scan(params: WaveParams, alpha: float, xs) -> dict:
     """Discretized L^2 norm of the free resolvent along real lambda = x.
 
-    The constant-coefficient operator diagonalizes in Fourier, so the norm
-    is max over the frequency grid of 1/|x - lambda_alpha(sigma)|.  Returns
-    the norm together with its products against |x| and |x|^2; the |x|^2
+    The constant-coefficient operator diagonalizes in Fourier, so the norm is
+    max over 160 001 sigma in [-400, 400] of 1/|x - lambda_alpha(sigma)|, returned
+    with its products against |x| and |x|^2; the |x|^2
     product is the scaling a uniform quadratic decay of the resolvent would
     require, the |x| product is what a distance-to-spectrum bound allows.
     The |x|^2 product cannot stay flat in L^2: ||R(lambda)|| >= 1/dist(lambda,
     sigma) holds for any closed operator, and here the spectrum reaches -gap.
     """
     gap = spectral_gap(params, alpha)
-    if sigma is None:
-        sigma = np.linspace(-400.0, 400.0, 160001)
+    sigma = np.linspace(-_SCAN_SIGMA_MAX, _SCAN_SIGMA_MAX, _SCAN_POINTS)
     lam_curve = lambda_of_r(1j * sigma - alpha, params)
     xs = np.asarray(xs, dtype=float)
     norms = np.array(
@@ -262,21 +266,17 @@ def _rk4(w, dt, rhs):
     return w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _spectral_radius(profile: Profile, alpha: float, iters: int = 50) -> float:
-    key = ("rho", float(alpha))
-    if key in profile._cache:
-        return profile._cache[key]
+def _spectral_radius(profile: Profile, alpha: float) -> float:
     n = profile.xi.size - 1
     rhs = _spectral_rhs(profile, alpha, n)
     rng = np.random.default_rng(0)
     w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     w /= np.linalg.norm(w)
     rho = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         aw = kernel.real_spectral_map(w, rhs)
         rho = float(np.linalg.norm(aw))
         w = aw / rho
-    profile._cache[key] = rho
     return rho
 
 
@@ -539,11 +539,10 @@ class ModulationFit:
     history: tuple
 
 
-def modulation_fit(u, params: WaveParams, alpha: float, h: float,
-                   max_iter: int = 50) -> ModulationFit:
+def modulation_fit(u, params: WaveParams, alpha: float, h: float) -> ModulationFit:
     """Damped Gauss-Newton fit of (c, gamma) minimizing the weighted misfit.
 
-    The Jacobian is frozen at the seed (c, 0): columns e^{alpha xi} dc_u0 and
+    The Jacobian is frozen at the seed (c, 0): columns e^{alpha xi} d_c u0 and
     -e^{alpha xi} u0'.  Each iterate evaluates the closed-form profile at the
     candidate speed and shifted positions, so gamma is not restricted to
     grid multiples.
@@ -581,7 +580,7 @@ def modulation_fit(u, params: WaveParams, alpha: float, h: float,
     history = [(cs, gs, rn)]
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _FIT_MAX_ITER + 1):
         b = np.array([np.trapezoid(j_c * r, dx=h), np.trapezoid(j_g * r, dx=h)])
         try:
             step = np.linalg.solve(M, b)

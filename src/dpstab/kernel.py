@@ -6,12 +6,12 @@ module builds the weighted right basis z_j = e^{alpha xi} z~_j and the adjoint
 left basis eta_j = e^{-alpha xi} eta~_j,
 
     eta~_2 = theta1 (1 - d^2)(4 - d^2)^{-1} (u0 - k),
-    eta~_1 = -theta1 int_{-inf}^{xi} (1 - d^2)(4 - d^2)^{-1} dc_u0
+    eta~_1 = -theta1 int_{-inf}^{xi} (1 - d^2)(4 - d^2)^{-1} d_c u0
              + theta2 (1 - d^2)(4 - d^2)^{-1} (u0 - k),
 
-with theta1 = (dQ/dc)^{-1} and theta2 = theta1^2 <dc_u0, cum>.  The pairings
-<z_j, eta_l> = delta_jl are not imposed; they emerge from the quadrature and
-the residuals are reported.
+with d_c u0 = `dc_profile`, theta1 = (dQ/dc)^{-1} and theta2 = theta1^2 <d_c u0, cum>.
+The pairings <z_j, eta_l> = delta_jl are not imposed; they emerge from the
+quadrature and the residuals are reported.
 
 The nonlocal inverses (msq - d^2)^{-1} are two causal exponential
 convolutions (`causal_exp_conv`, one per direction) against the kernel
@@ -256,9 +256,6 @@ def kernel_basis(profile: Profile, alpha: float) -> KernelBasis:
         raise ParameterError(
             f"weight alpha={alpha} outside the open interval (0, {d.alpha_crit})"
         )
-    key = ("kernel", alpha)
-    if key in profile._cache:
-        return profile._cache[key]
     h = profile.h
     dc = dc_profile(profile)
     # the closed-form orbit keeps u0 - k accurate far below eps(k), where
@@ -290,12 +287,10 @@ def kernel_basis(profile: Profile, alpha: float) -> KernelBasis:
         "z2_eta1": float(np.trapezoid(z2 * eta1, dx=h)),
         "z2_eta2": float(np.trapezoid(z2 * eta2, dx=h)) - 1.0,
     }
-    basis = KernelBasis(
+    return KernelBasis(
         alpha=alpha, h=h, xi=profile.xi, z1=z1, z2=z2, eta1=eta1, eta2=eta2,
         theta1=theta1, theta2=theta2, gram_residuals=gram,
     )
-    profile._cache[key] = basis
-    return basis
 
 
 def project(f, basis: KernelBasis):

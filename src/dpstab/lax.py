@@ -45,6 +45,11 @@ __all__ = [
 
 _SEP_TOL = 1e-8
 _DEG_TOL = 1e-10
+# the fit length of launch_slope_error, the interior |xi| <= 0.9 L of
+# second_relation_residual, and mcubic_selftest's seed and sample count
+_SLOPE_WIDTH = 4.0
+_INTERIOR = 0.9
+_SELFTEST_SEED, _SELFTEST_SAMPLES = 0, 3
 
 
 @dataclass(frozen=True)
@@ -232,13 +237,13 @@ def lax_solve(sigma: complex, profile: Profile, l_target: complex,
                        fpp=np.ascontiguousarray(traj[:, 2]), profile=profile)
 
 
-def launch_slope_error(sol: LaxSolution, width: float = 4.0) -> float:
-    """Relative mismatch between d/dxi log|f| near the launch end and Re l."""
+def launch_slope_error(sol: LaxSolution) -> float:
+    """Relative mismatch between d/dxi log|f| within 4 of the launch end and Re l."""
     xi = sol.xi
     if sol.direction == "+":
-        mask = xi >= sol.launch - width
+        mask = xi >= sol.launch - _SLOPE_WIDTH
     else:
-        mask = xi <= sol.launch + width
+        mask = xi <= sol.launch + _SLOPE_WIDTH
     mag = np.abs(sol.f[mask])
     if np.any(mag == 0):
         raise SolverError("zero magnitude near launch; slope undefined")
@@ -248,8 +253,8 @@ def launch_slope_error(sol: LaxSolution, width: float = 4.0) -> float:
     return abs(slope - sol.l.real) / abs(sol.l.real)
 
 
-def second_relation_residual(sol: LaxSolution, interior: float = 0.9) -> float:
-    """Defect of the temporal eigen-relation, relative max norm on the interior.
+def second_relation_residual(sol: LaxSolution) -> float:
+    """Defect of the temporal eigen-relation, relative max norm on |xi| <= 0.9 L.
 
     Forward: (1/sigma) f'' + (c-u0) f' + u0' f = r f; the adjoint relation
     flips the sign of the f'' term.  Renormalization cancels identically.
@@ -260,7 +265,7 @@ def second_relation_residual(sol: LaxSolution, interior: float = 0.9) -> float:
     res = lead * sol.fpp + cmu * sol.fp + prof.u0_p * sol.f - sol.rate * sol.f
     den = (np.abs(lead * sol.fpp) + np.abs(cmu * sol.fp)
            + np.abs(prof.u0_p * sol.f) + np.abs(sol.rate * sol.f))
-    mask = np.abs(sol.xi) <= interior * prof.L
+    mask = np.abs(sol.xi) <= _INTERIOR * prof.L
     return float(np.max(np.abs(res[mask])) / np.max(den[mask]))
 
 
@@ -363,8 +368,9 @@ def completeness_scan(t_samples, params: WaveParams) -> dict:
             "entries": entries}
 
 
-def mcubic_selftest(seed: int = 0, n_samples: int = 3) -> dict:
-    """Re-derive the M-cubic by symbolic elimination and decide its sign family.
+def mcubic_selftest() -> dict:
+    """Re-derive the M-cubic by symbolic elimination at three seeded rational
+    (k, c) samples and decide its sign family.
 
     From l_i^3 - l_i - k s = 0 (shared s) and lam s = (l1 - l2)((l1 + l2) + (c-k)s),
     eliminating s and l1 must produce a polynomial divisible by
@@ -377,10 +383,10 @@ def mcubic_selftest(seed: int = 0, n_samples: int = 3) -> dict:
         raise ParameterError("the M-cubic self-test needs sympy, from the "
                              "selftest extra: pip install 'dpstab[selftest]'") from exc
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SELFTEST_SEED)
     lam, s, l1v, l2v, Mv = sp.symbols("lam s l1 l2 M")
     samples = []
-    for _ in range(n_samples):
+    for _ in range(_SELFTEST_SAMPLES):
         cq = sp.Rational(int(rng.integers(1, 12)), int(rng.integers(1, 6)))
         kq = cq * sp.Rational(int(rng.integers(1, 5)), int(rng.integers(21, 40)))
         g1 = l1v ** 3 - l1v - kq * s

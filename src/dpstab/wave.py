@@ -114,9 +114,9 @@ class Profile:
     """Solitary-wave profile sampled on a symmetric grid xi in [-L, L].
 
     The arrays are `eval(xi)`, so they are exactly even (u0, u0'', mu) or
-    odd (u0', u0''').  dc_u0 is filled by dc_profile.  Neither it nor the
-    cache of derived data is a constructor argument, so a profile made by
-    `dataclasses.replace` starts both afresh.
+    odd (u0', u0''').  Its one cache, `_half_steps`, belongs to
+    `half_step_samples`; it is not a constructor argument, so a profile made
+    by `dataclasses.replace` starts it empty.
     """
 
     params: WaveParams
@@ -129,8 +129,7 @@ class Profile:
     u0_ppp: np.ndarray
     u0_pppp: np.ndarray
     mu: np.ndarray
-    dc_u0: np.ndarray | None = field(default=None, init=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
+    _half_steps: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def consts(self) -> DerivedConstants:
@@ -244,22 +243,22 @@ def solve_profile(params: WaveParams, L: float = 40.0, h: float = 0.02) -> Profi
 
 
 def dc_profile(profile: Profile) -> np.ndarray:
-    """Speed derivative of the profile at fixed k and xi, stored as `profile.dc_u0`.
+    """Speed derivative d/dc u0 at fixed k on the profile grid, computed per call.
 
     Implicit differentiation of the orbit, d_c w|_xi = d_c w|_phi + |w'| d_c xi|_phi,
     with the partials at fixed phi from one complex step in c: exact to rounding.
     """
-    if profile.dc_u0 is None:
-        k, c = profile.params.k, profile.params.c
-        phi = _invert(profile.params, np.abs(profile.xi))[0]
-        step = 1e-20 * c
-        w, xi = _orbit(k, c + 1j * step, phi)
-        profile.dc_u0 = (w.imag + np.abs(profile.u0_p) * xi.imag) / step
-    return profile.dc_u0
+    k, c = profile.params.k, profile.params.c
+    phi = _invert(profile.params, np.abs(profile.xi))[0]
+    step = 1e-20 * c
+    w, xi = _orbit(k, c + 1j * step, phi)
+    return (w.imag + np.abs(profile.u0_p) * xi.imag) / step
 
 
 def half_step_samples(profile: Profile, nsub: int) -> dict:
-    """Shooting coefficients at half-step resolution, hs = h / nsub; cached per nsub.
+    """Shooting coefficients at half-step resolution, hs = h / nsub, kept on
+    the profile per nsub: every winding pass and every pointwise Evans or
+    Lax call at that nsub reads the same arrays.
 
     For the Evans system p0 = (u0''' - 4 u0')/(c - u0),
     p1 = (3 u0'' - 4 u0 + c)/(c - u0), p2 = 3 u0'/(c - u0) and
@@ -278,9 +277,9 @@ def half_step_samples(profile: Profile, nsub: int) -> dict:
         m = 0
     if m < 1:
         raise ParameterError(f"nsub must be an integer >= 1, got {nsub!r}")
-    key = ("half_step", m)
-    if key in profile._cache:
-        return profile._cache[key]
+    out = profile._half_steps.get(m)
+    if out is not None:
+        return out
     hs = profile.h / m
     n = round(profile.L / hs)
     c = profile.params.c
@@ -290,7 +289,6 @@ def half_step_samples(profile: Profile, nsub: int) -> dict:
     p1 = (3.0 * f.u0_pp - 4.0 * f.u0 + c) / cmu
     p2 = 3.0 * f.u0_p / cmu
     pinv = 1.0 / cmu
-    out = {"hs": hs, "n": n, "desc": (p0, p1, p2, pinv), "asc": (-p0, p1, -p2, pinv),
-           "mu": f.mu}
-    profile._cache[key] = out
+    out = profile._half_steps[m] = {"hs": hs, "n": n, "desc": (p0, p1, p2, pinv),
+                                    "asc": (-p0, p1, -p2, pinv), "mu": f.mu}
     return out

@@ -1,6 +1,6 @@
 import pytest
 
-from dpstab import WaveParams, dc_profile, solve_profile
+from dpstab import WaveParams, solve_profile
 
 
 @pytest.fixture(scope="session")
@@ -10,14 +10,10 @@ def params01():
 
 @pytest.fixture(scope="session")
 def prof01(params01):
-    prof = solve_profile(params01)
-    dc_profile(prof)
-    return prof
+    return solve_profile(params01)
 
 
 @pytest.fixture(scope="session")
 def prof60(params01):
     # finer, wider grid: keeps weighted far-field edge effects below 1e-6
-    prof = solve_profile(params01, L=60.0, h=0.025)
-    dc_profile(prof)
-    return prof
+    return solve_profile(params01, L=60.0, h=0.025)

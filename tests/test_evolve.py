@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dpstab import WaveParams, derived_constants, solve_profile
+from dpstab import WaveParams, dc_profile, derived_constants, solve_profile
 from dpstab import evolve, kernel
 from dpstab.dispersion import ess_spectrum_curve, lambda_of_r, spectral_gap
 from dpstab.wave import ParameterError, SolverError, profile_w
@@ -593,10 +593,10 @@ def test_modulation_fit_shifted_speed(params01, prof60):
 
 
 def test_modulation_fit_first_order_response(params01, prof60):
-    # u0 + eps dc_u0 is the speed derivative direction: c shifts by eps
+    # u0 + eps d_c u0 is the speed derivative direction: c shifts by eps
     eps = 1e-4
     fit = evolve.modulation_fit(
-        prof60.u0 + eps * prof60.dc_u0, params01, 0.5, prof60.h
+        prof60.u0 + eps * dc_profile(prof60), params01, 0.5, prof60.h
     )
     assert abs((fit.c_star - params01.c) / eps - 1.0) <= 0.1
     assert abs(fit.gamma_star) <= 1e-6

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dpstab import WaveParams, dc_profile, solve_profile
+from dpstab import WaveParams, solve_profile
 from dpstab import kernel
 from dpstab.wave import ParameterError
 
@@ -186,7 +186,6 @@ def test_dQ_dc_positive_grid():
     for c in (0.5, 1.0, 2.0):
         for k in (c / 20, c / 8, c / 5):
             prof = solve_profile(WaveParams(k, c), L=44.0, h=0.05)
-            dc_profile(prof)
             b = kernel.kernel_basis(prof, 0.5 * prof.consts.alpha_crit)
             assert b.theta1 > 0
 
@@ -202,12 +201,6 @@ def test_alpha_gate(prof01):
     for bad in (0.0, ac, 1.1 * ac, -0.1):
         with pytest.raises(ParameterError):
             kernel.kernel_basis(prof01, bad)
-
-
-def test_basis_cached(prof01):
-    a = kernel.kernel_basis(prof01, 0.5 * prof01.consts.alpha_crit)
-    b = kernel.kernel_basis(prof01, 0.5 * prof01.consts.alpha_crit)
-    assert a is b
 
 
 def test_left_mode_tails(prof01):

@@ -148,37 +148,33 @@ def test_u_max_monotone_in_speed():
 
 def test_dc_profile_center_value_and_symmetry(prof01):
     # d/dc of the crest height: 1 - sqrt(k/c)/2
-    assert prof01.dc_u0 is not None
-    i0 = prof01.i0
-    assert abs(prof01.dc_u0[i0] - 0.8418861169915811) < 1e-9
-    assert np.array_equal(prof01.dc_u0, prof01.dc_u0[::-1])
-    assert abs(prof01.dc_u0[-1]) < 1e-10
-
-
-def test_dc_profile_is_stored_and_reused(params01):
-    p = solve_profile(params01, L=30.0, h=0.05)
-    assert p.dc_u0 is None
-    d = dc_profile(p)
-    assert p.dc_u0 is d and dc_profile(p) is d
-    assert np.all(np.isfinite(d))
+    dc = dc_profile(prof01)
+    assert abs(dc[prof01.i0] - 0.8418861169915811) < 1e-9
+    assert np.array_equal(dc, dc[::-1])
+    assert abs(dc[-1]) < 1e-10
 
 
 def test_replaced_profile_starts_fresh_caches(params01):
     # a profile rebuilt by dataclasses.replace for another wave must not
-    # answer from the caches or the speed derivative of the original
+    # answer from the half-step samples of the original, and nothing
+    # derived from it may be the original's
     p = solve_profile(params01, L=30.0, h=0.05)
     q = solve_profile(WaveParams(0.1, 1.2), L=30.0, h=0.05)
+    mu_p = wave.half_step_samples(p, 2)["mu"]
     rho_p = evolve._spectral_radius(p, 0.5)
     theta_p = kernel.kernel_basis(p, 0.5).theta1
     fields = ("params", "u0", "u0_p", "u0_pp", "u0_ppp", "u0_pppp", "mu")
     r = dataclasses.replace(p, **{name: getattr(q, name) for name in fields})
-    assert r._cache == {} and r.dc_u0 is None
+    mu_r = wave.half_step_samples(r, 2)["mu"]
+    assert np.array_equal(mu_r, wave.half_step_samples(q, 2)["mu"])
+    assert np.abs(mu_r - mu_p).max() > 0.1
+    assert np.array_equal(dc_profile(r), dc_profile(q))
     assert evolve._spectral_radius(r, 0.5) == evolve._spectral_radius(q, 0.5)
     assert kernel.kernel_basis(r, 0.5).theta1 == kernel.kernel_basis(q, 0.5).theta1
     assert abs(evolve._spectral_radius(r, 0.5) - rho_p) > 10.0
     assert abs(kernel.kernel_basis(r, 0.5).theta1 - theta_p) > 0.5
     with pytest.raises(ValueError):
-        dataclasses.replace(p, _cache={})
+        dataclasses.replace(p, _half_steps={})
 
 
 def test_dc_profile_matches_finite_difference_route(params01):
