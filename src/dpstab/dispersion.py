@@ -89,6 +89,8 @@ def char_coeffs(lam: complex, params: WaveParams) -> np.ndarray:
 
 def char_roots(lam: complex, params: WaveParams) -> np.ndarray:
     """The three spatial roots, deterministically ordered by (Re, Im)."""
+    if not np.isfinite(lam):
+        raise ParameterError(f"lambda must be finite, got {lam}")
     rts = np.roots(char_coeffs(lam, params))
     return rts[np.lexsort((rts.imag, rts.real))]
 

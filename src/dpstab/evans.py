@@ -217,8 +217,8 @@ def circle_contour(center: complex = 0.0, radius: float = 0.05, n: int = 64,
     a circle with a real center is exactly closed under conjugation (except
     a node at angle pi, whose sine is not exactly 0).
     """
-    if radius <= 0 or n < 8:
-        raise ParameterError("need radius > 0 and at least 8 nodes")
+    if not (np.isfinite(center) and 0 < radius < np.inf and n >= 8):
+        raise ParameterError("need a finite center, finite radius > 0 and n >= 8 nodes")
     j = np.arange(n)
     th = orientation * 2.0 * np.pi * np.where(2 * j > n, j - n, j) / n
     center = complex(center)
@@ -228,8 +228,12 @@ def circle_contour(center: complex = 0.0, radius: float = 0.05, n: int = 64,
 def rectangle_contour(re_min: float, re_max: float, im_abs: float,
                       density: float = 8.0) -> np.ndarray:
     """Counterclockwise rectangle [re_min, re_max] x [-im_abs, im_abs]."""
+    if not np.all(np.isfinite([re_min, re_max, im_abs])):
+        raise ParameterError("rectangle edges must be finite")
     if re_min >= re_max or im_abs <= 0:
         raise ParameterError("degenerate rectangle")
+    if not 0 < density < np.inf:
+        raise ParameterError(f"density must be finite and positive, got {density}")
 
     def side(z0, z1):
         # integer weights make mirrored sides exact conjugates of each other;

@@ -131,7 +131,7 @@ def causal_exp_conv(g, rate, h: float, start=0.0) -> np.ndarray:
 def _tail_moment(g0: float, g1: float, m: float, h: float) -> float:
     # closes int over the half line beyond the boundary node assuming the
     # local exponential profile fitted from the outermost two samples
-    if g0 == 0.0 or not np.isfinite(g0):
+    if g0 == 0.0:
         return 0.0
     ratio = g1 / g0
     rho = np.log(ratio) / h if ratio > 0 else 0.0
@@ -147,6 +147,8 @@ def helmholtz_solve(g, msq: int, h: float) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.ndim != 1 or g.size < 8:
         raise ParameterError("g must be a 1-d grid function with at least 8 samples")
+    if not np.isfinite(g).all():
+        raise ParameterError("samples must be finite")
     m, h = float(np.sqrt(msq)), _spacing(h)
     left = causal_exp_conv(g, m, h, _tail_moment(g[0], g[1], m, h))
     g = g[::-1]
@@ -206,6 +208,9 @@ def conserved(params, h: float, u=None, m=None) -> ConservedValues:
     if (u is None) == (m is None):
         raise ParameterError("pass exactly one of u or m")
     k = params.k
+    # the spectral route from u would meet a non-finite sample before any check
+    if not np.isfinite(u if m is None else m).all():
+        raise ParameterError("samples must be finite")
     if m is None:
         u = np.asarray(u, dtype=float)
         m = k + spectral_multiplier(u - k, h, lambda s: 1.0 + s * s)
@@ -244,7 +249,7 @@ class KernelBasis:
 
 
 def kernel_basis(profile: Profile, alpha: float) -> KernelBasis:
-    """Build the kernel basis on the profile grid for 0 < alpha < alpha_crit.
+    """The kernel basis on the profile grid for 0 < alpha < alpha_crit, built per call.
 
     The strict lower bound matters: the unweighted left mode eta~_1 tends to
     a nonzero constant at +infinity, so only the weighted eta_1 is square
@@ -298,6 +303,8 @@ def project(f, basis: KernelBasis):
     f = np.asarray(f, dtype=float)
     if f.shape != basis.z1.shape:
         raise ParameterError("f is not on the basis grid")
+    if not np.isfinite(f).all():
+        raise ParameterError("samples must be finite")
     c1 = np.trapezoid(basis.eta1 * f, dx=basis.h)
     c2 = np.trapezoid(basis.eta2 * f, dx=basis.h)
     pf = c1 * basis.z1 + c2 * basis.z2

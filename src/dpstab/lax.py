@@ -176,6 +176,8 @@ def _rel_poly(lam: complex, M: complex, params: WaveParams) -> float:
 
 def l_roots(ksigma: complex, adjoint: bool = False) -> np.ndarray:
     """Roots of l^3 - l = k sigma (adjoint: = -k sigma), sorted by real part."""
+    if not np.isfinite(ksigma):
+        raise ParameterError(f"k sigma must be finite, got {ksigma}")
     rhs = -ksigma if adjoint else ksigma
     r = np.roots([1.0, 0.0, -1.0, -rhs])
     return r[np.lexsort((r.imag, r.real))]

@@ -165,6 +165,9 @@ def test_criterion_06_kernel_projection(prof60, report):
 
 def test_criterion_07_linear_decay(prof01, report):
     cert = evans.certify_eta(prof01, 0.5)
+    # every keyhole up to eta = 7 gap/8 winds zero times
+    certified = (cert["windings"] == [0] * 7
+                 and abs(cert["certified_eta"] - 7 * cert["gap"] / 8) < 1e-12)
     threshold = -0.8 * min(0.25, cert["certified_eta"])
     rng = np.random.default_rng(7)
     w0 = rng.standard_normal(prof01.xi.size)
@@ -172,10 +175,11 @@ def test_criterion_07_linear_decay(prof01, report):
     traj = evolve.linear_evolve(w0, prof01, 0.5, T=25.0)
     rate = evolve.decay_rate(traj)
     drift = max(np.max(np.abs(traj.ip_eta1)), np.max(np.abs(traj.ip_eta2)))
-    ok = rate <= threshold and drift <= 1e-6 * norm0
+    ok = certified and rate <= threshold and drift <= 1e-6 * norm0
     assert report(7, ok, f"fitted slope {rate:.4f} vs threshold "
                    f"{threshold:.4f} (certified eta "
-                   f"{cert['certified_eta']:.5f}), kernel pairing drift "
+                   f"{cert['certified_eta']:.5f} = 7 gap/8, windings "
+                   f"{cert['windings']}), kernel pairing drift "
                    f"{drift / norm0:.1e} of the data norm (tol 1e-6)")
 
 

@@ -353,6 +353,24 @@ def test_only_cli_touches_files():
     assert {name: found for name, found in access.items() if found} == {}
 
 
+def _private_attributes(source: str) -> set:
+    """Names of the non-dunder attributes read or written as x._name."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and not node.attr.endswith("__")}
+
+
+def test_only_wave_touches_profile_cache():
+    # the profile's one cache belongs to wave.half_step_samples: no other
+    # module reaches into a private attribute, so none can keep its own
+    # per-profile state
+    assert _private_attributes("profile._cache[key] = basis") == {"_cache"}
+    src = Path(cli.__file__).parent
+    found = {p.name: _private_attributes(p.read_text(encoding="utf-8"))
+             for p in sorted(src.glob("*.py")) if p.name != "wave.py"}
+    assert {name: attrs for name, attrs in found.items() if attrs} == {}
+
+
 def test_import_leaves_heavy_scipy_subpackages_out():
     # each of these pulls in dozens of modules that no command uses
     heavy = ("scipy.signal", "scipy.stats", "scipy.ndimage", "scipy.interpolate",

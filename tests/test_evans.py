@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dpstab import _backend, evans, lax
-from dpstab.dispersion import spectral_gap
+from dpstab.dispersion import classify_roots, spectral_gap
+from dpstab.evolve import free_green
 from dpstab.wave import (ParameterError, SolverError, WaveParams, half_step_samples,
                          solve_profile)
 
@@ -77,6 +78,55 @@ def test_degenerate_contour_rejected(prof01, contour):
         evans.winding_count(contour, prof01, 0.5)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: evans.circle_contour(NAN, 0.05, 16),
+    lambda: evans.circle_contour(complex(0.0, INF), 0.05, 16),
+    lambda: evans.circle_contour(0.0, NAN, 16),
+    lambda: evans.circle_contour(0.0, INF, 16),
+    lambda: evans.rectangle_contour(NAN, 1.0, 1.0),
+    lambda: evans.rectangle_contour(-1.0, INF, 1.0),
+    lambda: evans.rectangle_contour(-1.0, 1.0, NAN),
+    lambda: evans.rectangle_contour(-1.0, 1.0, 1.0, density=INF),
+    lambda: evans.rectangle_contour(-1.0, 1.0, 1.0, density=NAN),
+    lambda: evans.rectangle_contour(-1.0, 1.0, 1.0, density=0.0),
+    lambda: evans.keyhole_contour(-INF, 1.0, 1.0),
+    lambda: evans.keyhole_contour(-1.0, 1.0, 1.0, density=INF),
+    lambda: evans.keyhole_contour(-1.0, 1.0, 1.0, hole_radius=NAN),
+    lambda: evans.keyhole_contour(-1.0, 1.0, 1.0, hole_center=complex(NAN, 0.0)),
+], ids=["circle-center-nan", "circle-center-inf", "circle-radius-nan", "circle-radius-inf",
+        "rect-re_min-nan", "rect-re_max-inf", "rect-im_abs-nan", "rect-density-inf",
+        "rect-density-nan", "rect-density-0", "keyhole-re_min-inf", "keyhole-density-inf",
+        "keyhole-hole_radius-nan", "keyhole-hole_center-nan"])
+def test_contour_builders_reject_bad_geometry(build):
+    with pytest.raises(ParameterError):
+        build()
+
+
+def _winding_with_node(lam, prof):
+    loop = evans.circle_contour(1.0, 0.1, 8)
+    loop[3] = lam
+    return evans.winding_count(loop, prof, 0.5)
+
+
+# every library entry point that reaches np.roots with a lambda (or sigma)
+@pytest.mark.parametrize("lam", [NAN, INF, complex(NAN, 1.0)], ids=["nan", "inf", "nan+1j"])
+@pytest.mark.parametrize("entry", [
+    lambda lam, prof: evans.evans_eval(lam, prof, 0.5),
+    _winding_with_node,
+    lambda lam, prof: lax.m_cubic(lam, prof.params),
+    lambda lam, prof: lax.lax_solve(lam, prof, 1.0, "+"),
+    lambda lam, prof: classify_roots(lam, 0.5, prof.params),
+    lambda lam, prof: free_green(lam, 0.5, prof.params),
+], ids=["evans_eval", "winding_count", "m_cubic", "lax_solve", "classify_roots",
+        "free_green"])
+def test_non_finite_lambda_rejected(prof01, entry, lam):
+    with pytest.raises(ParameterError, match="finite"):
+        entry(lam, prof01)
+
+
 def _perturb_node(monkeypatch, node, bump):
     """Make evans_batch return D (1 + bump(nsub)) at node; records (nsub, B)."""
     batch = evans.evans_batch
@@ -114,12 +164,6 @@ def test_error_control_failure_returns_no_count(prof01, monkeypatch):
 def test_winding_away_from_zero(prof01):
     res = evans.winding_count(evans.circle_contour(1.0, 0.1, 32), prof01, alpha=0.0)
     assert res.winding == 0
-
-
-def test_certify_eta(prof01):
-    cert = evans.certify_eta(prof01, 0.5)
-    assert cert["windings"] == [0] * 7
-    assert abs(cert["certified_eta"] - 7 * cert["gap"] / 8) < 1e-12
 
 
 def test_cauchy_riemann(prof01):

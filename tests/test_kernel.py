@@ -162,6 +162,20 @@ def test_conserved_argument_check(params01):
         kernel.conserved(params01, 0.02, u=np.zeros(16), m=np.zeros(16))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("entry", [
+    lambda g, prof, params: kernel.helmholtz_solve(g, 1, prof.h),
+    lambda g, prof, params: kernel.project(g, kernel.kernel_basis(prof, 0.5)),
+    lambda g, prof, params: kernel.conserved(params, prof.h, u=params.k + g),
+    lambda g, prof, params: kernel.conserved(params, prof.h, m=params.k + g),
+], ids=["helmholtz_solve", "project", "conserved_u", "conserved_m"])
+def test_non_finite_samples_rejected(prof01, params01, entry, bad):
+    g = np.exp(-prof01.xi ** 2)
+    g[prof01.i0 + 7] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        entry(g, prof01, params01)
+
+
 def test_theta_anchors(prof01):
     b = kernel.kernel_basis(prof01, 0.5 * prof01.consts.alpha_crit)
     assert abs(b.theta1 - THETA1_01) <= 1e-8
