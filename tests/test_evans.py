@@ -166,6 +166,12 @@ def test_winding_away_from_zero(prof01):
     assert res.winding == 0
 
 
+def test_certify_eta(prof01):
+    cert = evans.certify_eta(prof01, 0.5)
+    assert cert["windings"] == [0] * 7
+    assert abs(cert["certified_eta"] - 7 * cert["gap"] / 8) < 1e-12
+
+
 def test_cauchy_riemann(prof01):
     lam, h = 0.8 + 0.3j, 1e-4
     ev = lambda z: evans.evans_eval(z, prof01, 0.5).value
