@@ -2,7 +2,8 @@
 
 The linearized flow steps the rfft half-spectrum of its state (two real
 transforms per RK4 stage); the nonlinear flow steps the momentum on the grid
-(one forward and three inverse real transforms per stage).  Each flow is run
+(per stage, one forward real transform of m - k and one stacked inverse
+transform of its three multiples u - k, u' and m').  Each flow is run
 to T1 = 2.5 and to T2 = 5 with two records and no kernel projection, and the
 time per step is (t(T2) - t(T1)) / (n2 - n1): the set-up of a run (kernel
 basis, spectral radius, symbols) is the same at both lengths and cancels.

@@ -25,10 +25,11 @@ linearized and nonlinear flows are classical RK4 on one validated schedule,
 the step chosen against a measured spectral radius or the advective bound.
 A_alpha has one discretization, on the rfft half-spectrum (`_spectral_rhs`):
 the linearized flow steps it at two real transforms per RK4 stage, and
-`apply_linearized` and the step bound apply it on the grid through
-`kernel.real_spectral_map`.  The nonlinear flow steps the momentum on the grid.
-Nonlinear runs apply a mild exponential filter exp(-36 theta^36) on the top
-eighth of modes (theta ramps 0 to 1 across that band) unless disabled.
+`apply_linearized` and the step bound apply it through `kernel.real_spectral_map`.
+The nonlinear flow steps the momentum on the grid, per stage one forward transform
+of m - k and one 3-row inverse to u - k, u' and m'.  Nonlinear runs apply a mild
+exponential filter exp(-36 theta^36) on the top eighth of modes (theta ramps 0
+to 1 across that band) unless disabled.
 """
 from __future__ import annotations
 
@@ -82,25 +83,25 @@ def l2_norm(w, h: float) -> float:
 
 def _spectral_rhs(profile: Profile, alpha: float, n: int, adjoint: bool = False):
     """v -> rfft(A irfft(v, n)), A = A_alpha or its L^2 adjoint, for the rfft
-    half-spectrum v of a real function on the first n profile nodes: two real
-    transforms.  With p = d (4 - d^2)/(1 - d^2) and q = d/(1 - d^2), A_alpha =
-    p (c - u0) - 3c q at d = i sigma - alpha, its adjoint (c - u0) p - 3c q at
-    d = -i sigma - alpha.  The DC and (n even) Nyquist imaginary parts, which
-    irfft discards, are zeroed, so an RK4 march on v stays the grid march's."""
+    half-spectrum v (or a stack of them) of a real function on the first n
+    profile nodes: two real transforms.  With p = d (4 - d^2)/(1 - d^2), q =
+    d/(1 - d^2), A_alpha = p (c - u0) - 3c q at d = i sigma - alpha, its adjoint
+    (c - u0) p - 3c q at d = -i sigma - alpha.  The DC and (n even) Nyquist
+    imaginary parts, which irfft discards, are zeroed: a march on v is the grid's."""
     c = profile.params.c
     cmu = c - profile.u0[:n]
     sig = kernel.rfft_sigma(n, profile.h)
     d = (-1j if adjoint else 1j) * sig - alpha
     p = d * (4.0 - d * d) / (1.0 - d * d)
     q3 = 3.0 * c * d / (1.0 - d * d)
-    real_modes = np.array([0, n // 2] if n % 2 == 0 else [0])
+    real_modes = slice(0, None, n // 2 if n % 2 == 0 else n)  # 0 and (n even) n/2
 
     def rhs(v):
         if adjoint:
             out = rfft(cmu * irfft(p * v, n)) - q3 * v
         else:
             out = p * rfft(cmu * irfft(v, n)) - q3 * v
-        out.imag[real_modes] = 0.0
+        out.imag[..., real_modes] = 0.0
         return out
 
     return rhs
@@ -442,15 +443,11 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
     m = m[:n]
     sig = kernel.rfft_sigma(n, h)
     inv_helm = 1.0 / (1.0 + sig * sig)
-    dsym = 1j * sig
-    dsym_inv_helm = dsym * inv_helm
+    syms = np.array([inv_helm, 1j * sig * inv_helm, 1j * sig])
     filt = _exp_filter(sig) if filter_modes else None
 
     def rhs(mm):
-        mk = rfft(mm - k)
-        u_k = irfft(inv_helm * mk, n)
-        ux = irfft(dsym_inv_helm * mk, n)
-        mx = irfft(dsym * mk, n)
+        u_k, ux, mx = irfft(syms * rfft(mm - k), n)
         return -(u_k + k - c) * mx - 3.0 * ux * mm
 
     u0_k = irfft(inv_helm * rfft(m - k), n)

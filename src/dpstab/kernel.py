@@ -178,12 +178,14 @@ class ConservedValues:
 
 
 def real_spectral_map(w, f) -> np.ndarray:
-    """irfft(f(rfft(w)), w.size), the periodic grid map acting as f on the
-    real-FFT half-spectrum; a complex w is mapped by its real and imaginary parts."""
+    """irfft(f(rfft(w)), w.shape[-1]), the periodic grid map acting as f on the
+    real-FFT half-spectrum of each row of w, all rows in one transform pair; a
+    complex w is mapped as one 2-row stack of its real and imaginary parts."""
     w = np.asarray(w)
     if np.iscomplexobj(w):
-        return real_spectral_map(w.real, f) + 1j * real_spectral_map(w.imag, f)
-    return irfft(f(rfft(w)), w.size)
+        re, im = irfft(f(rfft(np.stack([w.real, w.imag]))), w.shape[-1])
+        return re + 1j * im
+    return irfft(f(rfft(w)), w.shape[-1])
 
 
 def rfft_sigma(n: int, h: float) -> np.ndarray:

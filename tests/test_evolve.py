@@ -422,6 +422,60 @@ def test_spectral_rhs_matches_physical_operator(prof60):
                 assert out.imag[-1] == 0.0
 
 
+def test_stacked_rows_map_exactly(prof60):
+    # one transform pair over stacked rows gives each row's own map bit for bit
+    rng = np.random.default_rng(7)
+    size = prof60.xi.size
+    for n in (size, size - 1):
+        w = rng.standard_normal((3, n))
+        v = np.fft.rfft(w[:2])
+        for adjoint in (False, True):
+            rhs = evolve._spectral_rhs(prof60, 0.5, n, adjoint)
+            assert np.array_equal(kernel.real_spectral_map(w, rhs),
+                                  [kernel.real_spectral_map(row, rhs) for row in w])
+            z = w[0] + 1j * w[1]
+            assert np.array_equal(
+                kernel.real_spectral_map(z, rhs),
+                kernel.real_spectral_map(z.real, rhs)
+                + 1j * kernel.real_spectral_map(z.imag, rhs))
+            assert np.array_equal(rhs(v), [rhs(row) for row in v])
+
+
+def _transforms_per_step(run):
+    """evolve's rfft and irfft calls per RK4 step of run(T), from runs of n
+    and 2n steps with the same records, so set-up and records cancel."""
+    calls = {}
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("rfft", "irfft"):
+            def counted(*args, _name=name, _fn=getattr(evolve, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            mp.setattr(evolve, name, counted)
+        for T in (0.1, 0.2):
+            calls.update(rfft=0, irfft=0)
+            traj = run(T)
+            runs.append((round(traj.T / traj.dt), dict(calls)))
+    (n1, c1), (n2, c2) = runs
+    assert n2 == 2 * n1
+    return {name: (c2[name] - c1[name]) / n1 for name in c1}
+
+
+def test_transforms_per_step(params01, prof01):
+    # the linear flow: one inverse and one forward transform per stage
+    w0 = np.exp(-(prof01.xi - 2.0) ** 2 / 2.0)
+    assert _transforms_per_step(lambda T: evolve.linear_evolve(
+        w0, prof01, 0.5, T, dt=0.01, project_out=False, n_records=2)
+    ) == {"rfft": 4, "irfft": 4}
+    # the nonlinear flow: one forward and one stacked inverse transform per
+    # stage, and a transform pair for the filter
+    xi = _grid(10.0, 0.1)
+    m0 = params01.k + np.exp(-xi ** 2 / 2.0)
+    assert _transforms_per_step(lambda T: evolve.nonlinear_evolve(
+        m0, params01, T, 0.1, dt=0.01, n_records=2)
+    ) == {"rfft": 5, "irfft": 5}
+
+
 def test_spectral_march_matches_physical_rk4(prof60):
     w0 = np.exp(-prof60.xi ** 2 / 16.0) * (1.0 + 0.2 * np.cos(2.3 * prof60.xi))
     h, T = prof60.h, 0.2
