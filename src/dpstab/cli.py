@@ -92,7 +92,7 @@ _TABLES = {
         "density": _Opt(float, 8.0, "rectangle nodes per unit length"),
         **_GRID,
         "nsub": _Opt(int, None, "fixed integration substeps per grid cell; default: "
-                      "error-controlled, nsub 1 and 2 refined per node up to 16"),
+                      "error-controlled, steps 2h and h refined per node up to nsub 16"),
         **_out("winding"), **_CONFIG,
     },
     "lax": {

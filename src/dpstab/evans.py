@@ -41,7 +41,7 @@ __all__ = [
 
 _SEP_TOL = 1e-8
 
-# error control of winding counts: tolerance on e_j/|D_j|, first and finest nsub
+# error control of winding counts: tolerance on e/|D_n|, first kept and finest nsub
 _TAU = 1e-2
 _NSUB_BASE = 1
 _NSUB_CAP = 16
@@ -69,8 +69,9 @@ class EvansSample:
 @dataclass(frozen=True)
 class WindingResult:
     """Winding of D along one or more oriented loops (summed); err_ratio is the
-    largest estimate e_j/|D_j| of an error-controlled count (None for a fixed
-    march), nsub_max the finest nsub any node needed."""
+    largest estimate e/|D_n| of an error-controlled count, which bounds the
+    unextrapolated D_n, and nsub_max the finest nsub any node needed (1 when
+    the first check sufficed); a fixed march has err_ratio None."""
 
     winding: int
     min_abs_D: float
@@ -129,11 +130,11 @@ def _launch(lam: complex, alpha: float, params) -> tuple:
     return s1, v, w / norm
 
 
-def _meet_index(arrays: dict, meet: float, L: float) -> tuple[int, int]:
-    hs = arrays["hs"]
-    n = arrays["n"]
-    jd = round((L - meet) / hs)
-    ja = 2 * n - jd
+def _meet_index(arrays: dict, meet: float, L: float, stride: int) -> tuple[int, int]:
+    """Steps of the descending and ascending marches at step stride * hs: to the
+    node nearest meet, or for stride 2 to the coarse node at or just above it."""
+    jd = round((L - meet) / arrays["hs"]) // stride
+    ja = 2 * arrays["n"] // stride - jd
     if jd < 1 or ja < 1:
         raise ParameterError(f"meeting point {meet} outside the open interval (-L, L)")
     return jd, ja
@@ -165,11 +166,19 @@ def evans_batch(lams, profile: Profile, alpha: float = 0.0, nsub: int = 10,
     equals `evans_eval` at its lambda bit for bit, because the march treats
     each lambda independently of the batch it comes in.
     """
+    return _march(lams, profile, alpha, nsub, meet, 1)
+
+
+def _march(lams, profile: Profile, alpha: float, nsub: int, meet: float,
+           stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """`evans_batch` at step stride * h / nsub, marched over every stride-th
+    half-step sample at nsub, so stride 2 evaluates no new profile points."""
     if not 0.0 <= alpha < 1.0:
         raise ParameterError(f"weight must satisfy 0 <= alpha < 1, got {alpha}")
     reps, index, mirrored = _fold_conjugates(np.asarray(lams, dtype=complex).ravel())
     arrays = half_step_samples(profile, nsub)
-    jd, ja = _meet_index(arrays, meet, profile.L)
+    jd, ja = _meet_index(arrays, meet, profile.L, stride)
+    hs = stride * arrays["hs"]
     B = len(reps)
     shifts = np.empty(B, dtype=complex)
     vplus = np.empty((B, 3), dtype=complex)
@@ -177,10 +186,10 @@ def evans_batch(lams, profile: Profile, alpha: float = 0.0, nsub: int = 10,
     for i, lam in enumerate(reps):
         shifts[i], vplus[i], wminus[i] = _launch(lam, alpha, profile.params)
     # X+ marched down from +L and Y- up from -L, each to the meeting point
-    X = _backend.shoot_final(*(p[:2 * jd + 1] for p in arrays["desc"]), reps, alpha,
-                             shifts, vplus, arrays["hs"], -1.0, False)
-    Y = _backend.shoot_final(*(p[:2 * ja + 1] for p in arrays["asc"]), reps, alpha,
-                             shifts, wminus, arrays["hs"], 1.0, True)
+    X = _backend.shoot_final(*(p[:2 * stride * jd + 1:stride] for p in arrays["desc"]),
+                             reps, alpha, shifts, vplus, hs, -1.0, False)
+    Y = _backend.shoot_final(*(p[:2 * stride * ja + 1:stride] for p in arrays["asc"]),
+                             reps, alpha, shifts, wminus, hs, 1.0, True)
     D = np.sum(X * Y, axis=1)
     if not np.all(np.isfinite(D)):
         raise SolverError(f"shooting overflowed at lambda={reps[~np.isfinite(D)][0]}")
@@ -294,22 +303,28 @@ def _loop_winding(nodes: np.ndarray, evalf) -> tuple[int, np.ndarray, np.ndarray
 
 
 def _controlled_batch(nodes: np.ndarray, profile: Profile, alpha: float, stats: dict):
-    """D at nodes: each node's D_2n at the first n = _NSUB_BASE, 2n, ... with
-    e_j = |D_2n - D_n|/15 <= _TAU |D_2n|; stats keep the largest e_j/|D_j| and nsub."""
+    """D at nodes by step doubling: at n = 1, 2, 4, ... each node's D_n is checked
+    against D_n/2 (at n = 1 the march at step 2h over the nsub-1 samples) and
+    the node keeps D_n + (D_n - D_n/2)/15 once e = |D_n - D_n/2|/15 <= _TAU |D_n|;
+    stats keep the largest e/|D_n| and the finest n."""
     todo, n = np.arange(len(nodes)), _NSUB_BASE
-    coarse = evans_batch(nodes, profile, alpha, n)[0]
+    coarse = _march(nodes, profile, alpha, n, 0.0, 2)[0]
     vals, worst = np.empty_like(coarse), 0.0
-    while todo.size:
+    while True:
+        fine = evans_batch(nodes[todo], profile, alpha, n)[0]
+        diff = (fine - coarse) / 15.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.abs(diff) / np.abs(fine)
+        ok = ratio <= _TAU
+        vals[todo[ok]] = fine[ok] + diff[ok]
+        worst = max(worst, float(ratio[ok].max(initial=0.0)))
+        todo, coarse = todo[~ok], fine[~ok]
+        if not todo.size:
+            break
         if 2 * n > _NSUB_CAP:
             raise SolverError(f"Evans error control failed at lambda={nodes[todo[0]]} and "
-                              f"{todo.size - 1} more: |D_{n} - D_{n // 2}|/15 > {_TAU} |D|")
-        fine = evans_batch(nodes[todo], profile, alpha, 2 * n)[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(fine - coarse) / (15.0 * np.abs(fine))
-        ok = ratio <= _TAU
-        vals[todo[ok]] = fine[ok]
-        worst = max(worst, float(ratio[ok].max(initial=0.0)))
-        todo, coarse, n = todo[~ok], fine[~ok], 2 * n
+                              f"{todo.size - 1} more: |D_{n} - D_{n / 2:g}|/15 > {_TAU} |D_{n}|")
+        n *= 2
     stats["err_ratio"] = max(stats["err_ratio"], worst)
     stats["nsub_max"] = max(stats["nsub_max"], n)
     return vals
@@ -321,10 +336,11 @@ def winding_count(contour, profile: Profile, alpha: float = 0.0,
 
     Refines each loop by midpoint insertion, at most 14 passes, until phase
     steps are below pi/2, then sums the unwrapped increments.  By default
-    (nsub=None) every node is marched at nsub 1 and 2 and kept when the RK4
-    error estimate |D_2 - D_1|/15 is at most 1e-2 |D|; other nodes are
-    re-marched at 2/4, 4/8, 8/16, past which SolverError is raised.  An
-    integer nsub marches every node at that fixed resolution.
+    (nsub=None) every node is marched at step 2h and h (nsub 1) on the
+    profile grid, and keeps the Richardson value D_1 + (D_1 - D_1/2)/15 when
+    the RK4 error estimate |D_1 - D_1/2|/15 is at most 1e-2 |D_1|; other
+    nodes climb to nsub 2/1, 4/2, 8/4, 16/8, past which SolverError is
+    raised.  An integer nsub marches every node at that fixed resolution.
     """
     loops = [np.asarray(contour, dtype=complex)] if isinstance(
         contour, np.ndarray) else [np.asarray(c, dtype=complex) for c in contour]

@@ -195,8 +195,9 @@ def rfft_sigma(n: int, h: float) -> np.ndarray:
 
 
 def spectral_multiplier(w, h: float, mult) -> np.ndarray:
-    """The periodic multiplier mult(sigma) on the grid of spacing h."""
-    sym = mult(rfft_sigma(np.size(w), h))
+    """The periodic multiplier mult(sigma) on the grid of spacing h, applied to
+    each row of w."""
+    sym = mult(rfft_sigma(np.shape(w)[-1], h))
     return real_spectral_map(w, lambda wk: sym * wk)
 
 

@@ -405,9 +405,9 @@ def test_winding_circle_counts_double_zero(tmp_path, capsys):
     meta = _read_json(out + ".json")
     assert meta["winding"] == 2
     assert meta["min_abs_D"] > 0.0
-    # error-controlled by default: nsub 1 and 2 sufficed at every node
+    # error-controlled by default: steps 2h and h sufficed at every node
     assert meta["config"]["nsub"] is None
-    assert 0.0 < meta["err_ratio"] <= 1e-2 and meta["nsub_max"] == 2
+    assert 0.0 < meta["err_ratio"] <= 1e-2 and meta["nsub_max"] == 1
 
 
 def test_winding_unknown_contour(tmp_path, capsys):

@@ -43,7 +43,7 @@ def _fixed_march_agrees(res, contour, prof):
     fixed = evans.winding_count(contour, prof, 0.5, nsub=10)
     assert fixed.winding == res.winding
     assert abs(res.min_abs_D - fixed.min_abs_D) <= 1e-6 * fixed.min_abs_D
-    assert res.err_ratio <= 1e-2 and res.nsub_max == 2
+    assert res.err_ratio <= 1e-2 and res.nsub_max == 1
     assert fixed.err_ratio is None and fixed.nsub_max == 10
     return fixed
 
@@ -128,37 +128,38 @@ def test_non_finite_lambda_rejected(prof01, entry, lam):
 
 
 def _perturb_node(monkeypatch, node, bump):
-    """Make evans_batch return D (1 + bump(nsub)) at node; records (nsub, B)."""
-    batch = evans.evans_batch
+    """Make every Evans march return D (1 + bump(m)) at node, where the step is
+    h/m (m = 1/2 for the stride-2 march); records (m, B)."""
+    march = evans._march
     calls = []
 
-    def perturbed(lams, profile, alpha, nsub, *rest):
-        D, ex = batch(lams, profile, alpha, nsub, *rest)
-        calls.append((nsub, len(lams)))
-        D[np.asarray(lams) == node] *= 1.0 + bump(nsub)
+    def perturbed(lams, profile, alpha, nsub, meet, stride):
+        D, ex = march(lams, profile, alpha, nsub, meet, stride)
+        calls.append((nsub / stride, len(lams)))
+        D[np.asarray(lams) == node] *= 1.0 + bump(nsub / stride)
         return D, ex
 
-    monkeypatch.setattr(evans, "evans_batch", perturbed)
+    monkeypatch.setattr(evans, "_march", perturbed)
     return calls
 
 
 def test_error_control_remarches_a_bad_node(prof01, monkeypatch):
     # a coarse value off by 0.5 |D| gives e = 0.5 |D| / 15 > 1e-2 |D|
     loop = evans.circle_contour(0.0, 0.05, 64)
-    calls = _perturb_node(monkeypatch, loop[5], lambda nsub: 0.5 if nsub == 1 else 0.0)
+    calls = _perturb_node(monkeypatch, loop[5], lambda m: 0.5 if m == 0.5 else 0.0)
     res = evans.winding_count(loop, prof01, 0.5)
     assert res.winding == 2
-    assert res.nsub_max == 4 and res.err_ratio <= 1e-2
-    assert calls == [(1, 64), (2, 64), (4, 1)]
+    assert res.nsub_max == 2 and res.err_ratio <= 1e-2
+    assert calls == [(0.5, 64), (1, 64), (2, 1)]
 
 
 def test_error_control_failure_returns_no_count(prof01, monkeypatch):
     # values that do not converge as nsub grows fail at every level
     loop = evans.circle_contour(0.0, 0.05, 64)
-    calls = _perturb_node(monkeypatch, loop[5], lambda nsub: 0.3 * nsub)
+    calls = _perturb_node(monkeypatch, loop[5], lambda m: 0.5 * m)
     with pytest.raises(SolverError, match="error control failed"):
         evans.winding_count(loop, prof01, 0.5)
-    assert [c[0] for c in calls] == [1, 2, 4, 8, 16]
+    assert [c[0] for c in calls] == [0.5, 1, 2, 4, 8, 16]
 
 
 def test_winding_away_from_zero(prof01):
@@ -426,7 +427,7 @@ def test_conjugate_pairs_marched_once(prof01, monkeypatch):
 
 def test_launch_data_once_per_node(prof01, monkeypatch):
     # the error-controlled count marches the 33 distinct lambda of the
-    # default circle at nsub 1 and 2; the roots are found once per lambda
+    # default circle at step 2h and h; the roots are found once per lambda
     loop = evans.circle_contour(0.0, 0.05, 64)
     values = evans.winding_count(loop, prof01, 0.5).values[0]
     roots = []
@@ -441,7 +442,33 @@ def test_launch_data_once_per_node(prof01, monkeypatch):
     res = evans.winding_count(loop, prof01, 0.5)
     assert len(roots) == len(set(roots)) == 33
     assert np.array_equal(res.values[0], values)
-    assert res.err_ratio <= 1e-2 and res.nsub_max == 2
+    assert res.err_ratio <= 1e-2 and res.nsub_max == 1
+
+
+def test_error_control_work(prof01, monkeypatch):
+    # the 33 distinct lambda of the default circle are marched once at step 2h
+    # (1000 steps each way on L = 40, h = 0.02) and once at h (2000 each way)
+    loop = evans.circle_contour(0.0, 0.05, 64)
+    shoot_final = _backend.shoot_final
+    work = []
+
+    def counting(p0, p1, p2, pinv, lams, *rest):
+        work.append(len(lams) * ((len(p0) - 1) // 2))
+        return shoot_final(p0, p1, p2, pinv, lams, *rest)
+
+    monkeypatch.setattr(_backend, "shoot_final", counting)
+    res = evans.winding_count(loop, prof01, 0.5)
+    assert res.winding == 2 and res.nsub_max == 1
+    assert sum(work) == 33 * (2 * 1000 + 2 * 2000)
+
+
+def test_error_control_odd_grid(params01):
+    # L/h = 1499 is odd: the step-2h march meets at xi = h instead of 0
+    prof = solve_profile(params01, L=29.98, h=0.02)
+    loop = evans.circle_contour(0.0, 0.05, 64)
+    res = evans.winding_count(loop, prof, 0.5)
+    assert res.winding == 2 and res.nsub_max == 1
+    _fixed_march_agrees(res, loop, prof)
 
 
 def _marched_columns(nodes, prof, monkeypatch):

@@ -122,6 +122,16 @@ def test_b_apply_multiplier(prof01):
     assert np.max(np.abs(kernel.b_apply(g, h) - ref)) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [64, 65])
+def test_spectral_multiplier_maps_rows(n):
+    # the frequency grid follows the last axis, so a stack maps row by row
+    x = np.linspace(-3.0, 3.0, n)
+    w = np.stack([np.exp(-x ** 2), np.sin(x) * np.exp(-x ** 2), x * np.exp(-2 * x ** 2)])
+    mult = lambda s: 1.0 + s * s  # noqa: E731
+    assert np.array_equal(kernel.spectral_multiplier(w, 0.1, mult),
+                          [kernel.spectral_multiplier(row, 0.1, mult) for row in w])
+
+
 def test_conserved_background_zero(params01):
     u = np.full(4001, params01.k)
     cv = kernel.conserved(params01, 0.02, u=u)
