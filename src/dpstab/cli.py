@@ -276,20 +276,12 @@ def _emit(cfg: RunConfig, meta: dict, table: dict | None = None,
             fh.write("\n".join(lines) + "\n")
 
 
-def _trajectory_table(traj: evolve.EvolutionState) -> dict:
-    """Columns t, norm_w, ip_eta1, ip_eta2 (NaN when not projected), then
-    whichever of E, Q, H the run recorded."""
-    nan = np.full_like(traj.t, np.nan)
-    table = {
-        "t": traj.t,
-        "norm_w": traj.norm_w,
-        "ip_eta1": nan if traj.ip_eta1 is None else traj.ip_eta1,
-        "ip_eta2": nan if traj.ip_eta2 is None else traj.ip_eta2,
-    }
-    for name in ("E", "Q", "H"):
-        if name in traj.extra:
-            table[name] = traj.extra[name]
-    return table
+def _emit_trajectory(cfg: RunConfig, traj: evolve.EvolutionState, meta: dict,
+                     title: str) -> None:
+    """The artifacts of an evolve run: the sidecar's "solver" block is the
+    run's config, the CSV columns are t, norm_w and the flow's records."""
+    _emit(cfg, {"solver": traj.config, **meta},
+          {"t": traj.t, "norm_w": traj.norm_w, **traj.records}, title, logy=True)
 
 
 def _fmt_c(z: complex) -> str:
@@ -421,8 +413,7 @@ def _cmd_free_evolve(cfg: RunConfig) -> int:
     traj = evolve.free_evolve(w0, _params(o), o["alpha"], o["t_final"], o["h"],
                               n_records=o["n_records"])
     rate = evolve.decay_rate(traj)
-    _emit(cfg, {"decay_rate": rate}, _trajectory_table(traj),
-          "constant-background decay", logy=True)
+    _emit_trajectory(cfg, traj, {"decay_rate": rate}, "constant-background decay")
     print(f"decay rate = {rate:.6g}")
     return 0
 
@@ -435,8 +426,7 @@ def _cmd_linear_evolve(cfg: RunConfig) -> int:
                                 dt=o["dt"], project_out=not o["no_project"],
                                 n_records=o["n_records"])
     rate = evolve.decay_rate(traj)
-    _emit(cfg, {"solver": traj.config, "decay_rate": rate},
-          _trajectory_table(traj), "linearized decay", logy=True)
+    _emit_trajectory(cfg, traj, {"decay_rate": rate}, "linearized decay")
     print(f"decay rate = {rate:.6g}")
     return 0
 
@@ -451,11 +441,9 @@ def _cmd_nonlinear_evolve(cfg: RunConfig) -> int:
                                    dt=o["dt"],
                                    filter_modes=not o["no_filter"],
                                    n_records=o["n_records"])
-    drift = {key: float((traj.extra[key][-1] - traj.extra[key][0])
-                        / max(abs(traj.extra[key][0]), 1e-300))
-             for key in ("E", "Q", "H")}
-    _emit(cfg, {"solver": traj.config, "invariant_drift": drift},
-          _trajectory_table(traj), "nonlinear residual norm", logy=True)
+    drift = {key: float((v[-1] - v[0]) / max(abs(v[0]), 1e-300))
+             for key, v in traj.records.items()}
+    _emit_trajectory(cfg, traj, {"invariant_drift": drift}, "nonlinear residual norm")
     print("invariant drift: E {E:.3g}, Q {Q:.3g}, H {H:.3g}".format(**drift))
     return 0
 

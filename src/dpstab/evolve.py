@@ -19,9 +19,10 @@ composition are pinned by a manufactured-solution oracle in the tests rather
 than assumed.
 
 The three flows share one shape: datum, parameters, final time T, grid and
-n_records go in; an `EvolutionState` recorded at n_records times from 0 to T
-comes out.  The free flow is exact, one inverse transform per record; the
-linearized and nonlinear flows are classical RK4 on one validated schedule,
+n_records go in; an `EvolutionState` comes out: the norm and the flow's own
+named record columns at n_records times from 0 to T, and the final state.
+The free flow is exact, one inverse transform per record; the linearized
+and nonlinear flows are classical RK4 on one validated schedule,
 the step chosen against a measured spectral radius or the advective bound.
 A_alpha has one discretization, on the rfft half-spectrum (`_spectral_rhs`):
 the linearized flow steps it at two real transforms per RK4 stage, and
@@ -46,6 +47,7 @@ from .wave import (
     Profile,
     SolverError,
     WaveParams,
+    dc_profile,
     derived_constants,
     profile_w,
     solve_profile,
@@ -240,17 +242,18 @@ def resolvent_norm_scan(params: WaveParams, alpha: float, xs) -> dict:
 
 @dataclass
 class EvolutionState:
-    """Recorded time evolution: norms, kernel pairings, and the final state."""
+    """Record times t, norms norm_w, the final state w, the run's solver
+    settings, and the flow's own record columns aligned with t: ip_eta1 and
+    ip_eta2 = <eta_j, w(t)> for the linearized flow, the invariants E, Q and
+    H for the nonlinear flow, none for the free flow."""
 
     dt: float
     T: float
     t: np.ndarray
     norm_w: np.ndarray
-    ip_eta1: np.ndarray | None
-    ip_eta2: np.ndarray | None
     w: np.ndarray
     config: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
+    records: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(np.diff(self.t) <= 0.0):
@@ -321,19 +324,22 @@ def _schedule(T: float, n_records: int, dt: float | None, dt_safe: float,
     return nsteps, T / nsteps, record_at
 
 
-def _march(w, rhs, schedule: tuple, observe, after_step=None):
-    """RK4 over the schedule.  observe(t, w) returns the record row of the
-    state w at t = 0 and at every record step; after_step(w, t) may filter or
-    check each new state.  Returns the final state and the record columns."""
+def _march(w, rhs, schedule: tuple, observe, names: tuple, after_step=None):
+    """RK4 over the schedule.  observe(t, w) returns the record row (||w||,
+    *columns) of the state w at t = 0 and at every record step; after_step(w,
+    t) may filter or check each new state.  Returns the final state, the
+    record times, the norms and the {name: column} records."""
     nsteps, dt, record_at = schedule
-    rows = [observe(0.0, w)]
+    times, rows = [0.0], [observe(0.0, w)]
     for step in range(1, nsteps + 1):
         w = _rk4(w, dt, rhs)
         if after_step is not None:
             w = after_step(w, step * dt)
         if step in record_at:
+            times.append(step * dt)
             rows.append(observe(step * dt, w))
-    return w, np.array(rows).T
+    norms, *columns = np.array(rows).T
+    return w, np.array(times), norms, dict(zip(names, columns))
 
 
 def free_evolve(w0, params: WaveParams, alpha: float, T: float, h: float,
@@ -362,10 +368,8 @@ def free_evolve(w0, params: WaveParams, alpha: float, T: float, h: float,
         norms[i] = l2_norm(w, h)
     config = {"kind": "free", "k": params.k, "c": params.c, "alpha": alpha,
               "h": h, "n_fft": n, "T": T}
-    return EvolutionState(
-        dt=float(times[1] - times[0]), T=T, t=times, norm_w=norms,
-        ip_eta1=None, ip_eta2=None, w=w, config=config,
-    )
+    return EvolutionState(dt=float(times[1] - times[0]), T=T, t=times,
+                          norm_w=norms, w=w, config=config)
 
 
 def linear_evolve(w0, profile: Profile, alpha: float, T: float,
@@ -400,19 +404,19 @@ def linear_evolve(w0, profile: Profile, alpha: float, T: float,
         w = _closed(irfft(v, n))
         if not np.all(np.isfinite(w)):
             raise SolverError(f"linear evolution lost finiteness at t={t}")
-        return (t, l2_norm(w, h), float(np.trapezoid(basis.eta1 * w, dx=h)),
+        return (l2_norm(w, h), float(np.trapezoid(basis.eta1 * w, dx=h)),
                 float(np.trapezoid(basis.eta2 * w, dx=h)))
 
-    v, (t, norms, ip1, ip2) = _march(
-        rfft(w[:n]), _spectral_rhs(profile, alpha, n), schedule, observe)
+    v, t, norms, records = _march(rfft(w[:n]), _spectral_rhs(profile, alpha, n),
+                                  schedule, observe, ("ip_eta1", "ip_eta2"))
     dt = schedule[1]
     config = {
         "kind": "linear", "k": profile.params.k, "c": profile.params.c,
         "alpha": alpha, "L": profile.L, "h": h, "n_fft": n, "dt": dt, "T": T,
-        "projected": bool(project_out), "filter": None, "seed": None,
+        "projected": bool(project_out),
     }
-    return EvolutionState(dt=dt, T=T, t=t, norm_w=norms, ip_eta1=ip1,
-                          ip_eta2=ip2, w=_closed(irfft(v, n)), config=config)
+    return EvolutionState(dt=dt, T=T, t=t, norm_w=norms, w=_closed(irfft(v, n)),
+                          config=config, records=records)
 
 
 def _exp_filter(sig: np.ndarray) -> np.ndarray:
@@ -424,14 +428,16 @@ def _exp_filter(sig: np.ndarray) -> np.ndarray:
 
 def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
                      dt: float | None = None, filter_modes: bool = True,
-                     n_records: int = 201, snapshots: bool = False) -> EvolutionState:
+                     n_records: int = 201) -> EvolutionState:
     """Integrate the co-moving momentum flow m_t = -(u - c) m' - 3 u' m.
 
     m0 lives on a closed grid of odd length N; the flow runs on the periodic
     grid of its first N - 1 nodes.  u is recovered from m through the
-    periodic Helmholtz multiplier; the conserved functionals are recorded at
-    every output time through the independent recursion-based quadrature
-    route.
+    periodic Helmholtz multiplier.  The records are E, Q and H
+    (`kernel.conserved`), taken at every record time through the independent
+    recursion-based quadrature route; the final state is the only state
+    returned.  A datum at rest in the frame (u = c everywhere) sets no
+    advective step bound: the run then takes n_records - 1 steps.
     """
     m = np.array(m0, dtype=float, copy=True)
     if m.ndim != 1 or m.size < 16 or m.size % 2 == 0:
@@ -451,10 +457,10 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
         return -(u_k + k - c) * mx - 3.0 * ux * mm
 
     u0_k = irfft(inv_helm * rfft(m - k), n)
-    vmax = float(np.max(np.abs(u0_k + k - c)))
-    smax = float(sig.max())
-    schedule = _schedule(T, n_records, dt, 2.0 / (vmax * smax),
-                         2.8 / (vmax * smax), "advective stability bound")
+    rate = float(np.max(np.abs(u0_k + k - c))) * float(sig.max())
+    # a state at rest in the frame (u = c) sets no advective step bound
+    schedule = _schedule(T, n_records, dt, 2.0 / rate if rate else np.inf,
+                         2.8 / rate if rate else np.inf, "advective stability bound")
 
     def after_step(mm, t):
         if filter_modes:
@@ -466,27 +472,20 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
             )
         return mm
 
-    snaps = []
-
     def observe(t, mm):
         mm = _closed(mm)
         cv = kernel.conserved(params, h, m=mm)
-        if snapshots:
-            snaps.append((t, mm))
-        return t, l2_norm(mm - k, h), cv.E_mass, cv.Q, cv.H
+        return l2_norm(mm - k, h), cv.E_mass, cv.Q, cv.H
 
-    m, (t, norms, E, Q, H) = _march(m, rhs, schedule, observe, after_step)
+    m, t, norms, records = _march(m, rhs, schedule, observe, ("E", "Q", "H"),
+                                  after_step)
     dt = schedule[1]
     config = {
-        "kind": "nonlinear", "k": k, "c": c, "alpha": None,
-        "L": 0.5 * h * n, "h": h, "n_fft": n, "dt": dt, "T": T,
-        "filter": bool(filter_modes), "seed": None,
+        "kind": "nonlinear", "k": k, "c": c, "L": 0.5 * h * n, "h": h,
+        "n_fft": n, "dt": dt, "T": T, "filter": bool(filter_modes),
     }
-    extra = {"E": E, "Q": Q, "H": H}
-    if snapshots:
-        extra["snapshots"] = snaps
-    return EvolutionState(dt=dt, T=T, t=t, norm_w=norms, ip_eta1=None,
-                          ip_eta2=None, w=_closed(m), config=config, extra=extra)
+    return EvolutionState(dt=dt, T=T, t=t, norm_w=norms, w=_closed(m),
+                          config=config, records=records)
 
 
 def decay_rate(traj: EvolutionState, window: tuple | None = None) -> float:
@@ -547,6 +546,8 @@ def modulation_fit(u, params: WaveParams, alpha: float, h: float) -> ModulationF
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size % 2 == 0:
         raise ParameterError("u must be a 1-d grid function with an odd length")
+    if not (np.isfinite(u).all() and np.isfinite(alpha)):
+        raise ParameterError(f"u and the weight alpha={alpha} must be finite")
     n = u.size
     L = 0.5 * h * (n - 1)
     xi = h * (np.arange(n) - (n - 1) // 2)
@@ -554,8 +555,7 @@ def modulation_fit(u, params: WaveParams, alpha: float, h: float) -> ModulationF
     k, c = params.k, params.c
 
     base = solve_profile(params, L=L, h=h)
-    from .wave import dc_profile as _dc
-    j_c = weight * _dc(base)
+    j_c = weight * dc_profile(base)
     j_g = -weight * base.u0_p
     # frozen 2x2 normal matrix of the Gauss-Newton step
     M = np.array([

@@ -46,6 +46,7 @@ __all__ = [
     "helmholtz_solve",
     "b_apply",
     "conserved",
+    "casimirs",
     "kernel_basis",
     "project",
 ]
@@ -163,18 +164,11 @@ def b_apply(g, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConservedValues:
-    """The five conserved functionals, normalized to vanish at the background.
-
-    F1 and F2 require a positive momentum density; they are nan and f_valid
-    is False when m <= 0 anywhere on the grid.
-    """
+    """Three conserved functionals, normalized to vanish at the background."""
 
     H: float
     Q: float
     E_mass: float
-    F1: float
-    F2: float
-    f_valid: bool
 
 
 def real_spectral_map(w, f) -> np.ndarray:
@@ -202,11 +196,11 @@ def spectral_multiplier(w, h: float, mult) -> np.ndarray:
 
 
 def conserved(params, h: float, u=None, m=None) -> ConservedValues:
-    """Conserved functionals of a state given as u or as m = u - u''.
+    """H, Q and E_mass of a state given as u or as m = u - u''.
 
     The missing representation is reconstructed: m from u by the spectral
     derivative of u - k (the state must decay to k at the ends), u from m by
-    the decaying Helmholtz inverse.
+    the decaying Helmholtz inverse.  The Casimirs F1 and F2 are `casimirs`.
     """
     if (u is None) == (m is None):
         raise ParameterError("pass exactly one of u or m")
@@ -225,14 +219,25 @@ def conserved(params, h: float, u=None, m=None) -> ConservedValues:
     H = -np.trapezoid(w * w * (u + 2.0 * k), dx=h) / 6.0
     Q = 0.5 * np.trapezoid(w * b_apply(w, h), dx=h)
     E_mass = np.trapezoid(m - k, dx=h)
+    return ConservedValues(float(H), float(Q), float(E_mass))
+
+
+def casimirs(params, h: float, m) -> tuple[float, float]:
+    """The Casimirs (F1, F2) of a positive momentum density m, normalized to
+    vanish at the background: the integrals of m^(1/3) and of
+    m^(-1/3) (1 + m'^2 / (9 m^2)), m' the spectral derivative of m - k."""
+    k = params.k
+    m = np.asarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise ParameterError("samples must be finite")
     if np.any(m <= 0.0):
-        return ConservedValues(float(H), float(Q), float(E_mass), np.nan, np.nan, False)
-    F1 = np.trapezoid(np.cbrt(m) - np.cbrt(k), dx=h)
+        raise ParameterError("the Casimirs need a positive momentum density m")
     m_x = spectral_multiplier(m - k, h, lambda s: 1j * s)
+    F1 = np.trapezoid(np.cbrt(m) - np.cbrt(k), dx=h)
     F2 = np.trapezoid(
         (m_x * m_x / (9.0 * m * m) + 1.0) / np.cbrt(m) - 1.0 / np.cbrt(k), dx=h
     )
-    return ConservedValues(float(H), float(Q), float(E_mass), float(F1), float(F2), True)
+    return float(F1), float(F2)
 
 
 @dataclass(frozen=True)

@@ -163,23 +163,23 @@ def test_criterion_06_kernel_projection(prof60, report):
                    f"{theta_min:.3f} > 0 over {len(PARAMS_SAMPLE)} pairs")
 
 
-def test_criterion_07_linear_decay(prof01, report):
-    cert = evans.certify_eta(prof01, 0.5)
+def test_criterion_07_linear_decay(prof01, cert01, report):
     # every keyhole up to eta = 7 gap/8 winds zero times
-    certified = (cert["windings"] == [0] * 7
-                 and abs(cert["certified_eta"] - 7 * cert["gap"] / 8) < 1e-12)
-    threshold = -0.8 * min(0.25, cert["certified_eta"])
+    certified = (cert01["windings"] == [0] * 7
+                 and abs(cert01["certified_eta"] - 7 * cert01["gap"] / 8) < 1e-12)
+    threshold = -0.8 * min(0.25, cert01["certified_eta"])
     rng = np.random.default_rng(7)
     w0 = rng.standard_normal(prof01.xi.size)
     norm0 = evolve.l2_norm(w0, prof01.h)
     traj = evolve.linear_evolve(w0, prof01, 0.5, T=25.0)
     rate = evolve.decay_rate(traj)
-    drift = max(np.max(np.abs(traj.ip_eta1)), np.max(np.abs(traj.ip_eta2)))
+    drift = max(np.max(np.abs(traj.records["ip_eta1"])),
+                np.max(np.abs(traj.records["ip_eta2"])))
     ok = certified and rate <= threshold and drift <= 1e-6 * norm0
     assert report(7, ok, f"fitted slope {rate:.4f} vs threshold "
                    f"{threshold:.4f} (certified eta "
-                   f"{cert['certified_eta']:.5f} = 7 gap/8, windings "
-                   f"{cert['windings']}), kernel pairing drift "
+                   f"{cert01['certified_eta']:.5f} = 7 gap/8, windings "
+                   f"{cert01['windings']}), kernel pairing drift "
                    f"{drift / norm0:.1e} of the data norm (tol 1e-6)")
 
 
@@ -252,19 +252,15 @@ def test_criterion_10_nonlinear_demonstration(params01, report):
 
     u_pert = prof.u0 + 1e-3 * np.exp(-((xi - 2.0) ** 2) / 2.0)
     m0 = np.fft.ifft(helm * np.fft.fft(u_pert)).real
-    traj = evolve.nonlinear_evolve(m0, params01, T=50.0, h=h, n_records=11,
-                                   snapshots=True)
-    drift = max(abs(traj.extra[key][-1] - traj.extra[key][0])
-                / abs(traj.extra[key][0]) for key in ("E", "Q", "H"))
+    traj = evolve.nonlinear_evolve(m0, params01, T=50.0, h=h, n_records=11)
+    drift = max(abs(v[-1] - v[0]) / abs(v[0]) for v in traj.records.values())
 
-    snaps = traj.extra["snapshots"]
-    t_vals = np.array([t for t, _ in snaps])
+    # the states at t = 5 and t = 50 are the final states of two runs
+    early = evolve.nonlinear_evolve(m0, params01, T=5.0, h=h, n_records=2)
     residuals = {}
-    for target in (5.0, 50.0):
-        t_snap, m_snap = snaps[int(np.argmin(np.abs(t_vals - target)))]
-        u_snap = np.fft.ifft(np.fft.fft(m_snap) / helm).real
-        fit = evolve.modulation_fit(u_snap, params01, 0.2, h)
-        residuals[target] = fit.residual
+    for run in (early, traj):
+        u_end = np.fft.ifft(np.fft.fft(run.w) / helm).real
+        residuals[run.T] = evolve.modulation_fit(u_end, params01, 0.2, h).residual
     ratio = residuals[5.0] / residuals[50.0]
 
     ok = eq_err <= 1e-6 and drift < 1e-6 and ratio >= 10.0

@@ -503,8 +503,9 @@ def test_linear_evolve_artifacts(tmp_path, capsys):
         prof = solve_profile(WaveParams(0.1, 1.0), L=20.0, h=0.1)
     w0 = np.exp(-((prof.xi - 2.0) ** 2) / 2.0)
     traj = evolve.linear_evolve(w0, prof, 0.5, T=4.0, n_records=21)
+    columns = {"t": traj.t, "norm_w": traj.norm_w, **traj.records}
     for name in ("t", "norm_w", "ip_eta1", "ip_eta2"):
-        assert np.array_equal(data[name], getattr(traj, name)), name
+        assert np.array_equal(data[name], columns[name]), name
 
 
 def test_nonlinear_evolve_artifacts(tmp_path, capsys):
@@ -523,14 +524,44 @@ def test_nonlinear_evolve_artifacts(tmp_path, capsys):
     assert solver["h"] == 0.1 and solver["T"] == 1.0
     with open(out + ".csv", encoding="utf-8") as fh:
         header = fh.readline().strip()
-    assert header == "t,norm_w,ip_eta1,ip_eta2,E,Q,H"
+    assert header == "t,norm_w,E,Q,H"
     data = np.genfromtxt(out + ".csv", delimiter=",", names=True)
     assert data.size == 21
-    # no kernel projection in the nonlinear flow
-    assert np.all(np.isnan(data["ip_eta1"])) and np.all(np.isnan(data["ip_eta2"]))
+    # no kernel projection in the nonlinear flow, so no pairing columns
+    assert not any(name.startswith("ip_eta") for name in data.dtype.names)
     # the Q column is the recorded invariant the sidecar's drift came from
     Q = data["Q"]
     assert (Q[-1] - Q[0]) / abs(Q[0]) == meta["invariant_drift"]["Q"]
+
+
+@pytest.mark.parametrize("cmd, header", [
+    (["free-evolve", "--alpha", "0.5"], "t,norm_w"),
+    (["linear-evolve", "--alpha", "0.5"], "t,norm_w,ip_eta1,ip_eta2"),
+    (["nonlinear-evolve"], "t,norm_w,E,Q,H"),
+], ids=["free", "linear", "nonlinear"])
+def test_evolve_artifacts_hold_only_recorded_values(tmp_path, capsys, cmd, header):
+    # each flow writes the columns it records and the settings it ran with:
+    # no all-NaN column, no null setting
+    out = str(tmp_path / "run")
+    argv = cmd + ["--k", K, "--c", C, "--t-final", "1", "--n-records", "11",
+                  "--L", "20", "--h", "0.1", "--out", out]
+    if cmd[0] == "free-evolve":
+        rc = cli.run(argv)
+    else:
+        with pytest.warns(UserWarning, match="short"):
+            rc = cli.run(argv)
+    assert rc == 0
+    capsys.readouterr()
+    with open(out + ".csv", encoding="utf-8") as fh:
+        assert fh.readline().strip() == header
+    data = np.genfromtxt(out + ".csv", delimiter=",", names=True)
+    assert data.size == 11
+    for name in data.dtype.names:
+        assert not np.all(np.isnan(data[name])), name
+    solver = _read_json(out + ".json")["solver"]
+    assert solver["kind"] == cmd[0].removesuffix("-evolve")
+    assert solver["T"] == 1.0 and solver["h"] == 0.1
+    assert None not in solver.values()
 
 
 def test_plot_script_references_csv(tmp_path, capsys):

@@ -167,10 +167,9 @@ def test_winding_away_from_zero(prof01):
     assert res.winding == 0
 
 
-def test_certify_eta(prof01):
-    cert = evans.certify_eta(prof01, 0.5)
-    assert cert["windings"] == [0] * 7
-    assert abs(cert["certified_eta"] - 7 * cert["gap"] / 8) < 1e-12
+def test_certify_eta(cert01):
+    assert cert01["windings"] == [0] * 7
+    assert abs(cert01["certified_eta"] - 7 * cert01["gap"] / 8) < 1e-12
 
 
 def test_cauchy_riemann(prof01):

@@ -348,9 +348,9 @@ def test_linear_evolve_z2_secular(prof60):
     traj = evolve.linear_evolve(
         basis.z2.copy(), prof60, 0.5, T=2.0, project_out=False, n_records=41
     )
-    coef = np.polyfit(traj.t, traj.ip_eta1, 1)[0]
+    coef = np.polyfit(traj.t, traj.records["ip_eta1"], 1)[0]
     assert abs(coef + 1.0) <= 1e-3
-    assert np.max(np.abs(traj.ip_eta2 - 1.0)) <= 1e-6
+    assert np.max(np.abs(traj.records["ip_eta2"] - 1.0)) <= 1e-6
     recon = basis.z2 - traj.T * basis.z1
     assert evolve.l2_norm(traj.w - recon, prof60.h) <= 1e-5
 
@@ -362,8 +362,8 @@ def test_linear_evolve_projected_decay(prof60):
     slope = evolve.decay_rate(traj, window=(5.0, 20.0))
     assert slope <= -0.175  # 0.8 * min(gap, certified eta)
     n0 = evolve.l2_norm(w0, prof60.h)
-    assert np.max(np.abs(traj.ip_eta1)) <= 1e-6 * n0
-    assert np.max(np.abs(traj.ip_eta2)) <= 1e-6 * n0
+    assert np.max(np.abs(traj.records["ip_eta1"])) <= 1e-6 * n0
+    assert np.max(np.abs(traj.records["ip_eta2"])) <= 1e-6 * n0
 
 
 def test_linear_evolve_step_rejection(prof60):
@@ -495,8 +495,8 @@ def test_spectral_march_matches_physical_rk4(prof60):
     norms, ip1, ip2 = np.array(rows).T
     n0 = evolve.l2_norm(w0, h)
     assert np.max(np.abs(traj.norm_w - norms) / norms) <= 1e-13
-    assert np.max(np.abs(traj.ip_eta1 - ip1)) <= 1e-14 * n0
-    assert np.max(np.abs(traj.ip_eta2 - ip2)) <= 1e-14 * n0
+    assert np.max(np.abs(traj.records["ip_eta1"] - ip1)) <= 1e-14 * n0
+    assert np.max(np.abs(traj.records["ip_eta2"] - ip2)) <= 1e-14 * n0
     assert np.max(np.abs(traj.w - wc)) <= 1e-13 * np.max(np.abs(wc))
 
 
@@ -509,7 +509,7 @@ def test_nonlinear_soliton_stationary(params01, prof60):
     scale = evolve.l2_norm(prof60.mu - params01.k, prof60.h)
     assert evolve.l2_norm(traj.w - prof60.mu, prof60.h) <= 1e-6 * scale
     for name in ("E", "Q", "H"):
-        v = traj.extra[name]
+        v = traj.records[name]
         assert np.max(np.abs(v - v[0])) <= 1e-6 * max(1.0, abs(v[0]))
 
 
@@ -519,7 +519,7 @@ def test_nonlinear_soliton_filter_off(params01, prof60):
     scale = evolve.l2_norm(prof60.mu - params01.k, prof60.h)
     assert evolve.l2_norm(traj.w - prof60.mu, prof60.h) <= 1e-6 * scale
     for name in ("E", "Q", "H"):
-        v = traj.extra[name]
+        v = traj.records[name]
         assert np.max(np.abs(v - v[0])) <= 1e-6 * max(1.0, abs(v[0]))
 
 
@@ -541,6 +541,17 @@ def test_nonlinear_validation(params01):
         evolve.nonlinear_evolve(m0, params01, 1e9, 0.05)
     with pytest.raises(ParameterError, match="odd length"):
         evolve.nonlinear_evolve(m0[:-1], params01, 1.0, 0.05)
+
+
+def test_nonlinear_at_rest_in_frame(params01):
+    # u = c everywhere sets no advective step bound: the run takes
+    # n_records - 1 steps and stays at its datum
+    m0 = np.ones(1201)
+    traj = evolve.nonlinear_evolve(m0, params01, T=1.0, h=0.05)
+    assert round(traj.T / traj.dt) == traj.t.size - 1 == 200
+    assert np.all(np.isfinite(traj.norm_w))
+    assert all(np.all(np.isfinite(v)) for v in traj.records.values())
+    assert np.max(np.abs(traj.w - m0)) <= 1e-14
 
 
 def test_nonlinear_positivity_abort(params01):
@@ -662,6 +673,12 @@ def test_modulation_fit_trust_region(params01, prof60):
         evolve.modulation_fit(far, params01, 0.5, prof60.h)
     with pytest.raises(ParameterError):
         evolve.modulation_fit(prof60.u0[:-1], params01, 0.5, prof60.h)
+    # non-finite data or weight: a bad input, not a failed fit
+    nan_u = prof60.u0.copy()
+    nan_u[prof60.i0] = np.nan
+    for u, alpha in ((nan_u, 0.5), (prof60.u0, np.nan), (prof60.u0, np.inf)):
+        with pytest.raises(ParameterError, match="finite"):
+            evolve.modulation_fit(u, params01, alpha, prof60.h)
 
 
 # ------------------------------------------------------------ trajectories
@@ -672,22 +689,20 @@ def test_evolution_state_invariants():
     ones = np.ones_like(t)
     with pytest.raises(SolverError):
         evolve.EvolutionState(
-            dt=0.1, T=1.0, t=t, norm_w=ones, ip_eta1=None, ip_eta2=None, w=ones,
+            dt=0.1, T=1.0, t=t, norm_w=ones, w=ones,
         )
     for bad in (0.0, np.nan):
         with pytest.raises(SolverError, match="strictly positive"):
             evolve.EvolutionState(
                 dt=0.1, T=1.0, t=np.array([0.0, 1.0, 2.0]),
-                norm_w=np.array([1.0, bad, 1.0]), ip_eta1=None, ip_eta2=None,
-                w=ones,
+                norm_w=np.array([1.0, bad, 1.0]), w=ones,
             )
 
 
 def test_decay_rate_validation():
     t = np.linspace(0.0, 10.0, 21)
     traj = evolve.EvolutionState(
-        dt=0.5, T=10.0, t=t, norm_w=np.exp(-0.3 * t), ip_eta1=None, ip_eta2=None,
-        w=np.ones(5),
+        dt=0.5, T=10.0, t=t, norm_w=np.exp(-0.3 * t), w=np.ones(5),
     )
     assert abs(evolve.decay_rate(traj) + 0.3) <= 1e-12
     with pytest.raises(ParameterError):

@@ -67,6 +67,7 @@ _SPACED = {
     "spectral_multiplier": lambda h: kernel.spectral_multiplier(_G, h, lambda s: s),
     "conserved-u": lambda h: kernel.conserved(WaveParams(0.1, 1.0), h, u=0.1 + _G),
     "conserved-m": lambda h: kernel.conserved(WaveParams(0.1, 1.0), h, m=0.1 + _G),
+    "casimirs": lambda h: kernel.casimirs(WaveParams(0.1, 1.0), h, 0.1 + _G),
 }
 
 
@@ -136,16 +137,22 @@ def test_conserved_background_zero(params01):
     u = np.full(4001, params01.k)
     cv = kernel.conserved(params01, 0.02, u=u)
     assert cv.H == 0.0 and cv.Q == 0.0 and cv.E_mass == 0.0
-    assert cv.F1 == 0.0 and cv.F2 == 0.0 and cv.f_valid
+    assert kernel.casimirs(params01, 0.02, u) == (0.0, 0.0)
 
 
 def test_conserved_routes_agree(prof01, params01):
     a = kernel.conserved(params01, prof01.h, u=prof01.u0)
     b = kernel.conserved(params01, prof01.h, m=prof01.mu)
-    for name in ("H", "Q", "E_mass", "F1", "F2"):
+    for name in ("H", "Q", "E_mass"):
         x, y = getattr(a, name), getattr(b, name)
         assert abs(x - y) <= 1e-10 * max(1.0, abs(x))
     assert a.Q > 0 and a.E_mass > 0
+    # the Casimirs of the stored m against those of the spectral m of u0
+    k, h = params01.k, prof01.h
+    m_u = k + kernel.spectral_multiplier(prof01.u0 - k, h, lambda s: 1.0 + s * s)
+    for x, y in zip(kernel.casimirs(params01, h, m_u),
+                    kernel.casimirs(params01, h, prof01.mu)):
+        assert abs(x - y) <= 1e-10 * max(1.0, abs(x))
 
 
 def test_conserved_positivity_random(params01):
@@ -161,8 +168,9 @@ def test_conserved_flags_nonpositive_m(params01):
     x = -40.0 + 0.02 * np.arange(4001)
     m = params01.k - 0.2 * np.exp(-(x ** 2))
     cv = kernel.conserved(params01, 0.02, m=m)
-    assert not cv.f_valid and np.isnan(cv.F1) and np.isnan(cv.F2)
     assert np.isfinite(cv.H) and np.isfinite(cv.Q) and np.isfinite(cv.E_mass)
+    with pytest.raises(ParameterError, match="positive momentum density"):
+        kernel.casimirs(params01, 0.02, m)
 
 
 def test_conserved_argument_check(params01):
@@ -178,7 +186,8 @@ def test_conserved_argument_check(params01):
     lambda g, prof, params: kernel.project(g, kernel.kernel_basis(prof, 0.5)),
     lambda g, prof, params: kernel.conserved(params, prof.h, u=params.k + g),
     lambda g, prof, params: kernel.conserved(params, prof.h, m=params.k + g),
-], ids=["helmholtz_solve", "project", "conserved_u", "conserved_m"])
+    lambda g, prof, params: kernel.casimirs(params, prof.h, params.k + g),
+], ids=["helmholtz_solve", "project", "conserved_u", "conserved_m", "casimirs"])
 def test_non_finite_samples_rejected(prof01, params01, entry, bad):
     g = np.exp(-prof01.xi ** 2)
     g[prof01.i0 + 7] = bad
