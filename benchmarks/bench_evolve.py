@@ -1,9 +1,11 @@
 """Wall time per RK4 step of the linearized and nonlinear evolve flows.
 
-The linearized flow steps the rfft half-spectrum of its state (two real
-transforms per RK4 stage); the nonlinear flow steps the momentum on the grid
-(per stage, one forward real transform of m - k and one stacked inverse
-transform of its three multiples u - k, u' and m').  Each flow is run
+The linearized flow steps the rfft half-spectrum of its state, its RK4 step
+in Horner form (one inverse and one forward real transform per stage).  The
+nonlinear flow carries the filtered half-spectrum of m - k: a step opens with
+one 4-row inverse transform to m - k, u - c, -3u' and m', each later stage
+makes one forward transform of m - k and one 3-row inverse to u - c, -3u' and
+m', and the new m - k one forward transform: 4 forward and 4 inverse per step.  Each flow is run
 to T1 = 2.5 and to T2 = 5 with two records and no kernel projection, and the
 time per step is (t(T2) - t(T1)) / (n2 - n1): the set-up of a run (kernel
 basis, spectral radius, symbols) is the same at both lengths and cancels.

@@ -24,13 +24,19 @@ named record columns at n_records times from 0 to T, and the final state.
 The free flow is exact, one inverse transform per record; the linearized
 and nonlinear flows are classical RK4 on one validated schedule,
 the step chosen against a measured spectral radius or the advective bound.
-A_alpha has one discretization, on the rfft half-spectrum (`_spectral_rhs`):
-the linearized flow steps it at two real transforms per RK4 stage, and
-`apply_linearized` and the step bound apply it through `kernel.real_spectral_map`.
-The nonlinear flow steps the momentum on the grid, per stage one forward transform
-of m - k and one 3-row inverse to u - k, u' and m'.  Nonlinear runs apply a mild
-exponential filter exp(-36 theta^36) on the top eighth of modes (theta ramps 0
-to 1 across that band) unless disabled.
+A_alpha has one discretization, on the rfft half-spectrum (`_symbols`):
+`apply_linearized` and the step bound apply it through `kernel.real_spectral_map`
+(`_spectral_rhs`).  The linearized flow is linear and autonomous, so its RK4
+step is the degree-4 Taylor polynomial of exp(dt A_alpha); `_linear_step`
+evaluates it in Horner form, y <- v + (dt/j) A_alpha y for j = 4, 3, 2, 1, at
+one inverse and one forward transform per stage.
+The nonlinear flow carries the filtered half-spectrum of m - k from step to
+step.  Per step, one 4-row inverse transform gives m - k, u - c, -3u' and m' at
+the step's start, each later stage one forward transform of m - k and one
+3-row inverse to u - c, -3u' and m', and the new m - k one forward transform,
+which the filter then multiplies: 4 forward and 4 inverse transforms.  Nonlinear
+runs apply a mild exponential filter exp(-36 theta^36) on the top eighth of
+modes (theta ramps 0 to 1 across that band) unless disabled.
 """
 from __future__ import annotations
 
@@ -78,25 +84,35 @@ _FIT_MAX_ITER = 50
 
 
 def l2_norm(w, h: float) -> float:
-    # rectangle rule: exact Parseval partner of the periodic Fourier evolution
-    w = np.asarray(w)
-    return float(np.sqrt(h * np.sum(np.abs(w) ** 2)))
+    # rectangle rule: exact Parseval partner of the periodic Fourier evolution.
+    # The samples are scaled by the power of two just below max|w|: their
+    # squares cannot overflow, and where the unscaled squares neither overflow
+    # nor underflow the result is the unscaled sum's to the bit
+    a = np.abs(np.asarray(w))
+    scale = np.ldexp(1.0, np.frexp(np.max(a, initial=0.0))[1] - 1)
+    return float(scale * np.sqrt(h * np.sum((a / scale) ** 2)))
 
 
-def _spectral_rhs(profile: Profile, alpha: float, n: int, adjoint: bool = False):
-    """v -> rfft(A irfft(v, n)), A = A_alpha or its L^2 adjoint, for the rfft
-    half-spectrum v (or a stack of them) of a real function on the first n
-    profile nodes: two real transforms.  With p = d (4 - d^2)/(1 - d^2), q =
-    d/(1 - d^2), A_alpha = p (c - u0) - 3c q at d = i sigma - alpha, its adjoint
-    (c - u0) p - 3c q at d = -i sigma - alpha.  The DC and (n even) Nyquist
-    imaginary parts, which irfft discards, are zeroed: a march on v is the grid's."""
+def _symbols(profile: Profile, alpha: float, n: int, adjoint: bool = False):
+    """c - u0 on the first n profile nodes, p and 3c q on the rfft half-spectrum
+    of n nodes, and the slice of its DC and (n even) Nyquist modes, whose
+    imaginary parts irfft discards.  With p = d (4 - d^2)/(1 - d^2) and
+    q = d/(1 - d^2), A_alpha = p (c - u0) - 3c q at d = i sigma - alpha and its
+    L^2 adjoint is (c - u0) p - 3c q at d = -i sigma - alpha."""
     c = profile.params.c
-    cmu = c - profile.u0[:n]
     sig = kernel.rfft_sigma(n, profile.h)
     d = (-1j if adjoint else 1j) * sig - alpha
     p = d * (4.0 - d * d) / (1.0 - d * d)
     q3 = 3.0 * c * d / (1.0 - d * d)
-    real_modes = slice(0, None, n // 2 if n % 2 == 0 else n)  # 0 and (n even) n/2
+    return c - profile.u0[:n], p, q3, slice(0, None, n // 2 if n % 2 == 0 else n)
+
+
+def _spectral_rhs(profile: Profile, alpha: float, n: int, adjoint: bool = False):
+    """v -> rfft(A irfft(v, n)), A = A_alpha or its L^2 adjoint (`_symbols`),
+    for the rfft half-spectrum v (or a stack of them) of a real function on the
+    first n profile nodes: two real transforms.  The DC and (n even) Nyquist
+    imaginary parts, which irfft discards, are zeroed: a march on v is the grid's."""
+    cmu, p, q3, real_modes = _symbols(profile, alpha, n, adjoint)
 
     def rhs(v):
         if adjoint:
@@ -262,14 +278,6 @@ class EvolutionState:
             raise SolverError("trajectory norm record must be strictly positive")
 
 
-def _rk4(w, dt, rhs):
-    k1 = rhs(w)
-    k2 = rhs(w + 0.5 * dt * k1)
-    k3 = rhs(w + 0.5 * dt * k2)
-    k4 = rhs(w + dt * k3)
-    return w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _spectral_radius(profile: Profile, alpha: float) -> float:
     n = profile.xi.size - 1
     rhs = _spectral_rhs(profile, alpha, n)
@@ -324,20 +332,19 @@ def _schedule(T: float, n_records: int, dt: float | None, dt_safe: float,
     return nsteps, T / nsteps, record_at
 
 
-def _march(w, rhs, schedule: tuple, observe, names: tuple, after_step=None):
-    """RK4 over the schedule.  observe(t, w) returns the record row (||w||,
-    *columns) of the state w at t = 0 and at every record step; after_step(w,
-    t) may filter or check each new state.  Returns the final state, the
-    record times, the norms and the {name: column} records."""
+def _march(w, step, schedule: tuple, observe, names: tuple):
+    """Time steps over the schedule.  step(w, t) returns the state one step of
+    dt after the state w at time t; observe(t, w) returns the record row
+    (||w||, *columns) of the state w at t = 0 and at every record step.
+    Returns the final state, the record times, the norms and the {name:
+    column} records."""
     nsteps, dt, record_at = schedule
     times, rows = [0.0], [observe(0.0, w)]
-    for step in range(1, nsteps + 1):
-        w = _rk4(w, dt, rhs)
-        if after_step is not None:
-            w = after_step(w, step * dt)
-        if step in record_at:
-            times.append(step * dt)
-            rows.append(observe(step * dt, w))
+    for i in range(1, nsteps + 1):
+        w = step(w, (i - 1) * dt)
+        if i in record_at:
+            times.append(i * dt)
+            rows.append(observe(i * dt, w))
     norms, *columns = np.array(rows).T
     return w, np.array(times), norms, dict(zip(names, columns))
 
@@ -370,6 +377,31 @@ def free_evolve(w0, params: WaveParams, alpha: float, T: float, h: float,
               "h": h, "n_fft": n, "T": T}
     return EvolutionState(dt=float(times[1] - times[0]), T=T, t=times,
                           norm_w=norms, w=w, config=config)
+
+
+def _linear_step(profile: Profile, alpha: float, n: int, dt: float):
+    """The RK4 step of v' = A_alpha v on the rfft half-spectrum of n nodes.
+    For a linear autonomous flow RK4 is the degree-4 Taylor polynomial of
+    exp(dt A_alpha), here in Horner form y <- v + (dt/j) A_alpha y for j = 4, 3,
+    2, 1, with the stage multipliers (dt/j) p and (dt/j) 3c q of `_symbols`;
+    each stage zeroes the DC and Nyquist imaginary parts, as `_spectral_rhs`
+    does."""
+    cmu, p, q3, real_modes = _symbols(profile, alpha, n)
+    stages = [(dt / j * p, dt / j * q3) for j in (4, 3, 2, 1)]
+    w, qy = np.empty(n), np.empty_like(p)
+
+    def step(v, t):
+        y = v
+        for pj, qj in stages:
+            ay = rfft(np.multiply(irfft(y, n, out=w), cmu, out=w))
+            ay *= pj
+            ay -= np.multiply(qj, y, out=qy)
+            ay += v
+            ay.imag[real_modes] = 0.0
+            y = ay
+        return y
+
+    return step
 
 
 def linear_evolve(w0, profile: Profile, alpha: float, T: float,
@@ -407,9 +439,9 @@ def linear_evolve(w0, profile: Profile, alpha: float, T: float,
         return (l2_norm(w, h), float(np.trapezoid(basis.eta1 * w, dx=h)),
                 float(np.trapezoid(basis.eta2 * w, dx=h)))
 
-    v, t, norms, records = _march(rfft(w[:n]), _spectral_rhs(profile, alpha, n),
-                                  schedule, observe, ("ip_eta1", "ip_eta2"))
     dt = schedule[1]
+    v, t, norms, records = _march(rfft(w[:n]), _linear_step(profile, alpha, n, dt),
+                                  schedule, observe, ("ip_eta1", "ip_eta2"))
     config = {
         "kind": "linear", "k": profile.params.k, "c": profile.params.c,
         "alpha": alpha, "L": profile.L, "h": h, "n_fft": n, "dt": dt, "T": T,
@@ -426,6 +458,15 @@ def _exp_filter(sig: np.ndarray) -> np.ndarray:
     return np.exp(-36.0 * theta ** 36)
 
 
+def _positive_momentum(a, k: float, t: float) -> np.ndarray:
+    """m = k + a, the momentum at time t, checked finite and positive."""
+    m = a + k
+    mn = float(np.min(m))
+    if not np.isfinite(mn) or mn <= 0.0:
+        raise SolverError(f"momentum positivity lost at t={t:.6f} (min m = {mn})")
+    return m
+
+
 def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
                      dt: float | None = None, filter_modes: bool = True,
                      n_records: int = 201) -> EvolutionState:
@@ -436,8 +477,10 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
     periodic Helmholtz multiplier.  The records are E, Q and H
     (`kernel.conserved`), taken at every record time through the independent
     recursion-based quadrature route; the final state is the only state
-    returned.  A datum at rest in the frame (u = c everywhere) sets no
-    advective step bound: the run then takes n_records - 1 steps.
+    returned.  Every state is checked finite and positive before it is used,
+    else `SolverError` names its time.  A datum at rest in the frame (u = c
+    everywhere) sets no advective step bound: the run then takes n_records - 1
+    steps.
     """
     m = np.array(m0, dtype=float, copy=True)
     if m.ndim != 1 or m.size < 16 or m.size % 2 == 0:
@@ -446,45 +489,64 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
         raise ParameterError("m0 must be positive everywhere")
     k, c = params.k, params.c
     n = m.size - 1
-    m = m[:n]
     sig = kernel.rfft_sigma(n, h)
     inv_helm = 1.0 / (1.0 + sig * sig)
-    syms = np.array([inv_helm, 1j * sig * inv_helm, 1j * sig])
-    filt = _exp_filter(sig) if filter_modes else None
-
-    def rhs(mm):
-        u_k, ux, mx = irfft(syms * rfft(mm - k), n)
-        return -(u_k + k - c) * mx - 3.0 * ux * mm
-
-    u0_k = irfft(inv_helm * rfft(m - k), n)
+    mk_hat = rfft(m[:n] - k)
+    u0_k = irfft(inv_helm * mk_hat, n)
     rate = float(np.max(np.abs(u0_k + k - c))) * float(sig.max())
     # a state at rest in the frame (u = c) sets no advective step bound
     schedule = _schedule(T, n_records, dt, 2.0 / rate if rate else np.inf,
                          2.8 / rate if rate else np.inf, "advective stability bound")
+    dt = schedule[1]
 
-    def after_step(mm, t):
-        if filter_modes:
-            mm = k + irfft(filt * rfft(mm - k), n)
-        mn = float(np.min(mm))
-        if not np.isfinite(mn) or mn <= 0.0:
-            raise SolverError(
-                f"momentum positivity lost at t={t:.6f} (min m = {mn})"
-            )
-        return mm
+    # The march carries the filtered half-spectrum of m - k.  rows(f, 0) are
+    # m - k, u - c, -3u' and m' of the half-spectrum f of m - k, rows(f, 1) the
+    # last three; the constant k - c of u - c goes on the mean entry.  Stage
+    # sums and grid rows live in buffers; a step returns a new spectrum
+    syms = np.array([np.ones_like(sig), inv_helm, -3j * sig * inv_helm, 1j * sig])
+    spec = np.empty(syms.shape, dtype=complex)
+    grid = np.empty((4, n))
+    stage_hat = np.empty(sig.size, dtype=complex)
+    sums = np.empty((3, n))
+    filt = _exp_filter(sig) if filter_modes else 1.0
 
-    def observe(t, mm):
-        mm = _closed(mm)
+    def rows(f, first):
+        np.multiply(syms[first:], f, out=spec[first:])
+        spec[1, 0] += n * (k - c)
+        return irfft(spec[first:], n, out=grid[first:])
+
+    def step(f, t):
+        # m_t = -(u - c) m' - 3u' m is the slope u3x m - uc mx of each stage
+        stage, slope, acc = sums
+        a, uc, u3x, mx = rows(f, 0)
+        m = _positive_momentum(a, k, t)
+        np.multiply(u3x, m, out=slope)
+        slope -= np.multiply(uc, mx, out=uc)
+        acc[:] = slope
+        for c_s, b_s in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+            np.multiply(slope, c_s * dt, out=stage)
+            stage += a
+            uc, u3x, mx = rows(rfft(stage, out=stage_hat), 1)
+            stage += k
+            np.multiply(u3x, stage, out=slope)
+            slope -= np.multiply(uc, mx, out=uc)
+            acc += b_s * slope
+        a += (dt / 6.0) * acc
+        f = rfft(a)
+        f *= filt
+        return f
+
+    def observe(t, f):
+        mm = _closed(_positive_momentum(irfft(f, n), k, t))
         cv = kernel.conserved(params, h, m=mm)
         return l2_norm(mm - k, h), cv.E_mass, cv.Q, cv.H
 
-    m, t, norms, records = _march(m, rhs, schedule, observe, ("E", "Q", "H"),
-                                  after_step)
-    dt = schedule[1]
+    f, t, norms, records = _march(mk_hat, step, schedule, observe, ("E", "Q", "H"))
     config = {
         "kind": "nonlinear", "k": k, "c": c, "L": 0.5 * h * n, "h": h,
         "n_fft": n, "dt": dt, "T": T, "filter": bool(filter_modes),
     }
-    return EvolutionState(dt=dt, T=T, t=t, norm_w=norms, w=_closed(m),
+    return EvolutionState(dt=dt, T=T, t=t, norm_w=norms, w=_closed(k + irfft(f, n)),
                           config=config, records=records)
 
 

@@ -1,0 +1,44 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "ab_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("ab_pairs", _PATH)
+ab_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab_pairs)
+
+# ten parent runs with median 2.3 and quartiles 2.2 and 2.4 (IQR 0.2)
+PARENT = [2.0, 2.2, 2.2, 2.3, 2.3, 2.3, 2.3, 2.4, 2.4, 2.6]
+
+
+def test_gain_needs_nine_tenths_of_pairs_won():
+    change = [p - 0.3 for p in PARENT]
+    v = ab_pairs.verdict(PARENT, change, "lower")
+    assert (v["won"], v["pairs"], v["holds"]) == (10, 10, True)
+    assert v["gap"] == pytest.approx(0.3) and v["parent_iqr"] == pytest.approx(0.2)
+    # nine wins still hold; a tie counts for neither side, so eight do not
+    assert ab_pairs.verdict(PARENT, change[:-1] + [3.0], "lower")["holds"]
+    v = ab_pairs.verdict(PARENT, change[:-2] + [PARENT[-2], 3.0], "lower")
+    assert (v["won"], v["holds"]) == (8, False)
+
+
+def test_gain_needs_median_gap_above_parent_iqr():
+    # every pair won, but by less than the parent's own spread
+    change = [p - 0.1 for p in PARENT]
+    v = ab_pairs.verdict(PARENT, change, "lower")
+    assert (v["won"], v["holds"]) == (10, False)
+
+
+def test_direction_and_failures():
+    rates = [1000.0 + 10.0 * i for i in range(10)]
+    faster = [r + 200.0 for r in rates]
+    assert ab_pairs.verdict(rates, faster, "higher")["holds"]
+    assert not ab_pairs.verdict(rates, faster, "lower")["holds"]
+    assert ab_pairs.verdict(rates, faster, "lower")["won"] == 0
+    # more failed operations than at the parent void the gain
+    assert not ab_pairs.verdict(rates, faster, "higher", failed=(0, 1))["holds"]
+    for bad in (([1.0], [0.5], "lower"), ([1.0, 2.0], [1.0], "lower"),
+                ([1.0, 2.0], [0.5, 1.0], "smaller")):
+        with pytest.raises(ValueError):
+            ab_pairs.verdict(*bad)

@@ -263,13 +263,15 @@ def test_evolve_rejects_bad_input(tmp_path, capsys, monkeypatch, cmd, bad):
     argv = [cmd, "--k", K, "--c", C, "--L", "30", "--h", "0.1",
             "--out", str(tmp_path / "x"), *alpha, *flags]
     steps = []
-    rk4 = evolve._rk4
+    march = evolve._march
 
-    def counting_rk4(*args):
-        steps.append(1)
-        return rk4(*args)
+    def counting_march(w, step, *args):
+        def counted(*step_args):
+            steps.append(1)
+            return step(*step_args)
+        return march(w, counted, *args)
 
-    monkeypatch.setattr(evolve, "_rk4", counting_rk4)
+    monkeypatch.setattr(evolve, "_march", counting_march)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = cli.run(argv)

@@ -26,6 +26,26 @@ def _grid_freq(n, h):
     return 2.0 * np.pi * np.fft.fftfreq(n, d=h)
 
 
+def _rk4(w, dt, rhs):
+    # classical RK4, the oracle of the flows' fused steps
+    k1 = rhs(w)
+    k2 = rhs(w + 0.5 * dt * k1)
+    k3 = rhs(w + 0.5 * dt * k2)
+    k4 = rhs(w + dt * k3)
+    return w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _oracle_momentum_rhs(mm, k, c, h):
+    # the co-moving momentum flow by complex FFTs
+    sig = _grid_freq(mm.size, h)
+    inv_helm = 1.0 / (1.0 + sig * sig)
+    mk = np.fft.fft(mm - k)
+    u_k = np.fft.ifft(inv_helm * mk).real
+    ux = np.fft.ifft(1j * sig * inv_helm * mk).real
+    mx = np.fft.ifft(1j * sig * mk).real
+    return -(u_k + k - c) * mx - 3.0 * ux * mm
+
+
 def _oracle_linearized(w, profile, alpha, adjoint=False):
     # A_alpha (or its adjoint) on the periodic grid of the first w.size
     # profile nodes by complex FFTs: independent of the real-transform route
@@ -467,13 +487,15 @@ def test_transforms_per_step(params01, prof01):
     assert _transforms_per_step(lambda T: evolve.linear_evolve(
         w0, prof01, 0.5, T, dt=0.01, project_out=False, n_records=2)
     ) == {"rfft": 4, "irfft": 4}
-    # the nonlinear flow: one forward and one stacked inverse transform per
-    # stage, and a transform pair for the filter
+    # the nonlinear flow: one 4-row inverse of the carried filtered spectrum
+    # opens the step, each later stage makes one forward and one 3-row
+    # inverse transform, and the new state one forward transform
     xi = _grid(10.0, 0.1)
     m0 = params01.k + np.exp(-xi ** 2 / 2.0)
-    assert _transforms_per_step(lambda T: evolve.nonlinear_evolve(
-        m0, params01, T, 0.1, dt=0.01, n_records=2)
-    ) == {"rfft": 5, "irfft": 5}
+    for filter_modes in (True, False):
+        assert _transforms_per_step(lambda T: evolve.nonlinear_evolve(
+            m0, params01, T, 0.1, dt=0.01, filter_modes=filter_modes, n_records=2)
+        ) == {"rfft": 4, "irfft": 4}
 
 
 def test_spectral_march_matches_physical_rk4(prof60):
@@ -488,7 +510,7 @@ def test_spectral_march_matches_physical_rk4(prof60):
     rows = []
     for step in range(nsteps + 1):
         if step:
-            w = evolve._rk4(w, traj.dt, lambda v: _oracle_linearized(v, prof60, 0.5))
+            w = _rk4(w, traj.dt, lambda v: _oracle_linearized(v, prof60, 0.5))
         wc = np.append(w, w[0])
         rows.append((evolve.l2_norm(wc, h), np.trapezoid(basis.eta1 * wc, dx=h),
                      np.trapezoid(basis.eta2 * wc, dx=h)))
@@ -498,6 +520,41 @@ def test_spectral_march_matches_physical_rk4(prof60):
     assert np.max(np.abs(traj.records["ip_eta1"] - ip1)) <= 1e-14 * n0
     assert np.max(np.abs(traj.records["ip_eta2"] - ip2)) <= 1e-14 * n0
     assert np.max(np.abs(traj.w - wc)) <= 1e-13 * np.max(np.abs(wc))
+
+
+def test_horner_step_matches_rk4(prof60):
+    # the linear flow's Horner step is classical RK4 on _spectral_rhs
+    w0 = np.exp(-prof60.xi ** 2 / 16.0) * (1.0 + 0.2 * np.cos(2.3 * prof60.xi))
+    h, n, nsteps = prof60.h, w0.size - 1, 4
+    dt = 2.5 / evolve._spectral_radius(prof60, 0.5)
+    traj = evolve.linear_evolve(w0, prof60, 0.5, nsteps * dt, dt=dt,
+                                project_out=False, n_records=nsteps + 1)
+    rhs = evolve._spectral_rhs(prof60, 0.5, n)
+    v = np.fft.rfft(w0[:n])
+    norms = [evolve.l2_norm(w0, h)]
+    for _ in range(nsteps):
+        v = _rk4(v, traj.dt, rhs)
+        w = np.fft.irfft(v, n)
+        norms.append(evolve.l2_norm(np.append(w, w[0]), h))
+    assert np.max(np.abs(traj.norm_w - norms) / norms) <= 1e-13
+    assert np.max(np.abs(traj.w[:-1] - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+def test_l2_norm_of_huge_data():
+    # squares of samples near 1e300 overflow; the flow is linear, so a datum
+    # 1e300 times larger gives norms 1e300 times larger
+    params = WaveParams(0.1, 1.0)
+    prof = solve_profile(params, L=30.0, h=0.1)
+    bump = np.exp(-(prof.xi - 2.0) ** 2 / 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit = evolve.linear_evolve(bump, prof, 0.5, T=5.0)
+        huge = evolve.linear_evolve(1e300 * bump, prof, 0.5, T=5.0)
+        assert evolve.l2_norm(np.full(4, 1e300), 0.25) == 1e300
+    assert np.all(np.isfinite(huge.norm_w))
+    assert np.max(np.abs(huge.norm_w / (1e300 * unit.norm_w) - 1.0)) <= 1e-14
+    assert evolve.l2_norm([3.0, 4.0j], 1.0) == 5.0
+    assert evolve.l2_norm(np.zeros(3), 0.1) == 0.0
 
 
 # --------------------------------------------------------- nonlinear flow
@@ -584,15 +641,6 @@ def test_nonlinear_rk4_order(params01, prof60):
 
 def test_real_fft_operator_matches_complex_oracle(params01, prof60):
     # the complex-FFT formulas the real-transform flows replaced
-    def oracle_momentum_rhs(mm, k, c, h):
-        sig = _grid_freq(mm.size, h)
-        inv_helm = 1.0 / (1.0 + sig * sig)
-        mk = np.fft.fft(mm - k)
-        u_k = np.fft.ifft(inv_helm * mk).real
-        ux = np.fft.ifft(1j * sig * inv_helm * mk).real
-        mx = np.fft.ifft(1j * sig * mk).real
-        return -(u_k + k - c) * mx - 3.0 * ux * mm
-
     rng = np.random.default_rng(5)
     size = prof60.xi.size
     for n in (size, size - 1):
@@ -622,8 +670,7 @@ def test_real_fft_operator_matches_complex_oracle(params01, prof60):
     dt = 0.01
     run = evolve.nonlinear_evolve(m0, params01, dt, h, dt=dt,
                                   filter_modes=False, n_records=2)
-    ref = evolve._rk4(m0[:-1], dt,
-                      lambda mm: oracle_momentum_rhs(mm, k, c, h))
+    ref = _rk4(m0[:-1], dt, lambda mm: _oracle_momentum_rhs(mm, k, c, h))
     scale = np.max(np.abs(ref - m0[:-1]))
     assert np.max(np.abs(run.w[:-1] - ref)) <= 1e-13 * scale
     assert run.w[-1] == run.w[0]
@@ -634,6 +681,24 @@ def test_real_fft_operator_matches_complex_oracle(params01, prof60):
     assert lin.w[-1] == lin.w[0]
     assert lin.config["n_fft"] == size - 1
     assert lin.config["L"] == prof60.L
+
+
+def test_filtered_nonlinear_step_matches_oracle(params01, prof60):
+    # one filtered step: classical RK4 on the complex-FFT right-hand side, then
+    # the filter exp(-36 theta^36) on the top eighth of |sigma| applied to m - k
+    k, c, h = params01.k, params01.c, prof60.h
+    rng = np.random.default_rng(11)
+    m0 = k + np.exp(-(prof60.xi - 2.0) ** 2 / 2.0) * rng.uniform(0.8, 1.2, prof60.xi.size)
+    dt = 0.01
+    run = evolve.nonlinear_evolve(m0, params01, dt, h, dt=dt, n_records=2)
+    stepped = _rk4(m0[:-1], dt, lambda mm: _oracle_momentum_rhs(mm, k, c, h))
+    sig = np.abs(_grid_freq(stepped.size, h))
+    theta = np.clip((sig / sig.max() - 0.875) / 0.125, 0.0, 1.0)
+    ref = k + np.fft.ifft(np.exp(-36.0 * theta ** 36) * np.fft.fft(stepped - k)).real
+    assert np.max(np.abs(ref - stepped)) >= 1e-8  # the filter acts on this datum
+    scale = np.max(np.abs(ref - m0[:-1]))
+    assert np.max(np.abs(run.w[:-1] - ref)) <= 1e-13 * scale
+    assert run.w[-1] == run.w[0]
 
 
 # ------------------------------------------------------------- modulation
