@@ -2,7 +2,8 @@
 
 Pair i runs `perfbench/run.py --workload W --seed SEED+i --seconds S --trace 0`
 in the parent checkout and in the change checkout, the parent first in even
-pairs and the change first in odd ones.  Every `__pycache__` directory under
+pairs and the change first in odd ones; S is the `run_seconds` of the parent's
+BENCHMARK.json.  Every `__pycache__` directory under
 both checkouts is removed before every run, so neither side imports bytecode
 left by an earlier run or test run.  A run that exits non-zero stops the
 series with its pair, side and standard error.
@@ -16,7 +17,7 @@ operations failed than at the parent.  The exit code is 0 when every run
 finished, whatever the verdicts.
 
 Usage: python benchmarks/ab_pairs.py PARENT CHANGE --workload evolve
-           [--pairs 10] [--seed 1] [--seconds 30]
+           [--pairs 10] [--seed 1]
 """
 
 import argparse
@@ -80,8 +81,6 @@ def main():
     ap.add_argument("--workload", required=True, choices=("contour", "pointwise", "evolve"))
     ap.add_argument("--pairs", type=int, default=10, help="pairs to run (default 10)")
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair (default 1)")
-    ap.add_argument("--seconds", type=int, default=30,
-                    help="perfbench --seconds (default 30)")
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
@@ -90,7 +89,8 @@ def main():
         if not (root / "perfbench" / "run.py").is_file():
             ap.error(f"no perfbench/run.py under {root}")
     with open(roots["parent"] / "BENCHMARK.json", encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
+        bench = json.load(fh)
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
 
     values = {side: {m["name"]: [] for m in metrics} for side in roots}
     failed = {side: 0 for side in roots}
@@ -101,7 +101,7 @@ def main():
             for root in roots.values():
                 clear_bytecode(root)
             try:
-                res = run_once(roots[side], args.workload, seed, args.seconds)
+                res = run_once(roots[side], args.workload, seed, seconds)
             except RuntimeError as exc:
                 print(f"error: pair {i + 1}, {side}, seed {seed}: {exc}", file=sys.stderr)
                 return 1

@@ -3,12 +3,13 @@
 The linearized flow steps the rfft half-spectrum of its state, its RK4 step
 in Horner form (one inverse and one forward real transform per stage).  The
 nonlinear flow carries the filtered half-spectrum of m - k: a step opens with
-one 4-row inverse transform to m - k, u - c, -3u' and m', each later stage
-makes one forward transform of m - k and one 3-row inverse to u - c, -3u' and
-m', and the new m - k one forward transform: 4 forward and 4 inverse per step.  Each flow is run
-to T1 = 2.5 and to T2 = 5 with two records and no kernel projection, and the
-time per step is (t(T2) - t(T1)) / (n2 - n1): the set-up of a run (kernel
-basis, spectral radius, symbols) is the same at both lengths and cancels.
+one 4-row inverse transform to m - k, u - k, u' and m', each later stage
+makes one forward transform of m - k and one 3-row inverse to u - k, u' and
+m', and the new m - k one forward transform: 4 forward and 4 inverse per
+step.  Each flow is run to T1 = 2.5 and to T2 = 5 with two records and no
+kernel projection, and the time per step is (t(T2) - t(T1)) / (n2 - n1): the
+set-up of a run (kernel basis, spectral radius, symbols) is the same at both
+lengths and cancels.
 One untimed run comes first; the median over `--repeats` pairs is printed.
 
 Usage: python benchmarks/bench_evolve.py [--repeats 5]

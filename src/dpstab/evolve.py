@@ -31,10 +31,11 @@ step is the degree-4 Taylor polynomial of exp(dt A_alpha); `_linear_step`
 evaluates it in Horner form, y <- v + (dt/j) A_alpha y for j = 4, 3, 2, 1, at
 one inverse and one forward transform per stage.
 The nonlinear flow carries the filtered half-spectrum of m - k from step to
-step.  Per step, one 4-row inverse transform gives m - k, u - c, -3u' and m' at
+step.  Per step, one 4-row inverse transform gives m - k, u - k, u' and m' at
 the step's start, each later stage one forward transform of m - k and one
-3-row inverse to u - c, -3u' and m', and the new m - k one forward transform,
-which the filter then multiplies: 4 forward and 4 inverse transforms.  Nonlinear
+3-row inverse to u - k, u' and m', and the new m - k one forward transform,
+which the filter then multiplies: 4 forward and 4 inverse transforms, where
+a separate filter would add a transform pair.  Nonlinear
 runs apply a mild exponential filter exp(-36 theta^36) on the top eighth of
 modes (theta ramps 0 to 1 across that band) unless disabled.
 """
@@ -499,40 +500,44 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
                          2.8 / rate if rate else np.inf, "advective stability bound")
     dt = schedule[1]
 
-    # The march carries the filtered half-spectrum of m - k.  rows(f, 0) are
-    # m - k, u - c, -3u' and m' of the half-spectrum f of m - k, rows(f, 1) the
-    # last three; the constant k - c of u - c goes on the mean entry.  Stage
-    # sums and grid rows live in buffers; a step returns a new spectrum
-    syms = np.array([np.ones_like(sig), inv_helm, -3j * sig * inv_helm, 1j * sig])
+    # The march carries the filtered half-spectrum f of m - k.  rows(f, 0) are
+    # m - k, u - k, u' and m' of f, rows(f, 1) the last three.  The stages keep
+    # classical RK4's arithmetic on m_t = -s, s = (u - c) m' + 3u' m, which
+    # slope writes over the row of u - k; stage sums and grid rows live in
+    # buffers, and a step returns a new f
+    syms = np.array([np.ones_like(sig), inv_helm, 1j * sig * inv_helm, 1j * sig])
     spec = np.empty(syms.shape, dtype=complex)
     grid = np.empty((4, n))
     stage_hat = np.empty(sig.size, dtype=complex)
-    sums = np.empty((3, n))
+    sums = np.empty((2, n))
     filt = _exp_filter(sig) if filter_modes else 1.0
 
     def rows(f, first):
-        np.multiply(syms[first:], f, out=spec[first:])
-        spec[1, 0] += n * (k - c)
-        return irfft(spec[first:], n, out=grid[first:])
+        return irfft(np.multiply(syms[first:], f, out=spec[first:]), n, out=grid[first:])
+
+    def slope(mm, u_k, ux, mx):
+        u_k += k
+        u_k -= c
+        u_k *= mx
+        ux *= 3.0
+        ux *= mm
+        u_k += ux
+        return u_k
 
     def step(f, t):
-        # m_t = -(u - c) m' - 3u' m is the slope u3x m - uc mx of each stage
-        stage, slope, acc = sums
-        a, uc, u3x, mx = rows(f, 0)
+        stage, acc = sums
+        a, *r = rows(f, 0)
         m = _positive_momentum(a, k, t)
-        np.multiply(u3x, m, out=slope)
-        slope -= np.multiply(uc, mx, out=uc)
-        acc[:] = slope
+        s = slope(m, *r)
+        acc[:] = s
         for c_s, b_s in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
-            np.multiply(slope, c_s * dt, out=stage)
-            stage += a
-            uc, u3x, mx = rows(rfft(stage, out=stage_hat), 1)
-            stage += k
-            np.multiply(u3x, stage, out=slope)
-            slope -= np.multiply(uc, mx, out=uc)
-            acc += b_s * slope
-        a += (dt / 6.0) * acc
-        f = rfft(a)
+            np.subtract(m, np.multiply(s, c_s * dt, out=stage), out=stage)
+            np.subtract(stage, k, out=a)
+            s = slope(stage, *rows(rfft(a, out=stage_hat), 1))
+            acc += b_s * s
+        np.subtract(m, np.multiply(acc, dt / 6.0, out=acc), out=acc)
+        acc -= k
+        f = rfft(acc)
         f *= filt
         return f
 

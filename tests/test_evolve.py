@@ -522,24 +522,6 @@ def test_spectral_march_matches_physical_rk4(prof60):
     assert np.max(np.abs(traj.w - wc)) <= 1e-13 * np.max(np.abs(wc))
 
 
-def test_horner_step_matches_rk4(prof60):
-    # the linear flow's Horner step is classical RK4 on _spectral_rhs
-    w0 = np.exp(-prof60.xi ** 2 / 16.0) * (1.0 + 0.2 * np.cos(2.3 * prof60.xi))
-    h, n, nsteps = prof60.h, w0.size - 1, 4
-    dt = 2.5 / evolve._spectral_radius(prof60, 0.5)
-    traj = evolve.linear_evolve(w0, prof60, 0.5, nsteps * dt, dt=dt,
-                                project_out=False, n_records=nsteps + 1)
-    rhs = evolve._spectral_rhs(prof60, 0.5, n)
-    v = np.fft.rfft(w0[:n])
-    norms = [evolve.l2_norm(w0, h)]
-    for _ in range(nsteps):
-        v = _rk4(v, traj.dt, rhs)
-        w = np.fft.irfft(v, n)
-        norms.append(evolve.l2_norm(np.append(w, w[0]), h))
-    assert np.max(np.abs(traj.norm_w - norms) / norms) <= 1e-13
-    assert np.max(np.abs(traj.w[:-1] - w)) <= 1e-13 * np.max(np.abs(w))
-
-
 def test_l2_norm_of_huge_data():
     # squares of samples near 1e300 overflow; the flow is linear, so a datum
     # 1e300 times larger gives norms 1e300 times larger
@@ -663,17 +645,23 @@ def test_real_fft_operator_matches_complex_oracle(params01, prof60):
                 err = np.max(np.abs(out - ref)) / np.max(np.abs(ref))
                 assert err <= 1e-13, (n, adjoint, w.dtype, err)
 
-    # one RK4 step of the nonlinear flow against the oracle right-hand side
+    # one RK4 step of the nonlinear flow against the oracle right-hand side;
+    # filtered, then exp(-36 theta^36) on the top eighth of |sigma| on m - k
     k, c, h = params01.k, params01.c, prof60.h
     xi = prof60.xi
     m0 = k + np.exp(-(xi - 2.0) ** 2 / 2.0) * rng.uniform(0.8, 1.2, xi.size)
     dt = 0.01
-    run = evolve.nonlinear_evolve(m0, params01, dt, h, dt=dt,
-                                  filter_modes=False, n_records=2)
-    ref = _rk4(m0[:-1], dt, lambda mm: _oracle_momentum_rhs(mm, k, c, h))
-    scale = np.max(np.abs(ref - m0[:-1]))
-    assert np.max(np.abs(run.w[:-1] - ref)) <= 1e-13 * scale
-    assert run.w[-1] == run.w[0]
+    stepped = _rk4(m0[:-1], dt, lambda mm: _oracle_momentum_rhs(mm, k, c, h))
+    sig = np.abs(_grid_freq(stepped.size, h))
+    theta = np.clip((sig / sig.max() - 0.875) / 0.125, 0.0, 1.0)
+    filtered = k + np.fft.ifft(np.exp(-36.0 * theta ** 36) * np.fft.fft(stepped - k)).real
+    assert np.max(np.abs(filtered - stepped)) >= 1e-8  # the filter acts on this datum
+    for filter_modes, ref in ((False, stepped), (True, filtered)):
+        run = evolve.nonlinear_evolve(m0, params01, dt, h, dt=dt,
+                                      filter_modes=filter_modes, n_records=2)
+        scale = np.max(np.abs(ref - m0[:-1]))
+        assert np.max(np.abs(run.w[:-1] - ref)) <= 1e-13 * scale, filter_modes
+        assert run.w[-1] == run.w[0]
     assert run.config["n_fft"] == size - 1
     assert run.config["L"] == prof60.L
 
@@ -681,24 +669,6 @@ def test_real_fft_operator_matches_complex_oracle(params01, prof60):
     assert lin.w[-1] == lin.w[0]
     assert lin.config["n_fft"] == size - 1
     assert lin.config["L"] == prof60.L
-
-
-def test_filtered_nonlinear_step_matches_oracle(params01, prof60):
-    # one filtered step: classical RK4 on the complex-FFT right-hand side, then
-    # the filter exp(-36 theta^36) on the top eighth of |sigma| applied to m - k
-    k, c, h = params01.k, params01.c, prof60.h
-    rng = np.random.default_rng(11)
-    m0 = k + np.exp(-(prof60.xi - 2.0) ** 2 / 2.0) * rng.uniform(0.8, 1.2, prof60.xi.size)
-    dt = 0.01
-    run = evolve.nonlinear_evolve(m0, params01, dt, h, dt=dt, n_records=2)
-    stepped = _rk4(m0[:-1], dt, lambda mm: _oracle_momentum_rhs(mm, k, c, h))
-    sig = np.abs(_grid_freq(stepped.size, h))
-    theta = np.clip((sig / sig.max() - 0.875) / 0.125, 0.0, 1.0)
-    ref = k + np.fft.ifft(np.exp(-36.0 * theta ** 36) * np.fft.fft(stepped - k)).real
-    assert np.max(np.abs(ref - stepped)) >= 1e-8  # the filter acts on this datum
-    scale = np.max(np.abs(ref - m0[:-1]))
-    assert np.max(np.abs(run.w[:-1] - ref)) <= 1e-13 * scale
-    assert run.w[-1] == run.w[0]
 
 
 # ------------------------------------------------------------- modulation
