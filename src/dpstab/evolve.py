@@ -6,9 +6,12 @@ The linearization about the wave in the co-moving frame is
 
 with d the spatial derivative; the weighted operator A_alpha replaces d by
 d - alpha.  Spatial discretization is Fourier collocation on the periodic
-grid of 2L/h nodes, the seam node restored as a copy, so every nonlocal
-inverse is a diagonal multiplier on the real-FFT half-spectrum; profiles
-are exponentially close to the background at the boundary, which keeps the
+grid of the first N - 1 = 2L/h nodes of the closed profile grid, the
+package's one grid rule (`kernel.close_seam`): the grid maps and the RK4
+flows discard the input's last node and return the seam node as a copy of
+node 0 (the free flow's datum has no seam node).  Every nonlocal inverse is
+then a diagonal multiplier on the real-FFT half-spectrum; profiles are
+exponentially close to the background at the boundary, which keeps the
 periodic mismatch far below the test tolerances.
 
 The free resolvent (lambda - A_alpha^inf)^{-1} over the flat background is
@@ -24,12 +27,13 @@ named record columns at n_records times from 0 to T, and the final state.
 The free flow is exact, one inverse transform per record; the linearized
 and nonlinear flows are classical RK4 on one validated schedule,
 the step chosen against a measured spectral radius or the advective bound.
-A_alpha has one discretization, on the rfft half-spectrum (`_symbols`):
-`apply_linearized` and the step bound apply it through `kernel.real_spectral_map`
-(`_spectral_rhs`).  The linearized flow is linear and autonomous, so its RK4
-step is the degree-4 Taylor polynomial of exp(dt A_alpha); `_linear_step`
-evaluates it in Horner form, y <- v + (dt/j) A_alpha y for j = 4, 3, 2, 1, at
-one inverse and one forward transform per stage.
+A_alpha has one discretization, on the rfft half-spectrum (`_symbols`): the
+linearized flow steps it, and `apply_linearized` and the step bound apply it
+through `kernel.real_spectral_map` (`_spectral_rhs`).  The linearized flow is
+linear and autonomous, so its RK4 step is the degree-4 Taylor polynomial of
+exp(dt A_alpha); `_linear_step` evaluates it in Horner form,
+y <- v + (dt/j) A_alpha y for j = 4, 3, 2, 1, at one inverse and one forward
+transform per stage.
 The nonlinear flow carries the filtered half-spectrum of m - k from step to
 step.  Per step, one 4-row inverse transform gives m - k, u - k, u' and m' at
 the step's start, each later stage one forward transform of m - k and one
@@ -94,26 +98,28 @@ def l2_norm(w, h: float) -> float:
     return float(scale * np.sqrt(h * np.sum((a / scale) ** 2)))
 
 
-def _symbols(profile: Profile, alpha: float, n: int, adjoint: bool = False):
-    """c - u0 on the first n profile nodes, p and 3c q on the rfft half-spectrum
-    of n nodes, and the slice of its DC and (n even) Nyquist modes, whose
-    imaginary parts irfft discards.  With p = d (4 - d^2)/(1 - d^2) and
-    q = d/(1 - d^2), A_alpha = p (c - u0) - 3c q at d = i sigma - alpha and its
-    L^2 adjoint is (c - u0) p - 3c q at d = -i sigma - alpha."""
+def _symbols(profile: Profile, alpha: float, adjoint: bool = False):
+    """c - u0 on the first n = N - 1 profile nodes, p and 3c q on the rfft
+    half-spectrum of n nodes, and the slice of its DC and Nyquist modes (n is
+    even), whose imaginary parts irfft discards.  With p = d (4 - d^2)/(1 - d^2)
+    and q = d/(1 - d^2), A_alpha = p (c - u0) - 3c q at d = i sigma - alpha and
+    its L^2 adjoint is (c - u0) p - 3c q at d = -i sigma - alpha."""
     c = profile.params.c
+    n = profile.xi.size - 1
     sig = kernel.rfft_sigma(n, profile.h)
     d = (-1j if adjoint else 1j) * sig - alpha
     p = d * (4.0 - d * d) / (1.0 - d * d)
     q3 = 3.0 * c * d / (1.0 - d * d)
-    return c - profile.u0[:n], p, q3, slice(0, None, n // 2 if n % 2 == 0 else n)
+    return c - profile.u0[:n], p, q3, slice(0, None, n // 2)
 
 
-def _spectral_rhs(profile: Profile, alpha: float, n: int, adjoint: bool = False):
+def _spectral_rhs(profile: Profile, alpha: float, adjoint: bool = False):
     """v -> rfft(A irfft(v, n)), A = A_alpha or its L^2 adjoint (`_symbols`),
     for the rfft half-spectrum v (or a stack of them) of a real function on the
-    first n profile nodes: two real transforms.  The DC and (n even) Nyquist
+    first n = N - 1 profile nodes: two real transforms.  The DC and Nyquist
     imaginary parts, which irfft discards, are zeroed: a march on v is the grid's."""
-    cmu, p, q3, real_modes = _symbols(profile, alpha, n, adjoint)
+    cmu, p, q3, real_modes = _symbols(profile, alpha, adjoint)
+    n = cmu.size
 
     def rhs(v):
         if adjoint:
@@ -126,18 +132,16 @@ def _spectral_rhs(profile: Profile, alpha: float, n: int, adjoint: bool = False)
     return rhs
 
 
-def _closed(w: np.ndarray) -> np.ndarray:
-    # the closed grid's last node is the periodic copy of its first
-    return np.append(w, w[0])
-
-
 def apply_linearized(w, profile: Profile, alpha: float, adjoint: bool = False):
-    """A_alpha w (or its L^2 adjoint) by Fourier collocation on the grid."""
+    """A_alpha w (or its L^2 adjoint) by Fourier collocation, the operator the
+    linearized flow steps: the input's last node is discarded, as the flows
+    discard it, and the result's seam node is a copy of node 0."""
     _check_alpha(alpha)
     w = np.asarray(w)
     if w.shape != profile.xi.shape:
         raise ParameterError("w is not on the profile grid")
-    return kernel.real_spectral_map(w, _spectral_rhs(profile, alpha, w.size, adjoint))
+    rhs = _spectral_rhs(profile, alpha, adjoint)
+    return kernel.close_seam(kernel.real_spectral_map(w[:-1], rhs))
 
 
 @dataclass(frozen=True)
@@ -262,7 +266,11 @@ class EvolutionState:
     """Record times t, norms norm_w, the final state w, the run's solver
     settings, and the flow's own record columns aligned with t: ip_eta1 and
     ip_eta2 = <eta_j, w(t)> for the linearized flow, the invariants E, Q and
-    H for the nonlinear flow, none for the free flow."""
+    H for the nonlinear flow, none for the free flow.
+
+    The norms must be finite and non-negative: the zero datum of the
+    linearized or free flow and the exact background of the nonlinear flow
+    are valid runs of norm 0, which `decay_rate` refuses to fit."""
 
     dt: float
     T: float
@@ -275,13 +283,13 @@ class EvolutionState:
     def __post_init__(self):
         if np.any(np.diff(self.t) <= 0.0):
             raise SolverError("trajectory timestamps must increase strictly")
-        if not np.all(self.norm_w > 0.0):
-            raise SolverError("trajectory norm record must be strictly positive")
+        if not np.all((self.norm_w >= 0.0) & (self.norm_w < np.inf)):
+            raise SolverError("trajectory norm record must be finite and non-negative")
 
 
 def _spectral_radius(profile: Profile, alpha: float) -> float:
     n = profile.xi.size - 1
-    rhs = _spectral_rhs(profile, alpha, n)
+    rhs = _spectral_rhs(profile, alpha)
     rng = np.random.default_rng(0)
     w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     w /= np.linalg.norm(w)
@@ -380,14 +388,15 @@ def free_evolve(w0, params: WaveParams, alpha: float, T: float, h: float,
                           norm_w=norms, w=w, config=config)
 
 
-def _linear_step(profile: Profile, alpha: float, n: int, dt: float):
-    """The RK4 step of v' = A_alpha v on the rfft half-spectrum of n nodes.
+def _linear_step(profile: Profile, alpha: float, dt: float):
+    """The RK4 step of v' = A_alpha v on the rfft half-spectrum of `_symbols`.
     For a linear autonomous flow RK4 is the degree-4 Taylor polynomial of
     exp(dt A_alpha), here in Horner form y <- v + (dt/j) A_alpha y for j = 4, 3,
     2, 1, with the stage multipliers (dt/j) p and (dt/j) 3c q of `_symbols`;
     each stage zeroes the DC and Nyquist imaginary parts, as `_spectral_rhs`
     does."""
-    cmu, p, q3, real_modes = _symbols(profile, alpha, n)
+    cmu, p, q3, real_modes = _symbols(profile, alpha)
+    n = cmu.size
     stages = [(dt / j * p, dt / j * q3) for j in (4, 3, 2, 1)]
     w, qy = np.empty(n), np.empty_like(p)
 
@@ -434,21 +443,22 @@ def linear_evolve(w0, profile: Profile, alpha: float, T: float,
     n = w.size - 1
 
     def observe(t, v):
-        w = _closed(irfft(v, n))
+        w = kernel.close_seam(irfft(v, n))
         if not np.all(np.isfinite(w)):
             raise SolverError(f"linear evolution lost finiteness at t={t}")
         return (l2_norm(w, h), float(np.trapezoid(basis.eta1 * w, dx=h)),
                 float(np.trapezoid(basis.eta2 * w, dx=h)))
 
     dt = schedule[1]
-    v, t, norms, records = _march(rfft(w[:n]), _linear_step(profile, alpha, n, dt),
+    v, t, norms, records = _march(rfft(w[:n]), _linear_step(profile, alpha, dt),
                                   schedule, observe, ("ip_eta1", "ip_eta2"))
     config = {
         "kind": "linear", "k": profile.params.k, "c": profile.params.c,
         "alpha": alpha, "L": profile.L, "h": h, "n_fft": n, "dt": dt, "T": T,
         "projected": bool(project_out),
     }
-    return EvolutionState(dt=dt, T=T, t=t, norm_w=norms, w=_closed(irfft(v, n)),
+    return EvolutionState(dt=dt, T=T, t=t, norm_w=norms,
+                          w=kernel.close_seam(irfft(v, n)),
                           config=config, records=records)
 
 
@@ -542,7 +552,7 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
         return f
 
     def observe(t, f):
-        mm = _closed(_positive_momentum(irfft(f, n), k, t))
+        mm = kernel.close_seam(_positive_momentum(irfft(f, n), k, t))
         cv = kernel.conserved(params, h, m=mm)
         return l2_norm(mm - k, h), cv.E_mass, cv.Q, cv.H
 
@@ -551,7 +561,8 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
         "kind": "nonlinear", "k": k, "c": c, "L": 0.5 * h * n, "h": h,
         "n_fft": n, "dt": dt, "T": T, "filter": bool(filter_modes),
     }
-    return EvolutionState(dt=dt, T=T, t=t, norm_w=norms, w=_closed(k + irfft(f, n)),
+    return EvolutionState(dt=dt, T=T, t=t, norm_w=norms,
+                          w=kernel.close_seam(k + irfft(f, n)),
                           config=config, records=records)
 
 
@@ -560,7 +571,8 @@ def decay_rate(traj: EvolutionState, window: tuple | None = None) -> float:
 
     Defaults to [T/5, 4T/5], excluding the transient and the truncation tail.
     The slope resolves to about eps max(1, max |log ||w|||) over the window
-    length; a fit whose rounding floor exceeds 1e-6 is refused.
+    length; a fit whose rounding floor exceeds 1e-6 is refused.  A norm in the
+    window that is not positive, such as a zero state's, raises `SolverError`.
     """
     if window is None:
         window = (traj.T / 5.0, 4.0 * traj.T / 5.0)

@@ -23,11 +23,18 @@ Running integrals are the same sweep at rate 0.  Every periodic Fourier map of
 the package goes through `real_spectral_map`, on the real-FFT half-spectrum,
 and every frequency grid through `rfft_sigma`.  Both the sweep and the
 frequency grid reject a grid spacing that is not finite and positive.
+
+The package has one grid rule (`close_seam`): a function on a closed grid of
+N nodes, such as the profile grid, is the periodic function on its first
+N - 1 nodes, and its seam node is a copy of node 0.  `spectral_multiplier`
+discards the input's last node, as the evolve flows do.  `conserved`,
+`casimirs` and `project` raise `ParameterError` on any floating overflow:
+finite samples too large for their quadrature.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 from numpy.fft import irfft, rfft, rfftfreq
@@ -42,6 +49,7 @@ __all__ = [
     "causal_exp_conv",
     "real_spectral_map",
     "rfft_sigma",
+    "close_seam",
     "spectral_multiplier",
     "helmholtz_solve",
     "b_apply",
@@ -188,13 +196,38 @@ def rfft_sigma(n: int, h: float) -> np.ndarray:
     return 2.0 * np.pi * rfftfreq(n, d=_spacing(h))
 
 
+def close_seam(w) -> np.ndarray:
+    """The closed-grid function of the periodic samples w: each row with its
+    seam node appended, a copy of node 0."""
+    w = np.asarray(w)
+    return np.concatenate([w, w[..., :1]], axis=-1)
+
+
 def spectral_multiplier(w, h: float, mult) -> np.ndarray:
-    """The periodic multiplier mult(sigma) on the grid of spacing h, applied to
-    each row of w."""
-    sym = mult(rfft_sigma(np.shape(w)[-1], h))
-    return real_spectral_map(w, lambda wk: sym * wk)
+    """The periodic multiplier mult(sigma) on each row of the closed-grid
+    function w of spacing h: the input's last node is discarded, and the
+    result's seam node is a copy of node 0 (`close_seam`)."""
+    w = np.asarray(w)
+    sym = mult(rfft_sigma(w.shape[-1] - 1, h))
+    return close_seam(real_spectral_map(w[..., :-1], lambda wk: sym * wk))
 
 
+def _no_overflow(fn):
+    """fn with a floating overflow inside it, which only finite samples too
+    large for its quadrature cause, raised as `ParameterError`."""
+    @wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise ParameterError(
+                f"{fn.__name__} overflows: the samples are too large") from exc
+
+    return checked
+
+
+@_no_overflow
 def conserved(params, h: float, u=None, m=None) -> ConservedValues:
     """H, Q and E_mass of a state given as u or as m = u - u''.
 
@@ -222,6 +255,7 @@ def conserved(params, h: float, u=None, m=None) -> ConservedValues:
     return ConservedValues(float(H), float(Q), float(E_mass))
 
 
+@_no_overflow
 def casimirs(params, h: float, m) -> tuple[float, float]:
     """The Casimirs (F1, F2) of a positive momentum density m, normalized to
     vanish at the background: the integrals of m^(1/3) and of
@@ -306,6 +340,7 @@ def kernel_basis(profile: Profile, alpha: float) -> KernelBasis:
     )
 
 
+@_no_overflow
 def project(f, basis: KernelBasis):
     """Rank-2 spectral projection Pi f = sum_j <eta_j, f> z_j and I - Pi."""
     f = np.asarray(f, dtype=float)

@@ -68,8 +68,10 @@ def _oracle_linearized(w, profile, alpha, adjoint=False):
 
 
 def test_plane_wave_multiplier(params01, prof01):
+    # the modes of the periodic grid of the first N - 1 nodes, whose plane
+    # waves take at the seam node the value of node 0
     flat = _flat(prof01)
-    sig = _grid_freq(prof01.xi.size, prof01.h)
+    sig = _grid_freq(prof01.xi.size - 1, prof01.h)
     for alpha in (0.0, 0.5):
         for idx in (0, 3, 40, 333):
             s0 = sig[idx]
@@ -81,7 +83,7 @@ def test_plane_wave_multiplier(params01, prof01):
 
 def test_plane_wave_adjoint_multiplier(params01, prof01):
     flat = _flat(prof01)
-    sig = _grid_freq(prof01.xi.size, prof01.h)
+    sig = _grid_freq(prof01.xi.size - 1, prof01.h)
     s0 = sig[40]
     w = np.exp(1j * s0 * prof01.xi)
     aw = evolve.apply_linearized(w, flat, 0.5, adjoint=True)
@@ -137,8 +139,11 @@ def test_adjoint_pairing(prof01):
 
 
 def test_free_evolve_zero(params01):
+    # the zero datum is a valid run of norm 0, to which no decay rate fits
+    traj = evolve.free_evolve(np.zeros(512), params01, 0.5, 3.0, 0.05)
+    assert np.all(traj.norm_w == 0.0) and np.all(traj.w == 0.0)
     with pytest.raises(SolverError, match="strictly positive"):
-        evolve.free_evolve(np.zeros(512), params01, 0.5, 3.0, 0.05)
+        evolve.decay_rate(traj)
     # the real-transform flow takes one real, finite grid function
     w0 = np.exp(-_grid(10.0, 0.05)[:-1] ** 2)
     nan_w0 = w0.copy()
@@ -402,6 +407,38 @@ def test_linear_evolve_step_rejection(prof60):
         evolve.linear_evolve(bad, prof60, 0.5, T=1.0)
 
 
+def test_linear_step_is_taylor_polynomial_of_apply_linearized(prof60):
+    # one RK4 step of a linear flow is the degree-4 Taylor polynomial of
+    # exp(dt A), so the operator apply_linearized applies is the one the flow
+    # steps; the datum is the flow's own, the seam node a copy of node 0
+    basis = kernel.kernel_basis(prof60, 0.5)
+    v = basis.z2.copy()
+    v[-1] = v[0]
+    T = 2.5 / evolve._spectral_radius(prof60, 0.5)  # the safe dt
+    traj = evolve.linear_evolve(v, prof60, 0.5, T, project_out=False, n_records=2)
+    assert traj.t.size == 2 and traj.dt == T
+    y = v
+    for j in (4, 3, 2, 1):
+        y = v + (traj.dt / j) * evolve.apply_linearized(y, prof60, 0.5)
+    assert np.max(np.abs(traj.w - y)) <= 1e-13 * np.max(np.abs(y - v))
+
+
+def test_zero_states_run():
+    # the zero datum of the linearized flow and the exact background of the
+    # nonlinear flow are valid runs of norm 0, to which no decay rate fits
+    params = WaveParams(0.1, 1.0)
+    prof = solve_profile(params, L=30.0, h=0.1)
+    lin = evolve.linear_evolve(np.zeros(prof.xi.size), prof, 0.5, T=1.0)
+    non = evolve.nonlinear_evolve(np.full(1201, params.k), params, T=1.0, h=0.05)
+    assert np.all(lin.norm_w == 0.0) and np.all(lin.w == 0.0)
+    assert np.all(lin.records["ip_eta1"] == 0.0) and np.all(lin.records["ip_eta2"] == 0.0)
+    assert np.all(non.norm_w == 0.0) and np.all(non.w == params.k)
+    assert all(np.all(v == 0.0) for v in non.records.values())
+    for traj in (lin, non):
+        with pytest.raises(SolverError, match="strictly positive"):
+            evolve.decay_rate(traj)
+
+
 def test_linear_evolve_rk4_order(prof60):
     w0 = np.exp(-prof60.xi ** 2 / 16.0) * (1.0 + 0.2 * np.cos(2.3 * prof60.xi))
     rho = evolve._spectral_radius(prof60, 0.5)
@@ -419,46 +456,40 @@ def test_linear_evolve_rk4_order(prof60):
 
 
 def test_spectral_rhs_matches_physical_operator(prof60):
-    # random spectra of real functions, enveloped in frequency, on an odd
-    # (closed) and an even (periodic) grid length
+    # a random spectrum of a real function, enveloped in frequency, on the
+    # periodic grid of the first N - 1 profile nodes
     rng = np.random.default_rng(3)
-    size = prof60.xi.size
-    for n in (size, size - 1):
-        sig = 2.0 * np.pi * np.fft.rfftfreq(n, d=prof60.h)
-        v = np.exp(-(4.0 * sig / sig.max()) ** 2) * (
-            rng.standard_normal(sig.size) + 1j * rng.standard_normal(sig.size))
-        v.imag[0] = 0.0
-        if n % 2 == 0:
-            v.imag[-1] = 0.0
-        w = np.fft.irfft(v, n)
-        for adjoint in (False, True):
-            ref = np.fft.rfft(_oracle_linearized(w, prof60, 0.5, adjoint))
-            out = evolve._spectral_rhs(prof60, 0.5, n, adjoint)(v)
-            err = np.max(np.abs(out - ref)) / np.max(np.abs(ref))
-            assert err <= 1e-13, (n, adjoint, err)
-            # irfft drops these parts; a march that kept them would drift
-            assert out.imag[0] == 0.0
-            if n % 2 == 0:
-                assert out.imag[-1] == 0.0
+    n = prof60.xi.size - 1
+    sig = 2.0 * np.pi * np.fft.rfftfreq(n, d=prof60.h)
+    v = np.exp(-(4.0 * sig / sig.max()) ** 2) * (
+        rng.standard_normal(sig.size) + 1j * rng.standard_normal(sig.size))
+    v.imag[[0, -1]] = 0.0
+    w = np.fft.irfft(v, n)
+    for adjoint in (False, True):
+        ref = np.fft.rfft(_oracle_linearized(w, prof60, 0.5, adjoint))
+        out = evolve._spectral_rhs(prof60, 0.5, adjoint)(v)
+        err = np.max(np.abs(out - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-13, (adjoint, err)
+        # irfft drops the DC and Nyquist imaginary parts; a march that kept
+        # them would drift
+        assert out.imag[0] == 0.0 and out.imag[-1] == 0.0
 
 
 def test_stacked_rows_map_exactly(prof60):
     # one transform pair over stacked rows gives each row's own map bit for bit
     rng = np.random.default_rng(7)
-    size = prof60.xi.size
-    for n in (size, size - 1):
-        w = rng.standard_normal((3, n))
-        v = np.fft.rfft(w[:2])
-        for adjoint in (False, True):
-            rhs = evolve._spectral_rhs(prof60, 0.5, n, adjoint)
-            assert np.array_equal(kernel.real_spectral_map(w, rhs),
-                                  [kernel.real_spectral_map(row, rhs) for row in w])
-            z = w[0] + 1j * w[1]
-            assert np.array_equal(
-                kernel.real_spectral_map(z, rhs),
-                kernel.real_spectral_map(z.real, rhs)
-                + 1j * kernel.real_spectral_map(z.imag, rhs))
-            assert np.array_equal(rhs(v), [rhs(row) for row in v])
+    w = rng.standard_normal((3, prof60.xi.size - 1))
+    v = np.fft.rfft(w[:2])
+    for adjoint in (False, True):
+        rhs = evolve._spectral_rhs(prof60, 0.5, adjoint)
+        assert np.array_equal(kernel.real_spectral_map(w, rhs),
+                              [kernel.real_spectral_map(row, rhs) for row in w])
+        z = w[0] + 1j * w[1]
+        assert np.array_equal(
+            kernel.real_spectral_map(z, rhs),
+            kernel.real_spectral_map(z.real, rhs)
+            + 1j * kernel.real_spectral_map(z.imag, rhs))
+        assert np.array_equal(rhs(v), [rhs(row) for row in v])
 
 
 def _transforms_per_step(run):
@@ -604,12 +635,10 @@ def test_nonlinear_positivity_abort(params01):
 
 def test_nonlinear_rk4_order(params01, prof60):
     h = prof60.h
-    sig = _grid_freq(prof60.xi.size, h)
-    m0 = prof60.mu + np.fft.ifft(
-        (1 + sig ** 2) * np.fft.fft(1e-2 * np.exp(-(prof60.xi - 2.0) ** 2 / 2.0))
-    ).real
+    m0 = prof60.mu + kernel.spectral_multiplier(
+        1e-2 * np.exp(-(prof60.xi - 2.0) ** 2 / 2.0), h, lambda s: 1.0 + s * s)
     T = 0.5
-    base = 0.9 * np.abs(sig).max()
+    base = 0.9 * kernel.rfft_sigma(prof60.xi.size - 1, h).max()
     outs = {}
     for f in (1, 2, 8):
         dt = T / (np.ceil(T * base) * f)
@@ -625,25 +654,21 @@ def test_real_fft_operator_matches_complex_oracle(params01, prof60):
     # the complex-FFT formulas the real-transform flows replaced
     rng = np.random.default_rng(5)
     size = prof60.xi.size
-    for n in (size, size - 1):
-        xi = prof60.xi[:n]
-        env = np.exp(-xi ** 2 / 16.0)
-        u, v = env * rng.standard_normal((2, n))
-        z = u + 1j * v
-        if n % 2 == 0:
-            # the Nyquist mode is one real mode: the real transform keeps the
-            # real part of its symbol there, the complex formula all of it,
-            # which differ for complex data; band-limit that data
-            sig = _grid_freq(n, prof60.h)
-            z = np.fft.ifft(np.fft.fft(z) * (np.abs(sig) <= 0.5 * sig.max()))
-        for adjoint in (False, True):
-            rhs = evolve._spectral_rhs(prof60, 0.5, n, adjoint)
-            for w in (u, z):
-                ref = _oracle_linearized(w, prof60, 0.5, adjoint)
-                out = (evolve.apply_linearized(w, prof60, 0.5, adjoint) if n == size
-                       else kernel.real_spectral_map(w, rhs))
-                err = np.max(np.abs(out - ref)) / np.max(np.abs(ref))
-                assert err <= 1e-13, (n, adjoint, w.dtype, err)
+    n = size - 1
+    env = np.exp(-prof60.xi[:n] ** 2 / 16.0)
+    u, v = env * rng.standard_normal((2, n))
+    # the Nyquist mode is one real mode: the real transform keeps the real
+    # part of its symbol there, the complex formula all of it, which differ
+    # for complex data; band-limit that data
+    sig = _grid_freq(n, prof60.h)
+    z = np.fft.ifft(np.fft.fft(u + 1j * v) * (np.abs(sig) <= 0.5 * sig.max()))
+    for adjoint in (False, True):
+        rhs = evolve._spectral_rhs(prof60, 0.5, adjoint)
+        for w in (u, z):
+            ref = _oracle_linearized(w, prof60, 0.5, adjoint)
+            out = kernel.real_spectral_map(w, rhs)
+            err = np.max(np.abs(out - ref)) / np.max(np.abs(ref))
+            assert err <= 1e-13, (adjoint, w.dtype, err)
 
     # one RK4 step of the nonlinear flow against the oracle right-hand side;
     # filtered, then exp(-36 theta^36) on the top eighth of |sigma| on m - k
@@ -726,12 +751,15 @@ def test_evolution_state_invariants():
         evolve.EvolutionState(
             dt=0.1, T=1.0, t=t, norm_w=ones, w=ones,
         )
-    for bad in (0.0, np.nan):
-        with pytest.raises(SolverError, match="strictly positive"):
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(SolverError, match="finite and non-negative"):
             evolve.EvolutionState(
                 dt=0.1, T=1.0, t=np.array([0.0, 1.0, 2.0]),
                 norm_w=np.array([1.0, bad, 1.0]), w=ones,
             )
+    # a zero norm is the norm of a zero state, a valid run
+    evolve.EvolutionState(dt=0.1, T=1.0, t=np.array([0.0, 1.0, 2.0]),
+                          norm_w=np.array([1.0, 0.0, 1.0]), w=ones)
 
 
 def test_decay_rate_validation():

@@ -195,6 +195,20 @@ def test_non_finite_samples_rejected(prof01, params01, entry, bad):
         entry(g, prof01, params01)
 
 
+@pytest.mark.parametrize("entry", [
+    lambda prof, params: kernel.conserved(params, 0.05, u=np.full(1201, 1e300)),
+    lambda prof, params: kernel.conserved(params, 0.05, m=np.full(1201, 1e300)),
+    lambda prof, params: kernel.casimirs(params, 0.05, np.full(1201, 1e300)),
+    lambda prof, params: kernel.project(np.full(prof.xi.size, 1e308),
+                                        kernel.kernel_basis(prof, 0.5)),
+], ids=["conserved_u", "conserved_m", "casimirs", "project"])
+def test_overflowing_samples_rejected(prof01, params01, entry):
+    # finite samples too large for the quadrature: a bad input, raised
+    # without a RuntimeWarning (which the suite turns into an error)
+    with pytest.raises(ParameterError, match="overflows"):
+        entry(prof01, params01)
+
+
 def test_theta_anchors(prof01):
     b = kernel.kernel_basis(prof01, 0.5 * prof01.consts.alpha_crit)
     assert abs(b.theta1 - THETA1_01) <= 1e-8
