@@ -116,7 +116,7 @@ _TABLES = {
     "linear-evolve": {
         **_PARAMS, **_ALPHA_REQ,
         "t_final": _Opt(float, 25.0, "final time"),
-        "dt": _Opt(float, None, "time step, default from the spectral radius"),
+        "dt": _Opt(float, None, "time step, default from the operator norm bound"),
         "n_records": _Opt(int, 201, "number of recorded times"),
         **_BUMP,
         "no_project": _Opt(bool, False,
@@ -131,7 +131,6 @@ _TABLES = {
         "delta": _Opt(float, 1e-3, "disturbance amplitude"),
         "n_records": _Opt(int, 201, "number of recorded times"),
         **_BUMP,
-        "no_filter": _Opt(bool, False, "disable the high-mode filter"),
         "L": _Opt(float, 40.0, "half-length of the grid"),
         "h": _Opt(float, 0.05, "grid spacing"),
         **_out("nonlinear-evolve"), **_PLOT, **_CONFIG,
@@ -311,6 +310,7 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     o = cfg.options
     if o["n"] < 2:
         raise ParameterError("need at least 2 frequency samples")
+    wave.check_samples(o["n"], "the frequency window")
     params = _params(o)
     sigma = np.linspace(-o["sigma_max"], o["sigma_max"], o["n"])
     curve = dispersion.ess_spectrum_curve(params, o["alpha"], sigma)
@@ -404,9 +404,7 @@ def _bump(xi, width: float, center: float = 0.0) -> np.ndarray:
 
 def _cmd_free_evolve(cfg: RunConfig) -> int:
     o = cfg.options
-    if o["L"] <= 0.0 or o["h"] <= 0.0:
-        raise ParameterError("L and h must be positive")
-    n = int(round(2.0 * o["L"] / o["h"]))
+    n = 2 * wave.grid_steps(o["L"], o["h"])
     if n < 16:
         raise ParameterError("grid too small")
     w0 = _bump(-o["L"] + o["h"] * np.arange(n), o["width"])
@@ -438,9 +436,7 @@ def _cmd_nonlinear_evolve(cfg: RunConfig) -> int:
     u = prof.u0 + o["delta"] * _bump(prof.xi, o["width"], o["center"])
     m0 = params.k + kernel.spectral_multiplier(u - params.k, o["h"], lambda s: 1.0 + s * s)
     traj = evolve.nonlinear_evolve(m0, params, T=o["t_final"], h=o["h"],
-                                   dt=o["dt"],
-                                   filter_modes=not o["no_filter"],
-                                   n_records=o["n_records"])
+                                   dt=o["dt"], n_records=o["n_records"])
     drift = {key: float((v[-1] - v[0]) / max(abs(v[0]), 1e-300))
              for key, v in traj.records.items()}
     _emit_trajectory(cfg, traj, {"invariant_drift": drift}, "nonlinear residual norm")

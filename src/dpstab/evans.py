@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _backend
 from .dispersion import char_coeffs, char_roots, spectral_gap
-from .wave import ParameterError, Profile, SolverError, half_step_samples
+from .wave import ParameterError, Profile, SolverError, check_samples, half_step_samples
 
 __all__ = [
     "EvansSample",
@@ -228,6 +228,7 @@ def circle_contour(center: complex = 0.0, radius: float = 0.05, n: int = 64,
     """
     if not (np.isfinite(center) and 0 < radius < np.inf and n >= 8):
         raise ParameterError("need a finite center, finite radius > 0 and n >= 8 nodes")
+    check_samples(n, "the circle")
     j = np.arange(n)
     th = orientation * 2.0 * np.pi * np.where(2 * j > n, j - n, j) / n
     center = complex(center)
@@ -243,6 +244,7 @@ def rectangle_contour(re_min: float, re_max: float, im_abs: float,
         raise ParameterError("degenerate rectangle")
     if not 0 < density < np.inf:
         raise ParameterError(f"density must be finite and positive, got {density}")
+    check_samples(2.0 * (re_max - re_min + 2.0 * im_abs) * density, "the rectangle")
 
     def side(z0, z1):
         # integer weights make mirrored sides exact conjugates of each other;

@@ -25,23 +25,22 @@ The three flows share one shape: datum, parameters, final time T, grid and
 n_records go in; an `EvolutionState` comes out: the norm and the flow's own
 named record columns at n_records times from 0 to T, and the final state.
 The free flow is exact, one inverse transform per record; the linearized
-and nonlinear flows are classical RK4 on one validated schedule,
-the step chosen against a measured spectral radius or the advective bound.
+and nonlinear flows are classical RK4 on one validated schedule, the step
+chosen against a bound read off the symbols: max|c - u0| max|p| + max|3c q|
+bounds the 2-norm of A_alpha on the grid, so its spectral radius, and
+max|u - c| sigma_max bounds the advection.
 A_alpha has one discretization, on the rfft half-spectrum (`_symbols`): the
-linearized flow steps it, and `apply_linearized` and the step bound apply it
-through `kernel.real_spectral_map` (`_spectral_rhs`).  The linearized flow is
+linearized flow steps it, and `apply_linearized` applies it through
+`kernel.real_spectral_map` (`_spectral_rhs`).  The linearized flow is
 linear and autonomous, so its RK4 step is the degree-4 Taylor polynomial of
 exp(dt A_alpha); `_linear_step` evaluates it in Horner form,
 y <- v + (dt/j) A_alpha y for j = 4, 3, 2, 1, at one inverse and one forward
 transform per stage.
-The nonlinear flow carries the filtered half-spectrum of m - k from step to
-step.  Per step, one 4-row inverse transform gives m - k, u - k, u' and m' at
-the step's start, each later stage one forward transform of m - k and one
-3-row inverse to u - k, u' and m', and the new m - k one forward transform,
-which the filter then multiplies: 4 forward and 4 inverse transforms, where
-a separate filter would add a transform pair.  Nonlinear
-runs apply a mild exponential filter exp(-36 theta^36) on the top eighth of
-modes (theta ramps 0 to 1 across that band) unless disabled.
+The nonlinear flow carries the half-spectrum of m - k from step to step.
+Per step, one 4-row inverse transform gives m - k, u - k, u' and m' at the
+step's start, each later stage one forward transform of m - k and one 3-row
+inverse to u - k, u' and m', and the new m - k one forward transform: 4
+forward and 4 inverse transforms.
 """
 from __future__ import annotations
 
@@ -81,9 +80,8 @@ __all__ = [
     "l2_norm",
 ]
 
-# power iterations of the spectral radius, the resolvent scan's sigma grid,
-# and the step cap of the damped Gauss-Newton modulation fit
-_POWER_ITERS = 50
+# the resolvent scan's sigma grid and the step cap of the damped Gauss-Newton
+# modulation fit
 _SCAN_SIGMA_MAX, _SCAN_POINTS = 400.0, 160_001
 _FIT_MAX_ITER = 50
 
@@ -111,6 +109,16 @@ def _symbols(profile: Profile, alpha: float, adjoint: bool = False):
     p = d * (4.0 - d * d) / (1.0 - d * d)
     q3 = 3.0 * c * d / (1.0 - d * d)
     return c - profile.u0[:n], p, q3, slice(0, None, n // 2)
+
+
+def _norm_bound(profile: Profile, alpha: float) -> float:
+    """max|c - u0| max|p| + max|3c q| over `_symbols`: a bound on the 2-norm
+    of A_alpha on the grid, so on its spectral radius.  The grid operator is
+    the diagonal c - u0 and the multipliers p and 3c q between unitary
+    transforms, then the real part irfft takes, none of which has a norm
+    above its largest entry."""
+    cmu, p, q3, _ = _symbols(profile, alpha)
+    return float(np.max(np.abs(cmu)) * np.max(np.abs(p)) + np.max(np.abs(q3)))
 
 
 def _spectral_rhs(profile: Profile, alpha: float, adjoint: bool = False):
@@ -287,20 +295,6 @@ class EvolutionState:
             raise SolverError("trajectory norm record must be finite and non-negative")
 
 
-def _spectral_radius(profile: Profile, alpha: float) -> float:
-    n = profile.xi.size - 1
-    rhs = _spectral_rhs(profile, alpha)
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    w /= np.linalg.norm(w)
-    rho = 0.0
-    for _ in range(_POWER_ITERS):
-        aw = kernel.real_spectral_map(w, rhs)
-        rho = float(np.linalg.norm(aw))
-        w = aw / rho
-    return rho
-
-
 # fixed work limits of one run, far above the defaults (201 records, about
 # 1400 RK4 steps at L = 40, h = 0.02)
 _MAX_RECORDS = 100_000
@@ -434,10 +428,10 @@ def linear_evolve(w0, profile: Profile, alpha: float, T: float,
         raise ParameterError("w0 must be finite")
     if project_out:
         _, w = kernel.project(w, basis)
-    rho = _spectral_radius(profile, alpha)
+    rate = _norm_bound(profile, alpha)
     schedule = _schedule(
-        T, n_records, dt, 2.5 / rho, 2.8 / rho,
-        f"RK4 stability bound for the measured spectral radius {rho:.3e}",
+        T, n_records, dt, 2.5 / rate, 2.8 / rate,
+        f"RK4 stability bound 2.8/{rate:.3e} from the norm of A_alpha",
     )
     h = profile.h
     n = w.size - 1
@@ -462,13 +456,6 @@ def linear_evolve(w0, profile: Profile, alpha: float, T: float,
                           config=config, records=records)
 
 
-def _exp_filter(sig: np.ndarray) -> np.ndarray:
-    # damp the top eighth of the rfft frequencies sig: exp(-36 theta^36),
-    # theta ramping over it
-    theta = np.clip((sig / sig.max() - 0.875) / 0.125, 0.0, 1.0)
-    return np.exp(-36.0 * theta ** 36)
-
-
 def _positive_momentum(a, k: float, t: float) -> np.ndarray:
     """m = k + a, the momentum at time t, checked finite and positive."""
     m = a + k
@@ -479,13 +466,13 @@ def _positive_momentum(a, k: float, t: float) -> np.ndarray:
 
 
 def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
-                     dt: float | None = None, filter_modes: bool = True,
-                     n_records: int = 201) -> EvolutionState:
+                     dt: float | None = None, n_records: int = 201) -> EvolutionState:
     """Integrate the co-moving momentum flow m_t = -(u - c) m' - 3 u' m.
 
     m0 lives on a closed grid of odd length N; the flow runs on the periodic
     grid of its first N - 1 nodes.  u is recovered from m through the
-    periodic Helmholtz multiplier.  The records are E, Q and H
+    periodic Helmholtz multiplier.  No mode is filtered: on a grid that
+    resolves the datum a filter moves the run only by rounding.  The records are E, Q and H
     (`kernel.conserved`), taken at every record time through the independent
     recursion-based quadrature route; the final state is the only state
     returned.  Every state is checked finite and positive before it is used,
@@ -510,7 +497,7 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
                          2.8 / rate if rate else np.inf, "advective stability bound")
     dt = schedule[1]
 
-    # The march carries the filtered half-spectrum f of m - k.  rows(f, 0) are
+    # The march carries the half-spectrum f of m - k.  rows(f, 0) are
     # m - k, u - k, u' and m' of f, rows(f, 1) the last three.  The stages keep
     # classical RK4's arithmetic on m_t = -s, s = (u - c) m' + 3u' m, which
     # slope writes over the row of u - k; stage sums and grid rows live in
@@ -520,7 +507,6 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
     grid = np.empty((4, n))
     stage_hat = np.empty(sig.size, dtype=complex)
     sums = np.empty((2, n))
-    filt = _exp_filter(sig) if filter_modes else 1.0
 
     def rows(f, first):
         return irfft(np.multiply(syms[first:], f, out=spec[first:]), n, out=grid[first:])
@@ -547,9 +533,7 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
             acc += b_s * s
         np.subtract(m, np.multiply(acc, dt / 6.0, out=acc), out=acc)
         acc -= k
-        f = rfft(acc)
-        f *= filt
-        return f
+        return rfft(acc)
 
     def observe(t, f):
         mm = kernel.close_seam(_positive_momentum(irfft(f, n), k, t))
@@ -557,10 +541,8 @@ def nonlinear_evolve(m0, params: WaveParams, T: float, h: float,
         return l2_norm(mm - k, h), cv.E_mass, cv.Q, cv.H
 
     f, t, norms, records = _march(mk_hat, step, schedule, observe, ("E", "Q", "H"))
-    config = {
-        "kind": "nonlinear", "k": k, "c": c, "L": 0.5 * h * n, "h": h,
-        "n_fft": n, "dt": dt, "T": T, "filter": bool(filter_modes),
-    }
+    config = {"kind": "nonlinear", "k": k, "c": c, "L": 0.5 * h * n, "h": h,
+              "n_fft": n, "dt": dt, "T": T}
     return EvolutionState(dt=dt, T=T, t=t, norm_w=norms,
                           w=kernel.close_seam(k + irfft(f, n)),
                           config=config, records=records)

@@ -20,9 +20,11 @@ interpolant against the exponential, so the sweep is order-6 in the step and
 respects decay at the ends (no periodization).  The running sum
 C_i = e^{-m h} C_{i-1} + inc_i is one BLAS bidiagonal solve (dtbsv/ztbsv).
 Running integrals are the same sweep at rate 0.  Every periodic Fourier map of
-the package goes through `real_spectral_map`, on the real-FFT half-spectrum,
-and every frequency grid through `rfft_sigma`.  Both the sweep and the
-frequency grid reject a grid spacing that is not finite and positive.
+the package works on the real-FFT half-spectrum: a map of grid functions goes
+through `real_spectral_map`, while the RK4 flows of `evolve` carry a
+half-spectrum and call rfft and irfft themselves.  Every frequency grid comes
+from `rfft_sigma`.  Both the sweep and the frequency grid reject a grid
+spacing that is not finite and positive.
 
 The package has one grid rule (`close_seam`): a function on a closed grid of
 N nodes, such as the profile grid, is the periodic function on its first
@@ -213,16 +215,16 @@ def spectral_multiplier(w, h: float, mult) -> np.ndarray:
 
 
 def _no_overflow(fn):
-    """fn with a floating overflow inside it, which only finite samples too
-    large for its quadrature cause, raised as `ParameterError`."""
+    """fn with a floating overflow inside it, which only finite inputs too
+    large for its arithmetic cause, raised as `ParameterError`."""
     @wraps(fn)
     def checked(*args, **kwargs):
         try:
             with np.errstate(over="raise"):
                 return fn(*args, **kwargs)
-        except FloatingPointError as exc:
+        except (FloatingPointError, OverflowError) as exc:
             raise ParameterError(
-                f"{fn.__name__} overflows: the samples are too large") from exc
+                f"{fn.__name__} overflows: its input is too large") from exc
 
     return checked
 

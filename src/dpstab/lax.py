@@ -25,6 +25,7 @@ import numpy as np
 
 from . import _backend
 from .dispersion import char_coeffs, char_roots
+from .kernel import _no_overflow
 from .wave import ParameterError, Profile, SolverError, WaveParams, half_step_samples
 
 __all__ = [
@@ -130,11 +131,17 @@ def _sigma_convention(M: complex, P: complex, denom: complex) -> tuple[complex, 
     return P, sig
 
 
+@_no_overflow
 def m_cubic(lam: complex, params: WaveParams) -> LaxRootData:
-    """All three M-branches at one lambda; degenerate branches flagged."""
+    """All three M-branches at one lambda; degenerate branches flagged.  A
+    lambda too large for the cubic's arithmetic raises `ParameterError`."""
     lam = complex(lam)
     k, c = params.k, params.c
     roots = char_roots(lam, params)
+    disc = discriminant(lam, params)
+    # Python's complex product overflows to inf silently
+    if not np.isfinite(disc):
+        raise ParameterError(f"m_cubic overflows: lambda={lam} is too large")
     scale = max(abs(lam), 1.0)
     branches = []
     for M in roots:
@@ -163,7 +170,7 @@ def m_cubic(lam: complex, params: WaveParams) -> LaxRootData:
         }
         branches.append(MCubicBranch(M=M, P=P, l1=l1, l2=l2, sigma=sig,
                                      r1=r1, r2=r2, degenerate=False, checks=checks))
-    return LaxRootData(lam=lam, params=params, discriminant=discriminant(lam, params),
+    return LaxRootData(lam=lam, params=params, discriminant=disc,
                        branches=tuple(branches))
 
 

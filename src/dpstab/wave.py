@@ -37,6 +37,8 @@ __all__ = [
     "DerivedConstants",
     "derived_constants",
     "solve_profile",
+    "grid_steps",
+    "check_samples",
     "dc_profile",
     "half_step_samples",
     "profile_w",
@@ -221,13 +223,36 @@ def profile_w(params: WaveParams, x) -> tuple[np.ndarray, np.ndarray]:
     return w, np.sign(-x) * slope
 
 
-def solve_profile(params: WaveParams, L: float = 40.0, h: float = 0.02) -> Profile:
-    """The profile on xi in [-L, L] with grid step h."""
+# the most samples one grid, contour or frequency list may hold: far above
+# the package's largest (128 001 half-step samples at nsub 16 on the default
+# grid), so a count past it is a typo whose arrays would exhaust memory
+_MAX_SAMPLES = 10_000_000
+
+
+def check_samples(count, what: str) -> None:
+    """Raise `ParameterError` if `what` needs more than 10 000 000 points;
+    called before the samples are allocated."""
+    if not count <= _MAX_SAMPLES:
+        raise ParameterError(
+            f"{what} needs {count:.4g} points, more than the {_MAX_SAMPLES} allowed")
+
+
+def grid_steps(L: float, h: float) -> int:
+    """n = L/h, the steps of h on each side of the grid on [-L, L]: L and h
+    finite and positive, L an integer multiple of h with n >= 4, and the
+    2n + 1 nodes within `check_samples`."""
     if not (0.0 < L < np.inf and 0.0 < h < np.inf):
-        raise ParameterError(f"need finite L > 0 and h > 0, got L={L}, h={h}")
+        raise ParameterError(f"L and h must be positive and finite, got L={L}, h={h}")
+    check_samples(2.0 * L / h + 1.0, f"the grid on [-{L}, {L}] at h={h}")
     n = round(L / h)
     if n < 4 or abs(n * h - L) > 1e-9 * max(1.0, L):
         raise ParameterError(f"L={L} must be an integer multiple of h={h}")
+    return n
+
+
+def solve_profile(params: WaveParams, L: float = 40.0, h: float = 0.02) -> Profile:
+    """The profile on xi in [-L, L] with grid step h (`grid_steps`)."""
+    n = grid_steps(L, h)
     d = derived_constants(params)
     # relative slack: r_decay is computed, and (k, c) = (0.2, 1) at L = 40
     # gives L r = 19.999999999999996 for the exact 20
@@ -282,6 +307,7 @@ def half_step_samples(profile: Profile, nsub: int) -> dict:
         return out
     hs = profile.h / m
     n = round(profile.L / hs)
+    check_samples(4 * n + 1, f"nsub={m}")
     c = profile.params.c
     f = profile.eval(profile.L - 0.5 * hs * np.arange(4 * n + 1))
     cmu = c - f.u0

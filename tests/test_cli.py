@@ -193,6 +193,26 @@ def test_non_finite_float_flag_rejected(tmp_path, capsys, argv, flag):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["profile", "--L", "1e15", "--h", "1e-6"], "points"),
+    (["evans", "--lam-re", "0.5", "--nsub", str(10 ** 16)], "points"),
+    (["winding", "--n-nodes", str(2 * 10 ** 18)], "points"),
+    (["winding", "--contour", "rectangle", "--density", "1e18"], "points"),
+    (["spectrum", "--alpha", "0.5", "--n", str(2 * 10 ** 18)], "points"),
+    (["free-evolve", "--alpha", "0.5", "--L", "1e17", "--h", "0.02"], "points"),
+    (["free-evolve", "--alpha", "0.5", "--L", "40", "--h", "0.03"], "integer multiple"),
+], ids=["profile", "evans-nsub", "circle", "rectangle", "spectrum", "free-evolve",
+        "free-evolve-off-grid"])
+def test_oversized_or_off_grid_sample_count_rejected(tmp_path, capsys, argv, message):
+    # rejected before any array is made: each oversized count holds more than
+    # 2^63 bytes, so an allocation would fail at once rather than fill memory
+    rc = cli.run(argv + ["--k", K, "--c", C, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and message in err, err
+    assert not list(tmp_path.iterdir())
+
+
 def test_non_finite_config_value_rejected(tmp_path, capsys):
     # JSON's Infinity literal reaches the same check as a flag
     cfg = tmp_path / "cfg.json"
@@ -242,12 +262,11 @@ _BAD_EVOLVE = {
     "t-final-tiny": (["--t-final", "1e-300"], "least-squares fit"),
     "t-final-short": (["--t-final", "1e-20"], "rounding floor"),
 }
-# free-evolve has no time step; only it checks the grid before a profile;
-# nonlinear-evolve fits no decay rate
+# free-evolve has no time step; nonlinear-evolve fits no decay rate
 _NOT_APPLICABLE = {
     "free-evolve": ("dt-0", "dt-neg", "t-final-huge"),
-    "linear-evolve": ("h-0", "L-neg"),
-    "nonlinear-evolve": ("h-0", "L-neg", "t-final-tiny", "t-final-short"),
+    "linear-evolve": (),
+    "nonlinear-evolve": ("t-final-tiny", "t-final-short"),
 }
 _EVOLVE_CASES = [(cmd, bad) for cmd, skip in _NOT_APPLICABLE.items()
                  for bad in _BAD_EVOLVE if bad not in skip]
@@ -522,7 +541,7 @@ def test_nonlinear_evolve_artifacts(tmp_path, capsys):
     for key in ("E", "Q", "H"):
         assert abs(meta["invariant_drift"][key]) < 1e-6
     solver = meta["solver"]
-    assert solver["kind"] == "nonlinear" and solver["filter"] is True
+    assert solver["kind"] == "nonlinear" and "filter" not in solver
     assert solver["h"] == 0.1 and solver["T"] == 1.0
     with open(out + ".csv", encoding="utf-8") as fh:
         header = fh.readline().strip()

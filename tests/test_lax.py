@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,15 @@ def test_m_cubic_degenerate_P_zero(params01):
     data = lax.m_cubic(2.0 * params01.c, params01)
     deg = [b for b in data.branches if abs(b.M - 2) < 1e-9]
     assert len(deg) == 1 and deg[0].degenerate
+
+
+@pytest.mark.parametrize("lam", [1e300, 1e100, 1e77, 1e300j])
+def test_m_cubic_overflow_is_a_parameter_error(params01, lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="too large"):
+            lax.m_cubic(lam, params01)
+        assert np.isfinite(lax.m_cubic(1e76, params01).discriminant)
 
 
 def test_l_roots_limit_and_adjoint():

@@ -49,9 +49,9 @@ def test_bad_grid_rejected(params01):
 
 @pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf])
 def test_non_positive_or_non_finite_grid_rejected(params01, bad):
-    with pytest.raises(ParameterError, match="need finite L > 0 and h > 0"):
+    with pytest.raises(ParameterError, match="L and h must be positive and finite"):
         solve_profile(params01, L=bad, h=0.02)
-    with pytest.raises(ParameterError, match="need finite L > 0 and h > 0"):
+    with pytest.raises(ParameterError, match="L and h must be positive and finite"):
         solve_profile(params01, L=40.0, h=bad)
 
 
@@ -161,7 +161,7 @@ def test_replaced_profile_starts_fresh_caches(params01):
     p = solve_profile(params01, L=30.0, h=0.05)
     q = solve_profile(WaveParams(0.1, 1.2), L=30.0, h=0.05)
     mu_p = wave.half_step_samples(p, 2)["mu"]
-    rho_p = evolve._spectral_radius(p, 0.5)
+    rate_p = evolve._norm_bound(p, 0.5)
     theta_p = kernel.kernel_basis(p, 0.5).theta1
     fields = ("params", "u0", "u0_p", "u0_pp", "u0_ppp", "u0_pppp", "mu")
     r = dataclasses.replace(p, **{name: getattr(q, name) for name in fields})
@@ -169,9 +169,9 @@ def test_replaced_profile_starts_fresh_caches(params01):
     assert np.array_equal(mu_r, wave.half_step_samples(q, 2)["mu"])
     assert np.abs(mu_r - mu_p).max() > 0.1
     assert np.array_equal(dc_profile(r), dc_profile(q))
-    assert evolve._spectral_radius(r, 0.5) == evolve._spectral_radius(q, 0.5)
+    assert evolve._norm_bound(r, 0.5) == evolve._norm_bound(q, 0.5)
     assert kernel.kernel_basis(r, 0.5).theta1 == kernel.kernel_basis(q, 0.5).theta1
-    assert abs(evolve._spectral_radius(r, 0.5) - rho_p) > 10.0
+    assert abs(evolve._norm_bound(r, 0.5) - rate_p) > 10.0
     assert abs(kernel.kernel_basis(r, 0.5).theta1 - theta_p) > 0.5
     with pytest.raises(ValueError):
         dataclasses.replace(p, _half_steps={})
