@@ -21,11 +21,45 @@ Each lambda is marched alone: the RK4 step maps of a chunk of steps are
 formed as whole-array expressions and the step recursion y_{j+1} = M_j y_j
 runs as one banded triangular solve (BLAS ztbsv).  `shoot_final` and
 `shoot_traj` share that march.
+
+This module is also where the package's BLAS comes from: `dtbsv` and `ztbsv`
+(the kernel sweeps use both) are scipy's Fortran BLAS wrappers, loaded once
+from the `_fblas` extension file in scipy's `linalg` directory.  Importing
+`scipy.linalg.blas` would run the `scipy.linalg` package init, which loads
+`numpy.f2py`, `numpy.testing`, `numpy.ma` and `numpy.random` and took about
+half of `import dpstab`.  `_fblas` is a single-phase extension: loading it
+registers it in `sys.modules` as `scipy.linalg._fblas`, and the functions are
+the very objects `scipy.linalg.blas` exports, whichever of the two is
+imported first.
 """
 from __future__ import annotations
 
+import os
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
+
 import numpy as np
-from scipy.linalg.blas import ztbsv
+
+
+def _load_tbsv():
+    """dtbsv and ztbsv of scipy's `scipy.linalg._fblas` extension, loaded
+    without the `scipy.linalg` package init."""
+    scipy = find_spec("scipy")
+    if scipy is None:
+        raise ImportError("dpstab needs scipy for its BLAS")
+    folder = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    name = "scipy.linalg._fblas"
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_fblas" + suffix)
+        if os.path.isfile(path):
+            spec = spec_from_loader(name, ExtensionFileLoader(name, path))
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.dtbsv, module.ztbsv
+    raise ImportError(f"no scipy BLAS extension _fblas in {folder}")
+
+
+dtbsv, ztbsv = _load_tbsv()
 
 
 def backend_name() -> str:

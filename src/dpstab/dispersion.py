@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wave import ParameterError, WaveParams, derived_constants
+from .wave import ParameterError, WaveParams, _no_overflow, derived_constants
 
 __all__ = [
     "SpectralCurve",
@@ -140,9 +140,14 @@ def _check_alpha(alpha: float) -> None:
         )
 
 
+@_no_overflow
 def ess_spectrum_curve(params: WaveParams, alpha: float,
                        sigma: np.ndarray | None = None) -> SpectralCurve:
-    """Sample the weighted essential-spectrum curve lambda(i sigma - alpha)."""
+    """Sample the weighted essential-spectrum curve lambda(i sigma - alpha).
+
+    Frequencies too large for the curve's arithmetic (|sigma| beyond about
+    1e77, where (1 + sigma^2)^2 overflows) raise `ParameterError`.
+    """
     _check_alpha(alpha)
     if sigma is None:
         sigma = default_sigma_grid()

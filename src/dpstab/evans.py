@@ -148,7 +148,10 @@ def _fold_conjugates(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     Returns (reps, index, mirrored) with lams[i] == reps[index[i]],
     conjugated where mirrored[i]; reps keep the order of first request.
     """
-    mirrored = (lams.imag < 0.0) & np.isin(lams.conj(), lams)
+    # a set lookup, not np.isin: that goes through np.unique, which imports numpy.ma
+    present = set(lams.tolist())
+    mirrored = np.array([z.imag < 0.0 and z.conjugate() in present for z in lams.tolist()],
+                        dtype=bool)
     slots: dict[complex, int] = {}
     index = np.array([slots.setdefault(z, len(slots))
                       for z in np.where(mirrored, lams.conj(), lams).tolist()], dtype=int)

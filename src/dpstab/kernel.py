@@ -18,7 +18,9 @@ convolutions (`causal_exp_conv`, one per direction) against the kernel
 e^{-m|xi|}/(2m): each grid panel contributes the integral of its degree-5
 interpolant against the exponential, so the sweep is order-6 in the step and
 respects decay at the ends (no periodization).  The running sum
-C_i = e^{-m h} C_{i-1} + inc_i is one BLAS bidiagonal solve (dtbsv/ztbsv).
+C_i = e^{-m h} C_{i-1} + inc_i is one BLAS bidiagonal solve (dtbsv/ztbsv,
+from `_backend`, which loads scipy's BLAS wrappers without the
+`scipy.linalg` package init).
 Running integrals are the same sweep at rate 0.  Every periodic Fourier map of
 the package works on the real-FFT half-spectrum: a map of grid functions goes
 through `real_spectral_map`, while the RK4 flows of `evolve` carry a
@@ -36,13 +38,13 @@ finite samples too large for their quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 from numpy.fft import irfft, rfft, rfftfreq
-from scipy.linalg.blas import dtbsv, ztbsv
 
-from .wave import ParameterError, Profile, SolverError, dc_profile, profile_w
+from ._backend import dtbsv, ztbsv
+from .wave import ParameterError, Profile, SolverError, _no_overflow, dc_profile, profile_w
 
 __all__ = [
     "ConservedValues",
@@ -212,21 +214,6 @@ def spectral_multiplier(w, h: float, mult) -> np.ndarray:
     w = np.asarray(w)
     sym = mult(rfft_sigma(w.shape[-1] - 1, h))
     return close_seam(real_spectral_map(w[..., :-1], lambda wk: sym * wk))
-
-
-def _no_overflow(fn):
-    """fn with a floating overflow inside it, which only finite inputs too
-    large for its arithmetic cause, raised as `ParameterError`."""
-    @wraps(fn)
-    def checked(*args, **kwargs):
-        try:
-            with np.errstate(over="raise"):
-                return fn(*args, **kwargs)
-        except (FloatingPointError, OverflowError) as exc:
-            raise ParameterError(
-                f"{fn.__name__} overflows: its input is too large") from exc
-
-    return checked
 
 
 @_no_overflow

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import _backend
 from .dispersion import char_coeffs, char_roots
-from .kernel import _no_overflow
-from .wave import ParameterError, Profile, SolverError, WaveParams, half_step_samples
+from .wave import (ParameterError, Profile, SolverError, WaveParams, _no_overflow,
+                   half_step_samples)
 
 __all__ = [
     "MCubicBranch",
@@ -116,11 +116,17 @@ class SquaredEigenfunction:
     endpoint_error: float
 
 
+@_no_overflow
 def discriminant(lam: complex, params: WaveParams) -> complex:
-    """Discriminant of the M-cubic, as the quartic in lambda."""
+    """Discriminant of the M-cubic, as the quartic in lambda.  A lambda too
+    large for the quartic's arithmetic raises `ParameterError`."""
     k, c = params.k, params.c
-    return (4.0 * lam ** 4 + (61.0 * k * k - 8.0 * c * c - 44.0 * c * k) * lam ** 2
+    disc = (4.0 * lam ** 4 + (61.0 * k * k - 8.0 * c * c - 44.0 * c * k) * lam ** 2
             + 4.0 * (c - k) * (c - 4.0 * k) ** 3)
+    # Python's complex product overflows to inf silently
+    if not np.isfinite(disc):
+        raise ParameterError(f"discriminant overflows: lambda={lam} is too large")
+    return disc
 
 
 def _sigma_convention(M: complex, P: complex, denom: complex) -> tuple[complex, complex]:
@@ -139,9 +145,6 @@ def m_cubic(lam: complex, params: WaveParams) -> LaxRootData:
     k, c = params.k, params.c
     roots = char_roots(lam, params)
     disc = discriminant(lam, params)
-    # Python's complex product overflows to inf silently
-    if not np.isfinite(disc):
-        raise ParameterError(f"m_cubic overflows: lambda={lam} is too large")
     scale = max(abs(lam), 1.0)
     branches = []
     for M in roots:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass, field
+from functools import wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +54,21 @@ class ParameterError(ValueError):
 
 class SolverError(RuntimeError):
     """A numerical routine failed its accuracy or termination contract."""
+
+
+def _no_overflow(fn):
+    """fn with a floating overflow inside it, which only finite inputs too
+    large for its arithmetic cause, raised as `ParameterError`."""
+    @wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise"):
+                return fn(*args, **kwargs)
+        except (FloatingPointError, OverflowError) as exc:
+            raise ParameterError(
+                f"{fn.__name__} overflows: its input is too large") from exc
+
+    return checked
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpstab import cli, evolve, kernel, lax
+from dpstab import _backend, cli, evolve, kernel, lax
 from dpstab.dispersion import spectral_gap
 from dpstab.wave import SolverError, WaveParams, dc_profile, solve_profile
 
@@ -213,6 +213,25 @@ def test_oversized_or_off_grid_sample_count_rejected(tmp_path, capsys, argv, mes
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["spectrum", "--alpha", "0.5", "--sigma-max", "1e300"], "ess_spectrum_curve"),
+    (["lax", "--lam-re", "1e300"], "discriminant"),
+    (["lax", "--lam-re", "1e77"], "discriminant"),
+], ids=["spectrum", "lax-pow", "lax-product"])
+def test_overflowing_input_rejected(tmp_path, capsys, argv, name):
+    # finite inputs too large for the arithmetic: exit 2, one error line, no
+    # artifact and no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.run(argv + ["--k", K, "--c", C, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {name} overflows"), err
+    assert err.count("\n") == 1, err
+    assert "too large" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_non_finite_config_value_rejected(tmp_path, capsys):
     # JSON's Infinity literal reaches the same check as a flag
     cfg = tmp_path / "cfg.json"
@@ -392,18 +411,47 @@ def test_only_wave_touches_profile_cache():
     assert {name: attrs for name, attrs in found.items() if attrs} == {}
 
 
-def test_import_leaves_heavy_scipy_subpackages_out():
-    # each of these pulls in dozens of modules that no command uses
-    heavy = ("scipy.signal", "scipy.stats", "scipy.ndimage", "scipy.interpolate",
-             "scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.spatial",
-             "scipy.special")
-    code = ("import sys, dpstab.cli; print(' '.join(m for m in sys.modules "
-            f"if m.startswith({heavy!r})))")
+def _run_python(code):
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return proc.stdout
+
+
+def test_import_leaves_heavy_scipy_subpackages_out():
+    # each of these pulls in dozens of modules that no command uses; the
+    # scipy.linalg package init alone loads the four numpy subpackages, and
+    # np.isin in a conjugate fold would load numpy.ma during the run.  The
+    # BLAS extension scipy.linalg._fblas is loaded without its package.
+    heavy = tuple(name + "." for name in (
+        "scipy.signal", "scipy.stats", "scipy.ndimage", "scipy.interpolate",
+        "scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.spatial",
+        "scipy.special", "scipy.linalg", "numpy.ma", "numpy.f2py", "numpy.testing",
+        "numpy.random"))
+    code = ("import sys, dpstab.cli\n"
+            "from dpstab import evans, wave\n"
+            "prof = wave.solve_profile(wave.WaveParams(0.1, 1.0), L=20.0, h=0.1)\n"
+            "evans.evans_batch([0.3 + 0.2j, 0.3 - 0.2j], prof, 0.5, nsub=1)\n"
+            "print(' '.join(m for m in sys.modules if m != 'scipy.linalg._fblas'\n"
+            f"               and (m + '.').startswith({heavy!r})))")
+    assert _run_python(code).split() == []
+
+
+@pytest.mark.parametrize("first", ["dpstab", "scipy"])
+def test_backend_blas_is_scipys(first):
+    # the band solvers loaded from scipy's extension file are the functions
+    # scipy.linalg.blas exports, whichever is imported first
+    imports = ["from dpstab import _backend", "import scipy.linalg.blas as blas"]
+    code = "\n".join(imports if first == "dpstab" else imports[::-1]) + (
+        "\nprint(_backend.ztbsv is blas.ztbsv, _backend.dtbsv is blas.dtbsv)")
+    assert _run_python(code).split() == ["True", "True"]
+
+
+def test_missing_blas_extension_names_the_folder(monkeypatch):
+    monkeypatch.setattr(_backend, "EXTENSION_SUFFIXES", [".missing"])
+    with pytest.raises(ImportError, match=r"_fblas in .*linalg"):
+        _backend._load_tbsv()
 
 
 def test_entry_point_subprocess():

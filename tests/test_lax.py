@@ -99,6 +99,9 @@ def test_m_cubic_overflow_is_a_parameter_error(params01, lam):
         warnings.simplefilter("error")
         with pytest.raises(ParameterError, match="too large"):
             lax.m_cubic(lam, params01)
+        # 1e100 makes lam ** 4 raise OverflowError; 1e77 makes 4 lam^4 inf
+        with pytest.raises(ParameterError, match="too large"):
+            lax.discriminant(lam, params01)
         assert np.isfinite(lax.m_cubic(1e76, params01).discriminant)
 
 
