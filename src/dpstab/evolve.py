@@ -57,6 +57,7 @@ from .wave import (
     Profile,
     SolverError,
     WaveParams,
+    _no_overflow,
     dc_profile,
     derived_constants,
     profile_w,
@@ -242,6 +243,7 @@ def green_apply(gf: GreenFunction, phi, h: float) -> np.ndarray:
     return u
 
 
+@_no_overflow
 def resolvent_norm_scan(params: WaveParams, alpha: float, xs) -> dict:
     """Discretized L^2 norm of the free resolvent along real lambda = x.
 
@@ -257,9 +259,15 @@ def resolvent_norm_scan(params: WaveParams, alpha: float, xs) -> dict:
     sigma = np.linspace(-_SCAN_SIGMA_MAX, _SCAN_SIGMA_MAX, _SCAN_POINTS)
     lam_curve = lambda_of_r(1j * sigma - alpha, params)
     xs = np.asarray(xs, dtype=float)
-    norms = np.array(
-        [1.0 / np.min(np.abs(x - lam_curve)) for x in xs]
-    )
+    if not np.isfinite(xs).all():
+        raise ParameterError("x must be finite")
+    dist = np.array([np.min(np.abs(x - lam_curve)) for x in xs])
+    on_curve = xs[dist == 0.0]
+    if on_curve.size:
+        raise ParameterError(
+            f"x={on_curve[0]} lies on the sampled weighted essential spectrum"
+        )
+    norms = 1.0 / dist
     return {
         "x": xs,
         "norm": norms,

@@ -17,22 +17,27 @@ The nonlocal inverses (msq - d^2)^{-1} are two causal exponential
 convolutions (`causal_exp_conv`, one per direction) against the kernel
 e^{-m|xi|}/(2m): each grid panel contributes the integral of its degree-5
 interpolant against the exponential, so the sweep is order-6 in the step and
-respects decay at the ends (no periodization).  The running sum
+respects decay at the ends (no periodization).  Interior panels share one
+weight row on the nodes two below to three above them, so their increments
+are one 6-tap correlation; the two panels at each end take their own rows.
+The 5 x 6 weights per (rate, h) are the module's one cache.  The running sum
 C_i = e^{-m h} C_{i-1} + inc_i is one BLAS bidiagonal solve (dtbsv/ztbsv,
 from `_backend`, which loads scipy's BLAS wrappers without the
-`scipy.linalg` package init).
-Running integrals are the same sweep at rate 0.  Every periodic Fourier map of
-the package works on the real-FFT half-spectrum: a map of grid functions goes
-through `real_spectral_map`, while the RK4 flows of `evolve` carry a
-half-spectrum and call rfft and irfft themselves.  Every frequency grid comes
-from `rfft_sigma`.  Both the sweep and the frequency grid reject a grid
-spacing that is not finite and positive.
+`scipy.linalg` package init).  Running integrals are the same sweep at rate
+0.  The sweep rejects input that is not a 1-d array of at least 6 finite
+samples, a rate that is not finite with Re rate >= 0, and (as `rfft_sigma`
+does) a grid spacing that is not finite and positive.
+
+Every periodic Fourier map of the package works on the real-FFT
+half-spectrum: a map of grid functions goes through `real_spectral_map`,
+while the RK4 flows of `evolve` carry a half-spectrum and call rfft and
+irfft themselves.  Every frequency grid comes from `rfft_sigma`.
 
 The package has one grid rule (`close_seam`): a function on a closed grid of
 N nodes, such as the profile grid, is the periodic function on its first
 N - 1 nodes, and its seam node is a copy of node 0.  `spectral_multiplier`
-discards the input's last node, as the evolve flows do.  `conserved`,
-`casimirs` and `project` raise `ParameterError` on any floating overflow:
+discards the input's last node, as the evolve flows do.  `conserved`
+and `project` raise `ParameterError` on any floating overflow:
 finite samples too large for their quadrature.
 """
 from __future__ import annotations
@@ -49,7 +54,6 @@ from .wave import ParameterError, Profile, SolverError, _no_overflow, dc_profile
 __all__ = [
     "ConservedValues",
     "KernelBasis",
-    "cumint6",
     "causal_exp_conv",
     "real_spectral_map",
     "rfft_sigma",
@@ -58,7 +62,6 @@ __all__ = [
     "helmholtz_solve",
     "b_apply",
     "conserved",
-    "casimirs",
     "kernel_basis",
     "project",
 ]
@@ -69,24 +72,6 @@ def _spacing(h) -> float:
     if not 0.0 < h < np.inf:
         raise ParameterError(f"grid spacing must be finite and positive, got h={h}")
     return float(h)
-
-
-@lru_cache(maxsize=8)
-def _window_index(n: int):
-    i = np.arange(n - 1)
-    j0 = np.clip(i - 2, 0, n - 6)
-    s = i - j0
-    idx = j0[:, None] + np.arange(6)[None, :]
-    return idx, s
-
-
-def cumint6(f, h: float) -> np.ndarray:
-    """Cumulative integral from the left end, zero there, order-6 panels:
-    the exponential sweep at rate 0."""
-    f = np.asarray(f)
-    if f.ndim != 1 or f.size < 6:
-        raise ParameterError("need a 1-d array with at least 6 samples")
-    return causal_exp_conv(f, 0.0, h)
 
 
 def _exp_moments(a) -> np.ndarray:
@@ -102,25 +87,18 @@ def _exp_moments(a) -> np.ndarray:
     return np.exp(-a) * mu
 
 
-def _panel_exp_weights(a, h: float) -> np.ndarray:
-    # row s: panel [i, i+1] integrated against e^{-rate (x_{i+1}-y)} with
-    # a = rate*h, using the degree-5 interpolant on nodes i-s .. i-s+5
-    mu = _exp_moments(a)
+@lru_cache(maxsize=16, typed=True)
+def _panel_weights(rate, h: float) -> np.ndarray:
+    # row s: panel [i, i+1] integrated against e^{-rate (x_{i+1}-y)}, using
+    # the degree-5 interpolant on nodes i-s .. i-s+5; real for a real rate
+    mu = _exp_moments(rate * h)
     W = np.empty((5, 6), dtype=complex)
     for s in range(5):
-        tau = np.arange(6.0) - s
-        V = np.vander(tau, 6, increasing=True)
+        V = np.vander(np.arange(6.0) - s, 6, increasing=True)
         W[s] = h * np.linalg.solve(V.T.astype(complex), mu)
+    W = W if isinstance(rate, complex) else W.real.copy()
+    W.flags.writeable = False
     return W
-
-
-@lru_cache(maxsize=16, typed=True)
-def _exp_rows(rate, h: float, n: int):
-    # per-panel weight rows on an n-point grid (real for a real rate) and the
-    # step factor e^{-rate h}; the row gather costs as much as the sweep
-    W = _panel_exp_weights(rate * h, h)
-    rows = (W if isinstance(rate, complex) else W.real)[_window_index(n)[1]]
-    return rows, np.exp(-rate * h)
 
 
 def _recurrence(x: np.ndarray, q) -> np.ndarray:
@@ -134,11 +112,20 @@ def _recurrence(x: np.ndarray, q) -> np.ndarray:
 def causal_exp_conv(g, rate, h: float, start=0.0) -> np.ndarray:
     """C(x_i) = start e^{-rate (x_i - x_0)} + int_{x_0}^{x_i} e^{-rate (x_i - y)} g(y) dy.
 
-    Re rate > 0; the result is complex for a complex rate or complex g."""
+    Panel [x_i, x_{i+1}] integrates the degree-5 interpolant on nodes i-2 ..
+    i+3, shifted inward next to each end; complex for a complex rate or g."""
     g = np.asarray(g)
-    rows, q = _exp_rows(rate, _spacing(h), g.size)
-    inc = np.einsum("ij,ij->i", rows, g[_window_index(g.size)[0]])
-    return _recurrence(np.concatenate([[start], inc]), q)
+    if g.ndim != 1 or g.size < 6:
+        raise ParameterError("need a 1-d array with at least 6 samples")
+    if not np.isfinite(g).all():
+        raise ParameterError("samples must be finite")
+    if not (np.isfinite(rate) and np.real(rate) >= 0.0):
+        raise ParameterError(f"rate must be finite with Re rate >= 0, got {rate}")
+    h = _spacing(h)
+    W = _panel_weights(rate, h)
+    inc = np.concatenate([[start], W[:2] @ g[:6], np.convolve(g, W[2, ::-1], "valid"),
+                          W[3:] @ g[-6:]])
+    return _recurrence(inc, np.exp(-rate * h))
 
 
 def _tail_moment(g0: float, g1: float, m: float, h: float) -> float:
@@ -212,6 +199,8 @@ def spectral_multiplier(w, h: float, mult) -> np.ndarray:
     function w of spacing h: the input's last node is discarded, and the
     result's seam node is a copy of node 0 (`close_seam`)."""
     w = np.asarray(w)
+    if w.ndim == 0 or w.shape[-1] < 2:
+        raise ParameterError("need a closed grid of at least 2 nodes")
     sym = mult(rfft_sigma(w.shape[-1] - 1, h))
     return close_seam(real_spectral_map(w[..., :-1], lambda wk: sym * wk))
 
@@ -222,7 +211,7 @@ def conserved(params, h: float, u=None, m=None) -> ConservedValues:
 
     The missing representation is reconstructed: m from u by the spectral
     derivative of u - k (the state must decay to k at the ends), u from m by
-    the decaying Helmholtz inverse.  The Casimirs F1 and F2 are `casimirs`.
+    the decaying Helmholtz inverse.
     """
     if (u is None) == (m is None):
         raise ParameterError("pass exactly one of u or m")
@@ -242,25 +231,6 @@ def conserved(params, h: float, u=None, m=None) -> ConservedValues:
     Q = 0.5 * np.trapezoid(w * b_apply(w, h), dx=h)
     E_mass = np.trapezoid(m - k, dx=h)
     return ConservedValues(float(H), float(Q), float(E_mass))
-
-
-@_no_overflow
-def casimirs(params, h: float, m) -> tuple[float, float]:
-    """The Casimirs (F1, F2) of a positive momentum density m, normalized to
-    vanish at the background: the integrals of m^(1/3) and of
-    m^(-1/3) (1 + m'^2 / (9 m^2)), m' the spectral derivative of m - k."""
-    k = params.k
-    m = np.asarray(m, dtype=float)
-    if not np.isfinite(m).all():
-        raise ParameterError("samples must be finite")
-    if np.any(m <= 0.0):
-        raise ParameterError("the Casimirs need a positive momentum density m")
-    m_x = spectral_multiplier(m - k, h, lambda s: 1j * s)
-    F1 = np.trapezoid(np.cbrt(m) - np.cbrt(k), dx=h)
-    F2 = np.trapezoid(
-        (m_x * m_x / (9.0 * m * m) + 1.0) / np.cbrt(m) - 1.0 / np.cbrt(k), dx=h
-    )
-    return float(F1), float(F2)
 
 
 @dataclass(frozen=True)
@@ -308,7 +278,7 @@ def kernel_basis(profile: Profile, alpha: float) -> KernelBasis:
     q = b_apply(dc, h)
     # running integral of q from -infinity; the half-line piece beyond the
     # grid follows from the tail rate of the profile
-    cum = cumint6(q, h) + q[0] / d.r_decay
+    cum = causal_exp_conv(q, 0.0, h) + q[0] / d.r_decay
     theta2 = theta1 * theta1 * float(np.trapezoid(dc * cum, dx=h))
     et2 = theta1 * bw
     et1 = -theta1 * cum + theta2 * bw

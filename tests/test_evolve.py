@@ -231,6 +231,17 @@ def test_weighted_transport_decay(params01):
 # ---------------------------------------------------------------- resolvent
 
 
+@pytest.mark.parametrize("x, match", [(-0.25, "x=-0.25 lies on"),
+                                      (np.nan, "finite"), (np.inf, "finite"),
+                                      (1e200, "overflows")],
+                         ids=["on-curve", "nan", "inf", "huge"])
+def test_resolvent_norm_scan_rejects(params01, x, match):
+    # -0.25 = -gap is the sampled curve's point at sigma = 0, where the norm
+    # is unbounded: a ParameterError naming x, not a division by zero
+    with pytest.raises(ParameterError, match=match):
+        evolve.resolvent_norm_scan(params01, 0.5, [10.0, x])
+
+
 def test_free_green_structure(params01):
     gf = evolve.free_green(0.3 + 0.2j, 0.5, params01)
     scale = max(abs(a) for a in gf.a)
@@ -321,6 +332,9 @@ def test_green_apply_real_and_validation(params01):
     assert u.dtype == np.float64
     with pytest.raises(ParameterError):
         evolve.green_apply(gf, phi[:4], h)
+    phi[xi.size // 2] = np.nan
+    with pytest.raises(ParameterError, match="finite"):
+        evolve.green_apply(gf, phi, h)
 
 
 @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from dpstab import WaveParams, solve_profile
 from dpstab import kernel
@@ -17,25 +18,54 @@ def _fourier_inverse(g, msq, h):
     return np.fft.irfft(np.fft.rfft(g) / (msq + sig ** 2), n=g.size)
 
 
-def test_cumint6_polynomial_exact():
+def _exp_integral_of_poly(p, r, x):
+    # int_{x_0}^{x} e^{-r (x - y)} p(y) dy in closed form: P = sum_j (-1)^j
+    # p^(j) / r^(j+1) solves P' + r P = p, so the integral is
+    # P(x) - e^{-r (x - x_0)} P(x_0)
+    if r == 0:
+        return p.integ(lbnd=x[0])(x)
+    P = sum((-1) ** j * p.deriv(j) / r ** (j + 1) for j in range(p.degree() + 1))
+    return P(x) - np.exp(-r * (x - x[0])) * P(x[0])
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.0, 0.7 + 0.3j])
+def test_causal_exp_conv_polynomial_exact(rate):
+    # every weight row, the two edge rows at each end included, is exact on
+    # degree-5 data: at rate 0 (the running integral), a real and a complex rate
     h = 0.1
     x = -3.0 + h * np.arange(121)
-    f = ((x - 0.3) ** 5 - 2 * x ** 3 + x) / 10.0
-    F = ((x - 0.3) ** 6 / 6 - x ** 4 / 2 + x ** 2 / 2) / 10.0
-    out = kernel.cumint6(f, h)
-    scale = np.max(np.abs(F - F[0]))
-    # the rate-0 exponential sweep reaches about 1e-15 here
-    assert np.max(np.abs(out - (F - F[0]))) <= 1e-14 * scale
+    p = (Polynomial.fromroots([0.3] * 5) + Polynomial([0.0, 1.0, 0.0, -2.0])) / 10.0
+    ref = _exp_integral_of_poly(p, rate, x)
+    out = kernel.causal_exp_conv(p(x), rate, h)
+    assert out.dtype == (complex if isinstance(rate, complex) else float)
+    # the sweep reaches about 1e-15 here
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_cumint6_order():
+def test_causal_exp_conv_order():
     errs = []
     for n in (200, 400):
         h = 20.0 / n
         x = -10.0 + h * np.arange(n + 1)
-        out = kernel.cumint6(np.sin(x), h)
+        out = kernel.causal_exp_conv(np.sin(x), 0.0, h)
         errs.append(np.max(np.abs(out - (np.cos(-10.0) - np.cos(x)))))
     assert errs[0] / errs[1] > 40  # order-6 panels: ratio near 64
+
+
+@pytest.mark.parametrize("g, rate", [
+    (np.ones((2, 8)), 1.0),
+    (np.ones(5), 1.0),
+    (np.ones(8), np.nan),
+    (np.ones(8), complex(np.nan, 1.0)),
+    (np.ones(8), -0.1),
+    (np.ones(8), -0.1 + 2.0j),
+], ids=["2-d", "5-samples", "nan-rate", "nan-complex-rate",
+        "negative-rate", "negative-re-rate"])
+def test_causal_exp_conv_rejects(g, rate):
+    # a bad shape or rate ends here, not in an IndexError, a window that
+    # wraps round to the last sample, or a NaN result
+    with pytest.raises(ParameterError):
+        kernel.causal_exp_conv(g, rate, 0.1)
 
 
 def test_helmholtz_manufactured(prof01):
@@ -59,7 +89,7 @@ def test_helmholtz_fourier_route(prof01):
 
 _G = np.exp(-np.linspace(-5.0, 5.0, 101) ** 2)
 _SPACED = {
-    "cumint6": lambda h: kernel.cumint6(_G, h),
+    "causal_exp_conv-rate0": lambda h: kernel.causal_exp_conv(_G, 0.0, h),
     "causal_exp_conv": lambda h: kernel.causal_exp_conv(_G, 1.0, h),
     "helmholtz_solve": lambda h: kernel.helmholtz_solve(_G, 4, h),
     "b_apply": lambda h: kernel.b_apply(_G, h),
@@ -67,7 +97,7 @@ _SPACED = {
     "spectral_multiplier": lambda h: kernel.spectral_multiplier(_G, h, lambda s: s),
     "conserved-u": lambda h: kernel.conserved(WaveParams(0.1, 1.0), h, u=0.1 + _G),
     "conserved-m": lambda h: kernel.conserved(WaveParams(0.1, 1.0), h, m=0.1 + _G),
-    "casimirs": lambda h: kernel.casimirs(WaveParams(0.1, 1.0), h, 0.1 + _G),
+    "causal_exp_conv-complex": lambda h: kernel.causal_exp_conv(_G, 0.5 + 1.0j, h),
 }
 
 
@@ -88,6 +118,9 @@ def test_helmholtz_zero_and_errors(prof01):
         kernel.helmholtz_solve(np.zeros((5, 5)), 1, 0.1)
     with pytest.raises(ParameterError):
         kernel.helmholtz_solve(np.zeros(4), 1, 0.1)
+    # a closed grid of 1 node has no periodic sample left
+    with pytest.raises(ParameterError, match="at least 2 nodes"):
+        kernel.spectral_multiplier(np.ones(1), 0.1, lambda s: s)
 
 
 @pytest.mark.parametrize("q, start", [(np.exp(-0.02), 0.7),
@@ -137,7 +170,6 @@ def test_conserved_background_zero(params01):
     u = np.full(4001, params01.k)
     cv = kernel.conserved(params01, 0.02, u=u)
     assert cv.H == 0.0 and cv.Q == 0.0 and cv.E_mass == 0.0
-    assert kernel.casimirs(params01, 0.02, u) == (0.0, 0.0)
 
 
 def test_conserved_routes_agree(prof01, params01):
@@ -147,12 +179,6 @@ def test_conserved_routes_agree(prof01, params01):
         x, y = getattr(a, name), getattr(b, name)
         assert abs(x - y) <= 1e-10 * max(1.0, abs(x))
     assert a.Q > 0 and a.E_mass > 0
-    # the Casimirs of the stored m against those of the spectral m of u0
-    k, h = params01.k, prof01.h
-    m_u = k + kernel.spectral_multiplier(prof01.u0 - k, h, lambda s: 1.0 + s * s)
-    for x, y in zip(kernel.casimirs(params01, h, m_u),
-                    kernel.casimirs(params01, h, prof01.mu)):
-        assert abs(x - y) <= 1e-10 * max(1.0, abs(x))
 
 
 def test_conserved_positivity_random(params01):
@@ -169,8 +195,6 @@ def test_conserved_flags_nonpositive_m(params01):
     m = params01.k - 0.2 * np.exp(-(x ** 2))
     cv = kernel.conserved(params01, 0.02, m=m)
     assert np.isfinite(cv.H) and np.isfinite(cv.Q) and np.isfinite(cv.E_mass)
-    with pytest.raises(ParameterError, match="positive momentum density"):
-        kernel.casimirs(params01, 0.02, m)
 
 
 def test_conserved_argument_check(params01):
@@ -186,8 +210,8 @@ def test_conserved_argument_check(params01):
     lambda g, prof, params: kernel.project(g, kernel.kernel_basis(prof, 0.5)),
     lambda g, prof, params: kernel.conserved(params, prof.h, u=params.k + g),
     lambda g, prof, params: kernel.conserved(params, prof.h, m=params.k + g),
-    lambda g, prof, params: kernel.casimirs(params, prof.h, params.k + g),
-], ids=["helmholtz_solve", "project", "conserved_u", "conserved_m", "casimirs"])
+    lambda g, prof, params: kernel.causal_exp_conv(g, 1.0, prof.h),
+], ids=["helmholtz_solve", "project", "conserved_u", "conserved_m", "causal_exp_conv"])
 def test_non_finite_samples_rejected(prof01, params01, entry, bad):
     g = np.exp(-prof01.xi ** 2)
     g[prof01.i0 + 7] = bad
@@ -198,10 +222,9 @@ def test_non_finite_samples_rejected(prof01, params01, entry, bad):
 @pytest.mark.parametrize("entry", [
     lambda prof, params: kernel.conserved(params, 0.05, u=np.full(1201, 1e300)),
     lambda prof, params: kernel.conserved(params, 0.05, m=np.full(1201, 1e300)),
-    lambda prof, params: kernel.casimirs(params, 0.05, np.full(1201, 1e300)),
     lambda prof, params: kernel.project(np.full(prof.xi.size, 1e308),
                                         kernel.kernel_basis(prof, 0.5)),
-], ids=["conserved_u", "conserved_m", "casimirs", "project"])
+], ids=["conserved_u", "conserved_m", "project"])
 def test_overflowing_samples_rejected(prof01, params01, entry):
     # finite samples too large for the quadrature: a bad input, raised
     # without a RuntimeWarning (which the suite turns into an error)
