@@ -4,8 +4,11 @@ Each subcommand mirrors one module entry point, writes its CSV/JSON
 artifacts with the resolved configuration embedded, and reports through
 exit codes: 0 on success, 2 on a validation error (including unknown
 flags), 3 on a numerical failure.  A ``--config file.json`` path
-overrides flag values so a run can be replayed from its own sidecar.
-Identical resolved configuration yields byte-identical outputs.  This is
+overrides flag values: every entry of the file wins over its flag.  A
+sidecar's "config" block replays as is: its "subcommand" entry must name the
+running subcommand, a complex value is written and read as [re, im], and its
+"out" entry wins over --out like any other entry.  Identical resolved
+configuration yields byte-identical outputs.  This is
 the only module that reads or writes files: the library returns arrays and
 dataclasses, each subcommand shapes its JSON sidecar and CSV columns from
 them, and `_emit` writes every artifact.
@@ -23,7 +26,7 @@ import numpy as np
 from . import dispersion, evans, evolve, kernel, lax, wave
 from .wave import ParameterError, SolverError, WaveParams
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 _REQUIRED = object()
 
@@ -45,7 +48,10 @@ _GRID = {
     "L": _Opt(float, 40.0, "half-length of the grid"),
     "h": _Opt(float, 0.02, "grid spacing"),
 }
-_CONFIG = {"config": _Opt(str, None, "JSON file whose entries override flags")}
+_LAMBDA = {
+    "lam_re": _Opt(float, _REQUIRED, "real part of lambda"),
+    "lam_im": _Opt(float, 0.0, "imaginary part of lambda"),
+}
 _PLOT = {"plot_script": _Opt(str, None,
                               "write a plain-text plotting script to this path")}
 _BUMP = {
@@ -58,106 +64,6 @@ def _out(stem):
     return {"out": _Opt(str, stem, "output path prefix")}
 
 
-_TABLES = {
-    "profile": {
-        **_PARAMS, **_GRID,
-        **_out("profile"), **_PLOT, **_CONFIG,
-    },
-    "spectrum": {
-        **_PARAMS, **_ALPHA_REQ,
-        "sigma_max": _Opt(float, 40.0, "half-width of the frequency window"),
-        "n": _Opt(int, 2001, "number of frequency samples"),
-        **_out("spectrum"), **_PLOT, **_CONFIG,
-    },
-    "gap": {**_PARAMS, **_ALPHA_REQ, **_CONFIG},
-    "evans": {
-        **_PARAMS, **_ALPHA_OPT,
-        "lam_re": _Opt(float, _REQUIRED, "real part of lambda"),
-        "lam_im": _Opt(float, 0.0, "imaginary part of lambda"),
-        **_GRID,
-        "nsub": _Opt(int, 10, "integration substeps per grid cell"),
-        "out": _Opt(str, None, "optional JSON output path prefix"),
-        **_CONFIG,
-    },
-    "winding": {
-        **_PARAMS, **_ALPHA_OPT,
-        "contour": _Opt(str, "circle", "contour kind: circle, rectangle, keyhole"),
-        "center": _Opt(complex, 0j, "contour center, Python complex syntax"),
-        "radius": _Opt(float, 0.05, "circle radius"),
-        "n_nodes": _Opt(int, 64, "initial node count on a circle"),
-        "re_min": _Opt(float, -0.2, "rectangle left edge"),
-        "re_max": _Opt(float, 2.0, "rectangle right edge"),
-        "im_abs": _Opt(float, 2.0, "rectangle half-height"),
-        "hole_radius": _Opt(float, 0.05, "keyhole excluded-disc radius"),
-        "density": _Opt(float, 8.0, "rectangle nodes per unit length"),
-        **_GRID,
-        "nsub": _Opt(int, None, "fixed integration substeps per grid cell; default: "
-                      "error-controlled, steps 2h and h refined per node up to nsub 16"),
-        **_out("winding"), **_CONFIG,
-    },
-    "lax": {
-        **_PARAMS,
-        "lam_re": _Opt(float, _REQUIRED, "real part of lambda"),
-        "lam_im": _Opt(float, 0.0, "imaginary part of lambda"),
-        **_out("lax"), **_CONFIG,
-    },
-    "kernel": {
-        **_PARAMS, **_ALPHA_REQ, **_GRID,
-        **_out("kernel"), **_PLOT, **_CONFIG,
-    },
-    "free-evolve": {
-        **_PARAMS, **_ALPHA_REQ,
-        "t_final": _Opt(float, 40.0, "final time"),
-        "n_records": _Opt(int, 201, "number of recorded times"),
-        "width": _Opt(float, 3.0, "width of the Gaussian datum"),
-        **_GRID,
-        **_out("free-evolve"), **_PLOT, **_CONFIG,
-    },
-    "linear-evolve": {
-        **_PARAMS, **_ALPHA_REQ,
-        "t_final": _Opt(float, 25.0, "final time"),
-        "dt": _Opt(float, None, "time step, default from the operator norm bound"),
-        "n_records": _Opt(int, 201, "number of recorded times"),
-        **_BUMP,
-        "no_project": _Opt(bool, False,
-                            "skip the complementary kernel projection"),
-        **_GRID,
-        **_out("linear-evolve"), **_PLOT, **_CONFIG,
-    },
-    "nonlinear-evolve": {
-        **_PARAMS,
-        "t_final": _Opt(float, 5.0, "final time"),
-        "dt": _Opt(float, None, "time step, default from the advective bound"),
-        "delta": _Opt(float, 1e-3, "disturbance amplitude"),
-        "n_records": _Opt(int, 201, "number of recorded times"),
-        **_BUMP,
-        "L": _Opt(float, 40.0, "half-length of the grid"),
-        "h": _Opt(float, 0.05, "grid spacing"),
-        **_out("nonlinear-evolve"), **_PLOT, **_CONFIG,
-    },
-    "selftest": {
-        "k": _Opt(float, 0.1, "background height k"),
-        "c": _Opt(float, 1.0, "wave speed c"),
-        **_CONFIG,
-    },
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved subcommand options after the config-file merge."""
-
-    subcommand: str
-    options: dict
-
-    def resolved(self) -> dict:
-        out = {"subcommand": self.subcommand}
-        for key in sorted(self.options):
-            if key != "config":
-                out[key] = self.options[key]
-        return out
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpstab",
@@ -165,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Degasperis-Procesi equation on a constant background",
     )
     subs = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-    for name, table in _TABLES.items():
+    for name, (_, table) in _COMMANDS.items():
         sp = subs.add_parser(name)
         for key, opt in table.items():
             flag = "--" + key.replace("_", "-")
@@ -176,6 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                    else "")
                 default = None if opt.default is _REQUIRED else opt.default
                 sp.add_argument(flag, type=opt.typ, default=default, help=text)
+        sp.add_argument("--config", help="JSON file whose entries override flags")
     return parser
 
 
@@ -191,14 +98,20 @@ def _coerce(key: str, value, opt: _Opt):
     if value is None:
         return None
     flag = "--" + key.replace("_", "-")
+    # the sidecar writes a complex value as [re, im]
+    pair = opt.typ is complex and isinstance(value, list)
+    if pair and (len(value) != 2 or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+        raise ParameterError(f"{flag} must be a complex number or an [re, im] "
+                             f"pair of numbers, got {value!r}")
     # int(), float() and complex() would all read JSON true/false as 1 or 0,
     # and int() would truncate 2.7 from a config file
     if isinstance(value, bool) or (opt.typ is int and isinstance(value, float)
                                    and not value.is_integer()):
         raise ParameterError(f"{flag} must be {_KINDS[opt.typ]}, got {value!r}")
     try:
-        value = opt.typ(value)
-    except (TypeError, ValueError) as exc:
+        value = complex(*value) if pair else opt.typ(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"bad value for {flag}: {exc}") from exc
     # float() and JSON both accept nan and inf, which no option admits
     if opt.typ in (float, complex) and not np.isfinite(value):
@@ -207,11 +120,12 @@ def _coerce(key: str, value, opt: _Opt):
 
 
 def _resolve_options(ns: argparse.Namespace, table: dict) -> dict:
+    """The subcommand's options, flags overridden by the --config file's
+    entries, with the subcommand's name under "subcommand"."""
     options = {key: getattr(ns, key) for key in table}
-    path = options.get("config")
-    if path:
+    if ns.config:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(ns.config, encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
             raise ParameterError(f"cannot read config file: {exc}") from exc
@@ -219,9 +133,13 @@ def _resolve_options(ns: argparse.Namespace, table: dict) -> dict:
             raise ParameterError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ParameterError("config file must hold a JSON object")
+        named = data.pop("subcommand", ns.subcommand)
+        if named != ns.subcommand:
+            raise ParameterError(f"config file is for subcommand {named!r}, "
+                                 f"not {ns.subcommand!r}")
         for raw_key, value in data.items():
             key = raw_key.replace("-", "_")
-            if key == "config" or key not in table:
+            if key not in table:
                 raise ParameterError(f"unknown config key: {raw_key}")
             options[key] = value
     for key, opt in table.items():
@@ -229,7 +147,7 @@ def _resolve_options(ns: argparse.Namespace, table: dict) -> dict:
         if opt.default is _REQUIRED and options[key] is None:
             raise ParameterError(
                 f"missing required flag --{key.replace('_', '-')}")
-    return options
+    return {**options, "subcommand": ns.subcommand}
 
 
 def _json_default(obj):
@@ -244,17 +162,16 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _emit(cfg: RunConfig, meta: dict, table: dict | None = None,
+def _emit(o: dict, meta: dict, table: dict | None = None,
           title: str = "", logy: bool = False) -> None:
     """Write the run's artifacts under the --out prefix.
 
-    <out>.json holds {"config": the resolved options, **meta}.  Given a
+    <out>.json holds {"config": the resolved options o, **meta}.  Given a
     {column: values} table, <out>.csv holds its columns at full precision
     and, when --plot-script is set, a gnuplot script plots the first two.
     """
-    o = cfg.options
     with open(o["out"] + ".json", "w", encoding="utf-8") as fh:
-        json.dump({"config": cfg.resolved(), **meta}, fh, indent=2,
+        json.dump({"config": o, **meta}, fh, indent=2,
                   sort_keys=True, default=_json_default)
         fh.write("\n")
     if table is None:
@@ -275,11 +192,11 @@ def _emit(cfg: RunConfig, meta: dict, table: dict | None = None,
             fh.write("\n".join(lines) + "\n")
 
 
-def _emit_trajectory(cfg: RunConfig, traj: evolve.EvolutionState, meta: dict,
+def _emit_trajectory(o: dict, traj: evolve.EvolutionState, meta: dict,
                      title: str) -> None:
     """The artifacts of an evolve run: the sidecar's "solver" block is the
     run's config, the CSV columns are t, norm_w and the flow's records."""
-    _emit(cfg, {"solver": traj.config, **meta},
+    _emit(o, {"solver": traj.config, **meta},
           {"t": traj.t, "norm_w": traj.norm_w, **traj.records}, title, logy=True)
 
 
@@ -292,22 +209,20 @@ def _params(options: dict) -> WaveParams:
     return WaveParams(k=options["k"], c=options["c"])
 
 
-def _cmd_profile(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_profile(o: dict) -> int:
     prof = wave.solve_profile(_params(o), L=o["L"], h=o["h"])
     meta = {"k": prof.params.k, "c": prof.params.c, "L": prof.L, "h": prof.h,
             **asdict(prof.consts), "u0_center": float(prof.u0[prof.i0])}
     table = {name: getattr(prof, name)
              for name in ("xi", "u0", "u0_p", "u0_pp", "u0_ppp", "mu")}
     table["dc_u0"] = wave.dc_profile(prof)
-    _emit(cfg, meta, table, "wave profile")
+    _emit(o, meta, table, "wave profile")
     print(f"u_max = {meta['u_max']:.10f}")
     print(f"wrote {o['out']}.csv, {o['out']}.json")
     return 0
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_spectrum(o: dict) -> int:
     if o["n"] < 2:
         raise ParameterError("need at least 2 frequency samples")
     wave.check_samples(o["n"], "the frequency window")
@@ -315,7 +230,7 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     sigma = np.linspace(-o["sigma_max"], o["sigma_max"], o["n"])
     curve = dispersion.ess_spectrum_curve(params, o["alpha"], sigma)
     gap = dispersion.spectral_gap(params, o["alpha"])
-    _emit(cfg, {"gap": gap, "max_re": float(curve.lam.real.max())},
+    _emit(o, {"gap": gap, "max_re": float(curve.lam.real.max())},
           {"sigma": curve.sigma, "re_lambda": curve.lam.real,
            "im_lambda": curve.lam.imag},
           "weighted essential spectrum")
@@ -323,19 +238,17 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_gap(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_gap(o: dict) -> int:
     print(f"{dispersion.spectral_gap(_params(o), o['alpha']):.12g}")
     return 0
 
 
-def _cmd_evans(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_evans(o: dict) -> int:
     prof = wave.solve_profile(_params(o), L=o["L"], h=o["h"])
     lam = complex(o["lam_re"], o["lam_im"])
     sample = evans.evans_eval(lam, prof, o["alpha"], nsub=o["nsub"])
     if o["out"]:
-        _emit(cfg, {
+        _emit(o, {
             "re": sample.value.real,
             "im": sample.value.imag,
             "renorm_exponent": sample.renorm_exponent,
@@ -344,8 +257,7 @@ def _cmd_evans(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_winding(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_winding(o: dict) -> int:
     prof = wave.solve_profile(_params(o), L=o["L"], h=o["h"])
     kind = o["contour"]
     if kind == "circle":
@@ -362,7 +274,7 @@ def _cmd_winding(cfg: RunConfig) -> int:
     else:
         raise ParameterError(f"unknown contour kind: {kind}")
     result = evans.winding_count(contour, prof, o["alpha"], nsub=o["nsub"])
-    _emit(cfg, {
+    _emit(o, {
         "winding": result.winding,
         "min_abs_D": result.min_abs_D,
         "err_ratio": result.err_ratio,
@@ -372,21 +284,19 @@ def _cmd_winding(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_lax(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_lax(o: dict) -> int:
     data = lax.m_cubic(complex(o["lam_re"], o["lam_im"]), _params(o))
-    _emit(cfg, {"lambda": data.lam, "discriminant": data.discriminant,
-                "branches": [asdict(b) for b in data.branches]})
+    _emit(o, {"lambda": data.lam, "discriminant": data.discriminant,
+              "branches": [asdict(b) for b in data.branches]})
     print(f"discriminant = {_fmt_c(data.discriminant)}")
     return 0
 
 
-def _cmd_kernel(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_kernel(o: dict) -> int:
     prof = wave.solve_profile(_params(o), L=o["L"], h=o["h"])
     basis = kernel.kernel_basis(prof, o["alpha"])
-    _emit(cfg, {name: getattr(basis, name)
-                for name in ("alpha", "theta1", "theta2", "gram_residuals")},
+    _emit(o, {name: getattr(basis, name)
+              for name in ("alpha", "theta1", "theta2", "gram_residuals")},
           {name: getattr(basis, name)
            for name in ("xi", "z1", "z2", "eta1", "eta2")},
           "generalized kernel basis")
@@ -402,8 +312,7 @@ def _bump(xi, width: float, center: float = 0.0) -> np.ndarray:
     return np.exp(-((xi - center) ** 2) / (2.0 * width ** 2))
 
 
-def _cmd_free_evolve(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_free_evolve(o: dict) -> int:
     n = 2 * wave.grid_steps(o["L"], o["h"])
     if n < 16:
         raise ParameterError("grid too small")
@@ -411,26 +320,24 @@ def _cmd_free_evolve(cfg: RunConfig) -> int:
     traj = evolve.free_evolve(w0, _params(o), o["alpha"], o["t_final"], o["h"],
                               n_records=o["n_records"])
     rate = evolve.decay_rate(traj)
-    _emit_trajectory(cfg, traj, {"decay_rate": rate}, "constant-background decay")
+    _emit_trajectory(o, traj, {"decay_rate": rate}, "constant-background decay")
     print(f"decay rate = {rate:.6g}")
     return 0
 
 
-def _cmd_linear_evolve(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_linear_evolve(o: dict) -> int:
     prof = wave.solve_profile(_params(o), L=o["L"], h=o["h"])
     w0 = _bump(prof.xi, o["width"], o["center"])
     traj = evolve.linear_evolve(w0, prof, o["alpha"], T=o["t_final"],
                                 dt=o["dt"], project_out=not o["no_project"],
                                 n_records=o["n_records"])
     rate = evolve.decay_rate(traj)
-    _emit_trajectory(cfg, traj, {"decay_rate": rate}, "linearized decay")
+    _emit_trajectory(o, traj, {"decay_rate": rate}, "linearized decay")
     print(f"decay rate = {rate:.6g}")
     return 0
 
 
-def _cmd_nonlinear_evolve(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_nonlinear_evolve(o: dict) -> int:
     params = _params(o)
     prof = wave.solve_profile(params, L=o["L"], h=o["h"])
     u = prof.u0 + o["delta"] * _bump(prof.xi, o["width"], o["center"])
@@ -439,13 +346,12 @@ def _cmd_nonlinear_evolve(cfg: RunConfig) -> int:
                                    dt=o["dt"], n_records=o["n_records"])
     drift = {key: float((v[-1] - v[0]) / max(abs(v[0]), 1e-300))
              for key, v in traj.records.items()}
-    _emit_trajectory(cfg, traj, {"invariant_drift": drift}, "nonlinear residual norm")
+    _emit_trajectory(o, traj, {"invariant_drift": drift}, "nonlinear residual norm")
     print("invariant drift: E {E:.3g}, Q {Q:.3g}, H {H:.3g}".format(**drift))
     return 0
 
 
-def _cmd_selftest(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_selftest(o: dict) -> int:
     sign = dispersion.sign_convention_report(_params(o))
     cubic = lax.mcubic_selftest()
     ok_sign = bool(sign["consistent"])
@@ -459,18 +365,70 @@ def _cmd_selftest(cfg: RunConfig) -> int:
     return 0 if ok_sign and ok_cubic else 3
 
 
-_HANDLERS = {
-    "profile": _cmd_profile,
-    "spectrum": _cmd_spectrum,
-    "gap": _cmd_gap,
-    "evans": _cmd_evans,
-    "winding": _cmd_winding,
-    "lax": _cmd_lax,
-    "kernel": _cmd_kernel,
-    "free-evolve": _cmd_free_evolve,
-    "linear-evolve": _cmd_linear_evolve,
-    "nonlinear-evolve": _cmd_nonlinear_evolve,
-    "selftest": _cmd_selftest,
+# each subcommand's handler and options; _build_parser adds --config to each
+_COMMANDS = {
+    "profile": (_cmd_profile, {**_PARAMS, **_GRID, **_out("profile"), **_PLOT}),
+    "spectrum": (_cmd_spectrum, {
+        **_PARAMS, **_ALPHA_REQ,
+        "sigma_max": _Opt(float, 40.0, "half-width of the frequency window"),
+        "n": _Opt(int, 2001, "number of frequency samples"),
+        **_out("spectrum"), **_PLOT,
+    }),
+    "gap": (_cmd_gap, {**_PARAMS, **_ALPHA_REQ}),
+    "evans": (_cmd_evans, {
+        **_PARAMS, **_ALPHA_OPT, **_LAMBDA, **_GRID,
+        "nsub": _Opt(int, 10, "integration substeps per grid cell"),
+        "out": _Opt(str, None, "optional JSON output path prefix"),
+    }),
+    "winding": (_cmd_winding, {
+        **_PARAMS, **_ALPHA_OPT,
+        "contour": _Opt(str, "circle", "contour kind: circle, rectangle, keyhole"),
+        "center": _Opt(complex, 0j, "contour center, Python complex syntax"),
+        "radius": _Opt(float, 0.05, "circle radius"),
+        "n_nodes": _Opt(int, 64, "initial node count on a circle"),
+        "re_min": _Opt(float, -0.2, "rectangle left edge"),
+        "re_max": _Opt(float, 2.0, "rectangle right edge"),
+        "im_abs": _Opt(float, 2.0, "rectangle half-height"),
+        "hole_radius": _Opt(float, 0.05, "keyhole excluded-disc radius"),
+        "density": _Opt(float, 8.0, "rectangle nodes per unit length"),
+        **_GRID,
+        "nsub": _Opt(int, None, "fixed integration substeps per grid cell; default: "
+                      "error-controlled, steps 2h and h refined per node up to nsub 16"),
+        **_out("winding"),
+    }),
+    "lax": (_cmd_lax, {**_PARAMS, **_LAMBDA, **_out("lax")}),
+    "kernel": (_cmd_kernel, {**_PARAMS, **_ALPHA_REQ, **_GRID, **_out("kernel"), **_PLOT}),
+    "free-evolve": (_cmd_free_evolve, {
+        **_PARAMS, **_ALPHA_REQ,
+        "t_final": _Opt(float, 40.0, "final time"),
+        "n_records": _Opt(int, 201, "number of recorded times"),
+        "width": _Opt(float, 3.0, "width of the Gaussian datum"),
+        **_GRID, **_out("free-evolve"), **_PLOT,
+    }),
+    "linear-evolve": (_cmd_linear_evolve, {
+        **_PARAMS, **_ALPHA_REQ,
+        "t_final": _Opt(float, 25.0, "final time"),
+        "dt": _Opt(float, None, "time step, default from the operator norm bound"),
+        "n_records": _Opt(int, 201, "number of recorded times"),
+        **_BUMP,
+        "no_project": _Opt(bool, False, "skip the complementary kernel projection"),
+        **_GRID, **_out("linear-evolve"), **_PLOT,
+    }),
+    "nonlinear-evolve": (_cmd_nonlinear_evolve, {
+        **_PARAMS,
+        "t_final": _Opt(float, 5.0, "final time"),
+        "dt": _Opt(float, None, "time step, default from the advective bound"),
+        "delta": _Opt(float, 1e-3, "disturbance amplitude"),
+        "n_records": _Opt(int, 201, "number of recorded times"),
+        **_BUMP,
+        "L": _Opt(float, 40.0, "half-length of the grid"),
+        "h": _Opt(float, 0.05, "grid spacing"),
+        **_out("nonlinear-evolve"), **_PLOT,
+    }),
+    "selftest": (_cmd_selftest, {
+        "k": _Opt(float, 0.1, "background height k"),
+        "c": _Opt(float, 1.0, "wave speed c"),
+    }),
 }
 
 
@@ -484,9 +442,9 @@ def run(argv=None) -> int:
     if ns.subcommand is None:
         parser.print_usage(sys.stderr)
         return 2
+    handler, table = _COMMANDS[ns.subcommand]
     try:
-        options = _resolve_options(ns, _TABLES[ns.subcommand])
-        return _HANDLERS[ns.subcommand](RunConfig(ns.subcommand, options))
+        return handler(_resolve_options(ns, table))
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -88,15 +88,14 @@ class WindingResult:
 
 def _shifted_monic(lam: complex, alpha: float, params) -> tuple:
     """Roots s_j = r_j + alpha sorted by real part, and the monic companion
-    coefficients (Q2, Q1, Q0) of P(lambda, s - alpha) so that
-    s^3 = Q2 s^2 + Q1 s + Q0."""
-    c0, c1, c2, c3 = char_coeffs(lam, params)
+    coefficients Q2, Q1 of P(lambda, s - alpha), with s^3 = Q2 s^2 + Q1 s + Q0;
+    the launch vectors do not need Q0."""
+    c0, c1, c2, _ = char_coeffs(lam, params)
     s = char_roots(lam, params) + alpha
     a = alpha
     Q2 = -(c1 - 3.0 * a * c0) / c0
     Q1 = -(c2 - 2.0 * a * c1 + 3.0 * a * a * c0) / c0
-    Q0 = -(c3 - a * c2 + a * a * c1 - a ** 3 * c0) / c0
-    return s, Q2, Q1, Q0
+    return s, Q2, Q1
 
 
 def _check_region(lam: complex, s: np.ndarray, alpha: float) -> None:
@@ -116,7 +115,7 @@ def _check_region(lam: complex, s: np.ndarray, alpha: float) -> None:
 def _launch(lam: complex, alpha: float, params) -> tuple:
     """Decaying shifted root s1 and the launch vectors of X+ and Y- at lambda;
     memoized, as error control marches each node at several nsub."""
-    s, Q2, Q1, Q0 = _shifted_monic(lam, alpha, params)
+    s, Q2, Q1 = _shifted_monic(lam, alpha, params)
     _check_region(lam, s, alpha)
     s1 = s[0]
     v = np.array([1.0, s1, s1 * s1])

@@ -227,6 +227,7 @@ def green_eval(gf: GreenFunction, y, deriv: int = 0) -> np.ndarray:
     return out
 
 
+@_no_overflow
 def green_apply(gf: GreenFunction, phi, h: float) -> np.ndarray:
     """Solve (lambda - A_alpha^inf) u = phi for decaying phi on the grid."""
     phi = np.asarray(phi)

@@ -36,9 +36,13 @@ irfft themselves.  Every frequency grid comes from `rfft_sigma`.
 The package has one grid rule (`close_seam`): a function on a closed grid of
 N nodes, such as the profile grid, is the periodic function on its first
 N - 1 nodes, and its seam node is a copy of node 0.  `spectral_multiplier`
-discards the input's last node, as the evolve flows do.  `conserved`
-and `project` raise `ParameterError` on any floating overflow:
-finite samples too large for their quadrature.
+discards the input's last node, as the evolve flows do.
+
+`causal_exp_conv`, `helmholtz_solve`, `real_spectral_map`,
+`spectral_multiplier`, `conserved`, `project` and `evolve.green_apply`
+raise `ParameterError` on any floating overflow, which only finite samples
+too large for their arithmetic cause.  The sweep also checks that its
+result is finite, since the BLAS recurrence sets no floating-point flag.
 """
 from __future__ import annotations
 
@@ -109,6 +113,7 @@ def _recurrence(x: np.ndarray, q) -> np.ndarray:
     return tbsv(1, band, x, lower=1, diag=1, overwrite_x=1)
 
 
+@_no_overflow
 def causal_exp_conv(g, rate, h: float, start=0.0) -> np.ndarray:
     """C(x_i) = start e^{-rate (x_i - x_0)} + int_{x_0}^{x_i} e^{-rate (x_i - y)} g(y) dy.
 
@@ -125,7 +130,11 @@ def causal_exp_conv(g, rate, h: float, start=0.0) -> np.ndarray:
     W = _panel_weights(rate, h)
     inc = np.concatenate([[start], W[:2] @ g[:6], np.convolve(g, W[2, ::-1], "valid"),
                           W[3:] @ g[-6:]])
-    return _recurrence(inc, np.exp(-rate * h))
+    out = _recurrence(inc, np.exp(-rate * h))
+    # the BLAS recurrence sets no floating-point flag when it overflows
+    if not np.isfinite(out).all():
+        raise ParameterError("causal_exp_conv overflows: its input is too large")
+    return out
 
 
 def _tail_moment(g0: float, g1: float, m: float, h: float) -> float:
@@ -140,6 +149,7 @@ def _tail_moment(g0: float, g1: float, m: float, h: float) -> float:
     return g0 / (m + rho)
 
 
+@_no_overflow
 def helmholtz_solve(g, msq: int, h: float) -> np.ndarray:
     """Solve (msq - d^2) u = g on the grid with decay conditions at the ends."""
     if msq not in (1, 4):
@@ -170,6 +180,7 @@ class ConservedValues:
     E_mass: float
 
 
+@_no_overflow
 def real_spectral_map(w, f) -> np.ndarray:
     """irfft(f(rfft(w)), w.shape[-1]), the periodic grid map acting as f on the
     real-FFT half-spectrum of each row of w, all rows in one transform pair; a
@@ -194,6 +205,7 @@ def close_seam(w) -> np.ndarray:
     return np.concatenate([w, w[..., :1]], axis=-1)
 
 
+@_no_overflow
 def spectral_multiplier(w, h: float, mult) -> np.ndarray:
     """The periodic multiplier mult(sigma) on each row of the closed-grid
     function w of spacing h: the input's last node is discarded, and the

@@ -217,7 +217,9 @@ def test_oversized_or_off_grid_sample_count_rejected(tmp_path, capsys, argv, mes
     (["spectrum", "--alpha", "0.5", "--sigma-max", "1e300"], "ess_spectrum_curve"),
     (["lax", "--lam-re", "1e300"], "discriminant"),
     (["lax", "--lam-re", "1e77"], "discriminant"),
-], ids=["spectrum", "lax-pow", "lax-product"])
+    (["nonlinear-evolve", "--delta", "1e308", "--L", "40", "--h", "0.1",
+      "--t-final", "1"], "real_spectral_map"),
+], ids=["spectrum", "lax-pow", "lax-product", "nonlinear-evolve"])
 def test_overflowing_input_rejected(tmp_path, capsys, argv, name):
     # finite inputs too large for the arithmetic: exit 2, one error line, no
     # artifact and no overflow warning
@@ -256,6 +258,78 @@ def test_non_integer_config_value_rejected(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert re.search(rf"--{key} must be an? (integer|number|complex number), "
                      "got", err), err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+_GRID = ["--L", "30", "--h", "0.1"]
+_REPLAY = {
+    "profile": ["profile", *_GRID],
+    "spectrum": ["spectrum", "--alpha", "0.5", "--n", "101"],
+    "evans": ["evans", "--alpha", "0.5", "--lam-re", "0.3", "--lam-im", "0.2", *_GRID],
+    "winding-circle": ["winding", "--alpha", "0.5", "--center", "0.003+0.001j",
+                       "--n-nodes", "32", *_GRID],
+    "winding-keyhole": ["winding", "--alpha", "0.5", "--contour", "keyhole", *_GRID],
+    "lax": ["lax", "--lam-re", "0.3", "--lam-im", "0.2"],
+    "kernel": ["kernel", "--alpha", "0.5", *_GRID],
+    "free-evolve": ["free-evolve", "--alpha", "0.5", "--t-final", "2",
+                    "--n-records", "11", *_GRID],
+    "linear-evolve": ["linear-evolve", "--alpha", "0.5", "--t-final", "1",
+                      "--n-records", "11", *_GRID],
+    "nonlinear-evolve": ["nonlinear-evolve", "--t-final", "1", "--n-records", "11",
+                         *_GRID],
+}
+
+
+@pytest.mark.parametrize("argv", _REPLAY.values(), ids=_REPLAY)
+def test_sidecar_config_replays(tmp_path, capsys, argv):
+    # a sidecar's config block, written to a file as is, is a --config file
+    # for the same run: its subcommand entry and the complex center written
+    # as [re, im] read back, and only the output paths differ
+    first, again = str(tmp_path / "first"), str(tmp_path / "again")
+    argv = argv + ["--k", K, "--c", C, "--out", first]
+    if argv[0] == "profile":
+        argv += ["--plot-script", first + ".gp"]
+    assert cli.run(argv) == 0
+    printed = capsys.readouterr().out
+    config = _read_json(first + ".json")["config"]
+    assert config["subcommand"] == argv[0]
+    config["out"] = again
+    if config.get("plot_script"):
+        config["plot_script"] = again + ".gp"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.run([argv[0], "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == printed.replace(first, again)
+    written = sorted(p.name for p in tmp_path.iterdir())
+    suffixes = [name[len("first"):] for name in written if name.startswith("first")]
+    assert [name for name in written if name.startswith("again")] == [
+        "again" + suffix for suffix in suffixes]
+    for suffix in suffixes:
+        expected = Path(first + suffix).read_bytes().replace(first.encode(), again.encode())
+        assert Path(again + suffix).read_bytes() == expected, suffix
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"subcommand": "spectrum"}, "config file is for subcommand 'spectrum', not 'winding'"),
+    ({"center": [True, False]}, "--center must be a complex number or an [re, im] pair"),
+    ({"center": [0.1]}, "--center must be a complex number or an [re, im] pair"),
+    ({"center": [0.1, 0.2, 0.3]}, "--center must be a complex number or an [re, im] pair"),
+    ({"center": [0.1, "0.2"]}, "--center must be a complex number or an [re, im] pair"),
+    ({"center": [0.1, None]}, "--center must be a complex number or an [re, im] pair"),
+    ({"alpha": 10 ** 400}, "bad value for --alpha: int too large"),
+], ids=["other-subcommand", "bool-pair", "short-pair", "long-pair", "string-in-pair",
+        "null-in-pair", "huge-int"])
+def test_config_block_rejected(tmp_path, capsys, monkeypatch, entries, message):
+    # a block for another subcommand, a complex value that is not two real
+    # numbers, or a number no float holds: exit 2, one error line, no artifact
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "winding", "k": 0.1, "c": 1,
+                               "alpha": 0.5, **entries}))
+    assert cli.run(["winding", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: " + message), err
+    assert err.count("\n") == 1, err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
@@ -341,7 +415,7 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     def boom(cfg):
         raise SolverError("synthetic abort")
 
-    monkeypatch.setitem(cli._HANDLERS, "gap", boom)
+    monkeypatch.setitem(cli._COMMANDS, "gap", (boom, cli._COMMANDS["gap"][1]))
     rc = cli.run(["gap", "--k", K, "--c", C, "--alpha", "0.5"])
     assert rc == 3
     assert "synthetic abort" in capsys.readouterr().err

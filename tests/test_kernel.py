@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from dpstab import WaveParams, solve_profile
-from dpstab import kernel
+from dpstab import evolve, kernel
 from dpstab.wave import ParameterError
 
 THETA1_01 = 4.320087729757807
@@ -219,15 +219,29 @@ def test_non_finite_samples_rejected(prof01, params01, entry, bad):
         entry(g, prof01, params01)
 
 
+_HUGE = np.full(101, 1e308)
+
+
 @pytest.mark.parametrize("entry", [
     lambda prof, params: kernel.conserved(params, 0.05, u=np.full(1201, 1e300)),
     lambda prof, params: kernel.conserved(params, 0.05, m=np.full(1201, 1e300)),
     lambda prof, params: kernel.project(np.full(prof.xi.size, 1e308),
                                         kernel.kernel_basis(prof, 0.5)),
-], ids=["conserved_u", "conserved_m", "project"])
+    lambda prof, params: kernel.causal_exp_conv(_HUGE, 0.0, 0.1),
+    lambda prof, params: kernel.causal_exp_conv(_HUGE, 0.0, 2.0),
+    lambda prof, params: kernel.helmholtz_solve(_HUGE, 1, 0.1),
+    lambda prof, params: kernel.spectral_multiplier(_HUGE, 0.1, lambda s: 1.0 + s * s),
+    lambda prof, params: kernel.real_spectral_map(_HUGE, lambda wk: wk),
+    lambda prof, params: evolve.green_apply(evolve.free_green(1.0, 0.5, params),
+                                            _HUGE, 0.1),
+], ids=["conserved_u", "conserved_m", "project", "causal_exp_conv",
+        "causal_exp_conv-edge-rows", "helmholtz_solve", "spectral_multiplier",
+        "real_spectral_map", "green_apply"])
 def test_overflowing_samples_rejected(prof01, params01, entry):
     # finite samples too large for the quadrature: a bad input, raised
-    # without a RuntimeWarning (which the suite turns into an error)
+    # without a RuntimeWarning (which the suite turns into an error); the
+    # sweep's BLAS recurrence overflows to inf without any warning, while at
+    # h = 2 its edge-row products overflow before the recurrence
     with pytest.raises(ParameterError, match="overflows"):
         entry(prof01, params01)
 
