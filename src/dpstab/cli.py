@@ -228,11 +228,10 @@ def _cmd_spectrum(o: dict) -> int:
     wave.check_samples(o["n"], "the frequency window")
     params = _params(o)
     sigma = np.linspace(-o["sigma_max"], o["sigma_max"], o["n"])
-    curve = dispersion.ess_spectrum_curve(params, o["alpha"], sigma)
+    lam = dispersion.ess_spectrum_curve(params, o["alpha"], sigma)
     gap = dispersion.spectral_gap(params, o["alpha"])
-    _emit(o, {"gap": gap, "max_re": float(curve.lam.real.max())},
-          {"sigma": curve.sigma, "re_lambda": curve.lam.real,
-           "im_lambda": curve.lam.imag},
+    _emit(o, {"gap": gap, "max_re": float(lam.real.max())},
+          {"sigma": sigma, "re_lambda": lam.real, "im_lambda": lam.imag},
           "weighted essential spectrum")
     print(f"spectral gap = {gap:.12g}")
     return 0

@@ -16,18 +16,17 @@ Re lambda <= -Delta with gap Delta = alpha (c - k - 3k/(1 - alpha^2));
 for alpha > 1 the gap is alpha (c - k); weights in [alpha_crit, 1] give a
 marginal or unstable band, and alpha = +-1 is singular (1 - r^2 vanishes
 at sigma = 0).
+
+`check_shifted_roots` is the package's one rule for a lambda right of the
+weighted essential spectrum; callers pass s = char_roots(lambda) + alpha.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .wave import ParameterError, WaveParams, _no_overflow, derived_constants
 
 __all__ = [
-    "SpectralCurve",
-    "RootTriple",
     "char_poly",
     "char_coeffs",
     "char_roots",
@@ -36,43 +35,12 @@ __all__ = [
     "im_lambda",
     "ess_spectrum_curve",
     "spectral_gap",
-    "classify_roots",
-    "default_sigma_grid",
+    "check_shifted_roots",
     "sign_convention_report",
 ]
 
-# the center band of classify_roots, and default_sigma_grid's size, reach and map
-_ROOT_TOL = 1e-9
-_SIGMA_POINTS, _SIGMA_SPAN, _SIGMA_Q = 2001, 50.0, 0.999
-
-
-@dataclass(frozen=True)
-class SpectralCurve:
-    """Weighted essential-spectrum curve sampled on a frequency grid."""
-
-    sigma: np.ndarray
-    lam: np.ndarray
-    alpha: float
-    params: WaveParams
-
-    def max_real(self) -> float:
-        return float(self.lam.real.max())
-
-
-@dataclass(frozen=True)
-class RootTriple:
-    """Spatial roots of P(lambda, . - alpha), sorted by real part.
-
-    n_left/n_center/n_right count roots with real part below -1e-9, within
-    1e-9 of 0, and above 1e-9.  In the resolvent set right of the weighted
-    essential spectrum the split is 1/0/2.
-    """
-
-    roots: tuple[complex, complex, complex]
-    n_left: int
-    n_center: int
-    n_right: int
-    alpha: float
+# smallest real-part gap between the decaying and the center shifted root
+_SEP_TOL = 1e-8
 
 
 def char_poly(lam, r, params: WaveParams):
@@ -118,17 +86,6 @@ def im_lambda(sigma, alpha: float, params: WaveParams):
     return sigma * (c - k - 3.0 * k * (a2 + s2 + 1.0) / den)
 
 
-def default_sigma_grid() -> np.ndarray:
-    """Frequency grid of 2001 points clustered near sigma = 0, reaching +-50.
-
-    Image of a uniform grid under x -> atanh(0.999 x); the odd size keeps
-    sigma = 0 an exact node.
-    """
-    x = np.linspace(0.0, 1.0, (_SIGMA_POINTS + 1) // 2)
-    pos = _SIGMA_SPAN * np.arctanh(_SIGMA_Q * x) / np.arctanh(_SIGMA_Q)
-    return np.concatenate([-pos[:0:-1], pos])
-
-
 def _check_alpha(alpha: float) -> None:
     """Every weight must be finite with |alpha| != 1; callers add their own range."""
     if not np.isfinite(alpha):
@@ -141,19 +98,18 @@ def _check_alpha(alpha: float) -> None:
 
 
 @_no_overflow
-def ess_spectrum_curve(params: WaveParams, alpha: float,
-                       sigma: np.ndarray | None = None) -> SpectralCurve:
-    """Sample the weighted essential-spectrum curve lambda(i sigma - alpha).
+def ess_spectrum_curve(params: WaveParams, alpha: float, sigma) -> np.ndarray:
+    """The weighted essential-spectrum curve lambda(i sigma - alpha) at sigma.
 
-    Frequencies too large for the curve's arithmetic (|sigma| beyond about
-    1e77, where (1 + sigma^2)^2 overflows) raise `ParameterError`.
+    A non-finite frequency, or one too large for the curve's arithmetic
+    (|sigma| beyond about 1e77, where (1 + sigma^2)^2 overflows), raises
+    `ParameterError`.
     """
     _check_alpha(alpha)
-    if sigma is None:
-        sigma = default_sigma_grid()
     sigma = np.asarray(sigma, dtype=float)
-    lam = re_lambda(sigma, alpha, params) + 1j * im_lambda(sigma, alpha, params)
-    return SpectralCurve(sigma=sigma, lam=lam, alpha=float(alpha), params=params)
+    if not np.all(np.isfinite(sigma)):
+        raise ParameterError("frequencies sigma must be finite")
+    return re_lambda(sigma, alpha, params) + 1j * im_lambda(sigma, alpha, params)
 
 
 def spectral_gap(params: WaveParams, alpha: float) -> float:
@@ -177,28 +133,30 @@ def spectral_gap(params: WaveParams, alpha: float) -> float:
     )
 
 
-def classify_roots(lam: complex, alpha: float, params: WaveParams) -> RootTriple:
-    """Shifted spatial roots s_j = r_j + alpha and their real-part split."""
-    s = char_roots(lam, params) + alpha
-    re = s.real
-    return RootTriple(
-        roots=tuple(s),
-        n_left=int(np.sum(re < -_ROOT_TOL)),
-        n_center=int(np.sum(np.abs(re) <= _ROOT_TOL)),
-        n_right=int(np.sum(re > _ROOT_TOL)),
-        alpha=float(alpha),
-    )
+def check_shifted_roots(lam: complex, alpha: float, s: np.ndarray) -> None:
+    """Raise `ParameterError` unless lambda lies right of the weighted essential
+    spectrum: the sorted shifted roots s = char_roots + alpha need Re s1 < 0,
+    Re s2 >= -1e-8 (a root on the axis is allowed), Re s2 - Re s1 >= 1e-8 and
+    Re s3 > 0."""
+    if s[1].real - s[0].real < _SEP_TOL:
+        raise ParameterError(
+            f"near-essential-spectrum: decaying and center roots at lambda={lam} "
+            f"(alpha={alpha}) separate by {s[1].real - s[0].real:.2e} < {_SEP_TOL}"
+        )
+    if not (s[0].real < 0.0 <= s[1].real + _SEP_TOL and s[2].real > 0.0):
+        raise ParameterError(
+            f"lambda={lam} is not right of the weighted essential spectrum for "
+            f"alpha={alpha}: shifted root real parts {np.round(s.real, 6)}"
+        )
 
 
-def sign_convention_report(params: WaveParams | None = None) -> dict:
+def sign_convention_report(params: WaveParams) -> dict:
     """Cross-check the +3kr sign of the characteristic polynomial.
 
     The curve lambda(i sigma - alpha) must be a zero set of P for every
     weight, and the tail rates +-r_decay must be roots at lambda = 0.  The
     -3kr variant fails both.  Returns the residuals.
     """
-    if params is None:
-        params = WaveParams(0.1, 1.0)
     k, c = params.k, params.c
     r_dec = derived_constants(params).r_decay
     sig = np.linspace(-5.0, 5.0, 41)

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _backend
-from .dispersion import char_coeffs, char_roots, spectral_gap
+from .dispersion import char_roots, check_shifted_roots, spectral_gap
 from .wave import ParameterError, Profile, SolverError, check_samples, half_step_samples
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "keyhole_contour",
     "certify_eta",
 ]
-
-_SEP_TOL = 1e-8
 
 # error control of winding counts: tolerance on e/|D_n|, first kept and finest nsub
 _TAU = 1e-2
@@ -86,41 +84,19 @@ class WindingResult:
         return np.concatenate(self.loops)
 
 
-def _shifted_monic(lam: complex, alpha: float, params) -> tuple:
-    """Roots s_j = r_j + alpha sorted by real part, and the monic companion
-    coefficients Q2, Q1 of P(lambda, s - alpha), with s^3 = Q2 s^2 + Q1 s + Q0;
-    the launch vectors do not need Q0."""
-    c0, c1, c2, _ = char_coeffs(lam, params)
-    s = char_roots(lam, params) + alpha
-    a = alpha
-    Q2 = -(c1 - 3.0 * a * c0) / c0
-    Q1 = -(c2 - 2.0 * a * c1 + 3.0 * a * a * c0) / c0
-    return s, Q2, Q1
-
-
-def _check_region(lam: complex, s: np.ndarray, alpha: float) -> None:
-    if s[1].real - s[0].real < _SEP_TOL:
-        raise ParameterError(
-            f"near-essential-spectrum: decaying and center roots at lambda={lam} "
-            f"(alpha={alpha}) separate by {s[1].real - s[0].real:.2e} < {_SEP_TOL}"
-        )
-    if not (s[0].real < 0.0 <= s[1].real + _SEP_TOL and s[2].real > 0.0):
-        raise ParameterError(
-            f"lambda={lam} is not right of the weighted essential spectrum for "
-            f"alpha={alpha}: shifted root real parts {np.round(s.real, 6)}"
-        )
-
-
 @lru_cache(maxsize=4096)
 def _launch(lam: complex, alpha: float, params) -> tuple:
-    """Decaying shifted root s1 and the launch vectors of X+ and Y- at lambda;
-    memoized, as error control marches each node at several nsub."""
-    s, Q2, Q1 = _shifted_monic(lam, alpha, params)
-    _check_region(lam, s, alpha)
-    s1 = s[0]
+    """Decaying shifted root s1 and the launch vectors of X+ and Y- at lambda:
+    with s1, s2, s3 sorted by real part, v = (1, s1, s1^2) and w = (s2 s3,
+    -(s2 + s3), 1) / ((s1 - s2)(s1 - s3)) are the right and left eigenvectors
+    of the shifted companion matrix at s1 with w . v = 1.  Memoized, as error
+    control marches each node at several nsub."""
+    s = char_roots(lam, params) + alpha
+    check_shifted_roots(lam, alpha, s)
+    s1, s2, s3 = s
     v = np.array([1.0, s1, s1 * s1])
-    w = np.array([s1 * s1 - Q2 * s1 - Q1, s1 - Q2, 1.0])
-    norm = w @ v
+    w = np.array([s2 * s3, -(s2 + s3), 1.0])
+    norm = (s1 - s2) * (s1 - s3)
     if abs(norm) < 1e-12:
         raise ParameterError(
             f"degenerate decaying root at lambda={lam}: eigenvector normalization "
@@ -161,7 +137,8 @@ def evans_batch(lams, profile: Profile, alpha: float = 0.0, nsub: int = 10,
                 meet: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Evans values and renormalization exponents for a batch of lambda.
 
-    All lambda must lie right of the alpha-weighted essential spectrum.
+    Weights: 0 <= alpha < 1 and `check_shifted_roots` at every lambda, which
+    allows a root on the axis, so alpha = 0 is defined up to the curve.
     Each exact conjugate pair, and each repeated lambda, is marched once:
     the member with Im >= 0 is marched and its partner gets conj(D) and the
     same exponent, since D(conj lambda) = conj D(lambda).  A marched value
@@ -202,7 +179,8 @@ def _march(lams, profile: Profile, alpha: float, nsub: int, meet: float,
 
 def evans_eval(lam: complex, profile: Profile, alpha: float = 0.0,
                nsub: int = 10, meet: float = 0.0) -> EvansSample:
-    """Evans function at one lambda right of the weighted essential spectrum."""
+    """Evans function at one lambda right of the weighted essential spectrum.
+    Weights: as `evans_batch`, 0 <= alpha < 1 and `check_shifted_roots`."""
     D, ex = evans_batch([lam], profile, alpha, nsub, meet)
     return EvansSample(lam=complex(lam), value=complex(D[0]),
                        renorm_exponent=float(ex[0]), alpha=float(alpha))
@@ -345,6 +323,7 @@ def winding_count(contour, profile: Profile, alpha: float = 0.0,
     the RK4 error estimate |D_1 - D_1/2|/15 is at most 1e-2 |D_1|; other
     nodes climb to nsub 2/1, 4/2, 8/4, 16/8, past which SolverError is
     raised.  An integer nsub marches every node at that fixed resolution.
+    Weights: as `evans_batch`, 0 <= alpha < 1 and `check_shifted_roots`.
     """
     loops = [np.asarray(contour, dtype=complex)] if isinstance(
         contour, np.ndarray) else [np.asarray(c, dtype=complex) for c in contour]
@@ -377,6 +356,8 @@ def certify_eta(profile: Profile, alpha: float) -> dict:
     The spectral gap bounds how far the rectangle may reach; eta certifies
     a concrete zero-free strip beyond the imaginary axis.  Each keyhole is
     counted by the error-controlled `winding_count`.
+    Weights: 0 < alpha < alpha_crit or alpha > 1 (`spectral_gap`), and
+    `winding_count` then refuses alpha > 1.
     """
     gap = spectral_gap(profile.params, alpha)
     certified = 0.0

@@ -51,7 +51,8 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from . import kernel
-from .dispersion import _check_alpha, classify_roots, lambda_of_r, spectral_gap
+from .dispersion import (_check_alpha, char_roots, check_shifted_roots, lambda_of_r,
+                         spectral_gap)
 from .wave import (
     ParameterError,
     Profile,
@@ -144,7 +145,8 @@ def _spectral_rhs(profile: Profile, alpha: float, adjoint: bool = False):
 def apply_linearized(w, profile: Profile, alpha: float, adjoint: bool = False):
     """A_alpha w (or its L^2 adjoint) by Fourier collocation, the operator the
     linearized flow steps: the input's last node is discarded, as the flows
-    discard it, and the result's seam node is a copy of node 0."""
+    discard it, and the result's seam node is a copy of node 0.
+    Weights: any finite alpha with |alpha| != 1."""
     _check_alpha(alpha)
     w = np.asarray(w)
     if w.shape != profile.xi.shape:
@@ -184,18 +186,16 @@ class GreenFunction:
 
 
 def free_green(lam, alpha: float, params: WaveParams) -> GreenFunction:
-    """Green function of lambda - A_alpha^inf for lambda right of the spectrum."""
+    """Green function of lambda - A_alpha^inf for lambda strictly right of the
+    spectrum: `check_shifted_roots`, and no shifted root on the imaginary axis."""
     _check_alpha(alpha)
-    trip = classify_roots(lam, alpha, params)
-    if not (trip.n_left == 1 and trip.n_center == 0 and trip.n_right == 2):
-        raise ParameterError(
-            f"lambda={lam} is not right of the weighted essential spectrum: "
-            f"shifted-root split {trip.n_left}/{trip.n_center}/{trip.n_right}"
-        )
-    s = np.asarray(trip.roots)
-    sep = min(
-        abs(s[0] - s[1]), abs(s[0] - s[2]), abs(s[1] - s[2])
-    )
+    s = char_roots(lam, params) + alpha
+    check_shifted_roots(lam, alpha, s)
+    # G decays on both sides only with one root left of the axis and two right
+    if not s[0].real < -1e-9 < 1e-9 < s[1].real:
+        raise ParameterError(f"lambda={lam} has a shifted root on the imaginary axis "
+                             f"(alpha={alpha}): real parts {np.round(s.real, 6)}")
+    sep = min(abs(s[0] - s[1]), abs(s[0] - s[2]), abs(s[1] - s[2]))
     # a true double root only resolves to ~sqrt(eps) numerically
     if sep < 1e-6:
         raise SolverError(f"coalescing characteristic roots at lambda={lam}")
@@ -365,7 +365,9 @@ def free_evolve(w0, params: WaveParams, alpha: float, T: float, h: float,
                 n_records: int = 201) -> EvolutionState:
     """Exact multiplier evolution over the flat background, recorded at
     linspace(0, T, n_records): one rfft of the real datum w0 and one symbol
-    per run, then one irfft per record."""
+    per run, then one irfft per record.
+    Weights: finite with |alpha| != 1; one without a gap (alpha < 0 or
+    alpha_crit <= alpha < 1) warns."""
     _check_alpha(alpha)
     _check_records(T, n_records)
     w0 = np.asarray(w0)

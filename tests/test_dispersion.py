@@ -5,8 +5,7 @@ from dpstab import ParameterError, derived_constants
 from dpstab.dispersion import (
     char_poly,
     char_roots,
-    classify_roots,
-    default_sigma_grid,
+    check_shifted_roots,
     ess_spectrum_curve,
     im_lambda,
     lambda_of_r,
@@ -44,33 +43,44 @@ def test_char_roots_ordered_and_conjugate_symmetric(params01):
         assert np.abs(np.sort_complex(conj) - np.sort_complex(rts.conj())).max() < 1e-9
 
 
+# the spectrum subcommand's default window, --sigma-max 40 and --n 2001
+SIGMA = np.linspace(-40.0, 40.0, 2001)
+
+
 def test_curve_frozen_values(params01):
-    curve = ess_spectrum_curve(params01, 0.5)
-    assert abs(curve.max_real() + 0.25) < 1e-10
-    i0 = len(curve.sigma) // 2
-    assert curve.sigma[i0] == 0.0
-    assert abs(curve.lam[i0] - (-0.25)) < 1e-12
+    lam = ess_spectrum_curve(params01, 0.5, SIGMA)
+    assert abs(lam.real.max() + 0.25) < 1e-10
+    i0 = len(SIGMA) // 2
+    assert SIGMA[i0] == 0.0
+    assert abs(lam[i0] - (-0.25)) < 1e-12
 
     ac = derived_constants(params01).alpha_crit
-    crit = ess_spectrum_curve(params01, ac)
-    assert crit.max_real() <= 1e-12
-    assert crit.max_real() > -1e-10
+    crit = ess_spectrum_curve(params01, ac, SIGMA)
+    assert crit.real.max() <= 1e-12
+    assert crit.real.max() > -1e-10
 
     far = lambda_of_r(1j * 1e6 - 0.5, params01)
     assert abs(far.real + 0.5 * 0.9) < 1e-9
 
-    heavy = ess_spectrum_curve(params01, 1.2)
-    assert heavy.max_real() < -1.08
+    heavy = ess_spectrum_curve(params01, 1.2, SIGMA)
+    assert heavy.real.max() < -1.08
 
 
 def test_curve_conjugate_symmetry(params01):
-    curve = ess_spectrum_curve(params01, 0.4)
-    assert np.abs(curve.lam - np.conj(curve.lam[::-1])).max() < 1e-12
+    lam = ess_spectrum_curve(params01, 0.4, SIGMA)
+    assert np.abs(lam - np.conj(lam[::-1])).max() < 1e-12
 
 
 def test_singular_weight_rejected(params01):
     with pytest.raises(ParameterError):
-        ess_spectrum_curve(params01, 1.0)
+        ess_spectrum_curve(params01, 1.0, SIGMA)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, [0.0, -np.inf]],
+                         ids=["nan", "inf", "array-minus-inf"])
+def test_non_finite_sigma_rejected(params01, sigma):
+    with pytest.raises(ParameterError, match="finite"):
+        ess_spectrum_curve(params01, 0.5, sigma)
 
 
 def test_spectral_gap_values(params01):
@@ -92,14 +102,27 @@ def test_gap_marginal_band_boundary(params01):
         spectral_gap(params01, ac)
 
 
+def _shifted(lam, alpha, params):
+    s = char_roots(lam, params) + alpha
+    check_shifted_roots(lam, alpha, s)
+    return s.real
+
+
 def test_classify_roots_splits(params01):
-    t = classify_roots(4.0, 0.0, params01)
-    assert (t.n_left, t.n_center, t.n_right) == (1, 0, 2)
-    t = classify_roots(0.0, 0.5, params01)
-    assert (t.n_left, t.n_center, t.n_right) == (1, 0, 2)
-    t = classify_roots(0.0, 0.0, params01)
-    assert (t.n_left, t.n_center, t.n_right) == (1, 1, 1)
-    assert t.n_left + t.n_center + t.n_right == 3
+    # the sign split of the shifted roots, judged by the one rule
+    for lam, alpha in ((4.0, 0.0), (0.0, 0.5)):
+        re = _shifted(lam, alpha, params01)
+        assert re[0] < -1e-9 < 1e-9 < re[1]
+    # the center root on the axis is allowed: at alpha = 0 the rule holds
+    # up to the curve, which passes through lambda = 0
+    re = _shifted(0.0, 0.0, params01)
+    assert re[0] < -1e-9 and abs(re[1]) <= 1e-9 and re[2] > 1e-9
+    # left of the alpha = 0.5 spectrum two roots decay; at lambda = -1 they
+    # are a conjugate pair with one real part
+    with pytest.raises(ParameterError, match="not right of the weighted essential"):
+        _shifted(-2.0, 0.5, params01)
+    with pytest.raises(ParameterError, match="near-essential-spectrum"):
+        _shifted(-1.0, 0.5, params01)
 
 
 def test_root_split_constant_right_of_spectrum(params01):
@@ -116,8 +139,8 @@ def test_root_split_constant_right_of_spectrum(params01):
     for lam in edge:
         if abs(lam) < 1e-9:
             continue
-        t = classify_roots(lam, 0.5, params01)
-        assert (t.n_left, t.n_center, t.n_right) == (1, 0, 2)
+        re = _shifted(lam, 0.5, params01)
+        assert re[0] < -1e-9 < 1e-9 < re[1]
 
 
 def test_large_lambda_root_asymptotics(params01):
@@ -127,17 +150,6 @@ def test_large_lambda_root_asymptotics(params01):
     assert abs(rts[-1] - lam / (c - k)) < 0.1
     assert min(abs(rts[0] + 1.0), abs(rts[0] - 1.0)) < 0.05
     assert min(abs(rts[1] + 1.0), abs(rts[1] - 1.0)) < 0.05
-
-
-def test_default_sigma_grid_shape(params01):
-    g = default_sigma_grid()
-    assert len(g) % 2 == 1
-    assert g[len(g) // 2] == 0.0
-    assert g.max() == pytest.approx(50.0, abs=1e-9)
-    assert np.array_equal(g, -g[::-1])
-    assert np.all(np.diff(g) > 0)
-    # clustered: spacing at the center much finer than at the ends
-    assert np.diff(g)[len(g) // 2] < np.diff(g)[-1] / 50.0
 
 
 def test_sign_convention_report(params01):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dpstab import _backend, evans, lax
-from dpstab.dispersion import classify_roots, spectral_gap
+from dpstab.dispersion import char_coeffs, char_roots, spectral_gap
 from dpstab.evolve import free_green
 from dpstab.wave import (ParameterError, SolverError, WaveParams, half_step_samples,
                          solve_profile)
@@ -118,10 +118,8 @@ def _winding_with_node(lam, prof):
     _winding_with_node,
     lambda lam, prof: lax.m_cubic(lam, prof.params),
     lambda lam, prof: lax.lax_solve(lam, prof, 1.0, "+"),
-    lambda lam, prof: classify_roots(lam, 0.5, prof.params),
     lambda lam, prof: free_green(lam, 0.5, prof.params),
-], ids=["evans_eval", "winding_count", "m_cubic", "lax_solve", "classify_roots",
-        "free_green"])
+], ids=["evans_eval", "winding_count", "m_cubic", "lax_solve", "free_green"])
 def test_non_finite_lambda_rejected(prof01, entry, lam):
     with pytest.raises(ParameterError, match="finite"):
         entry(lam, prof01)
@@ -278,7 +276,7 @@ def _launch(lams, alpha, params):
     shifts = np.empty(len(lams), dtype=complex)
     inits = np.empty((len(lams), 3), dtype=complex)
     for i, lam in enumerate(lams):
-        s, *_ = evans._shifted_monic(lam, alpha, params)
+        s = char_roots(lam, params) + alpha
         shifts[i] = s[0]
         inits[i] = (1.0, s[0], s[0] ** 2)
     return shifts, inits
@@ -422,6 +420,34 @@ def test_conjugate_pairs_marched_once(prof01, monkeypatch):
         assert D[i] == s.value and ex[i] == s.renorm_exponent
     direct = evans.evans_eval(np.conj(lam), prof01, 0.5).value
     assert abs(D[1] - direct) <= 1e-13 * abs(direct)
+
+
+def _shifted_companion(lam, alpha, params):
+    """Monic coefficients Q0, Q1, Q2 of P(lambda, s - alpha), with
+    s^3 = Q2 s^2 + Q1 s + Q0, from the coefficients of P(lambda, .)."""
+    c0, c1, c2, c3 = char_coeffs(lam, params)
+    a = alpha
+    Q2 = -(c1 - 3.0 * a * c0) / c0
+    Q1 = -(c2 - 2.0 * a * c1 + 3.0 * a * a * c0) / c0
+    Q0 = -(c3 - a * c2 + a * a * c1 - a ** 3 * c0) / c0
+    return Q0, Q1, Q2
+
+
+@pytest.mark.parametrize("lam, alpha", [
+    (0.3 + 0.2j, 0.5), (50 + 50j, 0.5), (1 + 1000j, 0.5), (1e-3, 0.5),
+    (-0.2 + 1j, 0.5), (2.002j, 0.0)])
+def test_launch_by_two_routes(params01, lam, alpha):
+    # the launch vectors come from the roots alone; the second route is the
+    # left eigenvector written with the shifted companion coefficients
+    s1, v, w = evans._launch(complex(lam), alpha, params01)
+    Q0, Q1, Q2 = _shifted_companion(lam, alpha, params01)
+    oracle = np.array([s1 * s1 - Q2 * s1 - Q1, s1 - Q2, 1.0])
+    oracle /= oracle @ v
+    assert np.abs(w - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    assert abs(w @ v - 1.0) <= 1e-13
+    C = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [Q0, Q1, Q2]])
+    residual = w @ (C - s1 * np.eye(3))
+    assert np.abs(residual).max() <= 1e-13 * np.abs(w).max() * np.abs(C).max()
 
 
 def test_launch_data_once_per_node(prof01, monkeypatch):

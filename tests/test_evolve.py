@@ -357,7 +357,7 @@ def test_bad_spacing_rejected(params01, entry, h):
 def test_singular_or_non_finite_weight_rejected(params01, prof01, entry, alpha):
     # one rule for every weighted routine: alpha finite and |alpha| != 1
     call = {
-        "ess_spectrum_curve": lambda: ess_spectrum_curve(params01, alpha),
+        "ess_spectrum_curve": lambda: ess_spectrum_curve(params01, alpha, [0.0]),
         "spectral_gap": lambda: spectral_gap(params01, alpha),
         "apply_linearized": lambda: evolve.apply_linearized(
             np.zeros(prof01.xi.size), prof01, alpha),
