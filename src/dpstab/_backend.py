@@ -22,15 +22,15 @@ formed as whole-array expressions and the step recursion y_{j+1} = M_j y_j
 runs as one banded triangular solve (BLAS ztbsv).  `shoot_final` and
 `shoot_traj` share that march.
 
-This module is also where the package's BLAS comes from: `dtbsv` and `ztbsv`
-(the kernel sweeps use both) are scipy's Fortran BLAS wrappers, loaded once
-from the `_fblas` extension file in scipy's `linalg` directory.  Importing
-`scipy.linalg.blas` would run the `scipy.linalg` package init, which loads
-`numpy.f2py`, `numpy.testing`, `numpy.ma` and `numpy.random` and took about
-half of `import dpstab`.  `_fblas` is a single-phase extension: loading it
-registers it in `sys.modules` as `scipy.linalg._fblas`, and the functions are
-the very objects `scipy.linalg.blas` exports, whichever of the two is
-imported first.
+This module is also the package's one source of BLAS and real transforms,
+loaded by `_load_extension` straight from scipy's extension files, without
+the package inits above them: `dtbsv` and `ztbsv` from `linalg/_fblas` (the
+`scipy.linalg` init loads `numpy.f2py`, `numpy.testing`, `numpy.ma` and
+`numpy.random`), and pocketfft's `r2c` and `c2r`, behind `rfft` and `irfft`,
+from `fft/_pocketfft/pypocketfft` (the `scipy.fft` init costs about 0.07 s;
+`numpy.fft`, the same pocketfft code bit for bit, spends much of each call on
+fixed overhead).  Both are single-phase extensions: the functions are the
+very objects scipy's own modules use, whichever is imported first.
 """
 from __future__ import annotations
 
@@ -41,25 +41,38 @@ from importlib.util import find_spec, module_from_spec, spec_from_loader
 import numpy as np
 
 
-def _load_tbsv():
-    """dtbsv and ztbsv of scipy's `scipy.linalg._fblas` extension, loaded
-    without the `scipy.linalg` package init."""
+def _load_extension(folder: str, stem: str, *names: str) -> tuple:
+    """The functions `names` of the extension file `stem` in scipy's `folder`
+    ('/'-separated), loaded as its scipy module without the package inits."""
     scipy = find_spec("scipy")
     if scipy is None:
-        raise ImportError("dpstab needs scipy for its BLAS")
-    folder = os.path.join(scipy.submodule_search_locations[0], "linalg")
-    name = "scipy.linalg._fblas"
+        raise ImportError("dpstab needs scipy for its BLAS and transforms")
+    name = ".".join(["scipy", *folder.split("/"), stem])
+    folder = os.path.join(scipy.submodule_search_locations[0], *folder.split("/"))
     for suffix in EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_fblas" + suffix)
+        path = os.path.join(folder, stem + suffix)
         if os.path.isfile(path):
             spec = spec_from_loader(name, ExtensionFileLoader(name, path))
             module = module_from_spec(spec)
             spec.loader.exec_module(module)
-            return module.dtbsv, module.ztbsv
-    raise ImportError(f"no scipy BLAS extension _fblas in {folder}")
+            return tuple(getattr(module, f) for f in names)
+    raise ImportError(f"no scipy extension {stem} in {folder}")
 
 
-dtbsv, ztbsv = _load_tbsv()
+dtbsv, ztbsv = _load_extension("linalg", "_fblas", "dtbsv", "ztbsv")
+_r2c, _c2r = _load_extension("fft/_pocketfft", "pypocketfft", "r2c", "c2r")
+
+
+def rfft(x, out=None) -> np.ndarray:
+    """numpy.fft.rfft(x) on the last axis, into out if given."""
+    x = np.asarray(x, dtype=np.float64)
+    return _r2c(x, (x.ndim - 1,), True, 0, out, 1)
+
+
+def irfft(X, n: int, out=None) -> np.ndarray:
+    """numpy.fft.irfft(X, n) of n // 2 + 1 entries on the last axis, into out if given."""
+    X = np.asarray(X, dtype=np.complex128)
+    return _c2r(X, (X.ndim - 1,), n, False, 2, out, 1)
 
 
 def backend_name() -> str:

@@ -356,9 +356,12 @@ def certify_eta(profile: Profile, alpha: float) -> dict:
     The spectral gap bounds how far the rectangle may reach; eta certifies
     a concrete zero-free strip beyond the imaginary axis.  Each keyhole is
     counted by the error-controlled `winding_count`.
-    Weights: 0 < alpha < alpha_crit or alpha > 1 (`spectral_gap`), and
-    `winding_count` then refuses alpha > 1.
+    Weights: 0 < alpha < alpha_crit; any other weight raises `ParameterError`
+    before a keyhole is marched.
     """
+    if not 0.0 < alpha < profile.consts.alpha_crit:
+        raise ParameterError(f"certify_eta needs a weight in "
+                             f"(0, {profile.consts.alpha_crit:.6f}), got alpha={alpha}")
     gap = spectral_gap(profile.params, alpha)
     certified = 0.0
     tried, windings = [], []

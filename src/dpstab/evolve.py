@@ -48,9 +48,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.fft import irfft, rfft
 
 from . import kernel
+from ._backend import irfft, rfft
 from .dispersion import (_check_alpha, char_roots, check_shifted_roots, lambda_of_r,
                          spectral_gap)
 from .wave import (

@@ -29,9 +29,9 @@ samples, a rate that is not finite with Re rate >= 0, and (as `rfft_sigma`
 does) a grid spacing that is not finite and positive.
 
 Every periodic Fourier map of the package works on the real-FFT
-half-spectrum: a map of grid functions goes through `real_spectral_map`,
-while the RK4 flows of `evolve` carry a half-spectrum and call rfft and
-irfft themselves.  Every frequency grid comes from `rfft_sigma`.
+half-spectrum (`_backend.rfft` and `irfft`): a map of grid functions goes
+through `real_spectral_map`, while the RK4 flows of `evolve` transform their
+half-spectra themselves.  Every frequency grid comes from `rfft_sigma`.
 
 The package has one grid rule (`close_seam`): a function on a closed grid of
 N nodes, such as the profile grid, is the periodic function on its first
@@ -41,8 +41,8 @@ discards the input's last node, as the evolve flows do.
 `causal_exp_conv`, `helmholtz_solve`, `real_spectral_map`,
 `spectral_multiplier`, `conserved`, `project` and `evolve.green_apply`
 raise `ParameterError` on any floating overflow, which only finite samples
-too large for their arithmetic cause.  The sweep also checks that its
-result is finite, since the BLAS recurrence sets no floating-point flag.
+too large for their arithmetic cause.  The sweep and the transforms check
+their results too: neither BLAS nor pocketfft sets a floating-point flag.
 """
 from __future__ import annotations
 
@@ -50,9 +50,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.fft import irfft, rfft, rfftfreq
 
-from ._backend import dtbsv, ztbsv
+from ._backend import dtbsv, irfft, rfft, ztbsv
 from .wave import ParameterError, Profile, SolverError, _no_overflow, dc_profile, profile_w
 
 __all__ = [
@@ -133,7 +132,7 @@ def causal_exp_conv(g, rate, h: float, start=0.0) -> np.ndarray:
     out = _recurrence(inc, np.exp(-rate * h))
     # the BLAS recurrence sets no floating-point flag when it overflows
     if not np.isfinite(out).all():
-        raise ParameterError("causal_exp_conv overflows: its input is too large")
+        raise FloatingPointError("overflow in the exponential sweep")
     return out
 
 
@@ -180,22 +179,29 @@ class ConservedValues:
     E_mass: float
 
 
+def _flag_overflow(x, y) -> np.ndarray:
+    """y, a transform of x; pocketfft does not flag the overflow of a finite x."""
+    if not np.isfinite(y).all() and np.isfinite(x).all():
+        raise FloatingPointError("overflow in a real transform")
+    return y
+
+
 @_no_overflow
 def real_spectral_map(w, f) -> np.ndarray:
     """irfft(f(rfft(w)), w.shape[-1]), the periodic grid map acting as f on the
     real-FFT half-spectrum of each row of w, all rows in one transform pair; a
     complex w is mapped as one 2-row stack of its real and imaginary parts."""
     w = np.asarray(w)
-    if np.iscomplexobj(w):
-        re, im = irfft(f(rfft(np.stack([w.real, w.imag]))), w.shape[-1])
-        return re + 1j * im
-    return irfft(f(rfft(w)), w.shape[-1])
+    x = np.stack([w.real, w.imag]) if np.iscomplexobj(w) else w
+    fx = f(_flag_overflow(x, rfft(x)))
+    y = _flag_overflow(fx, irfft(fx, w.shape[-1]))
+    return y[0] + 1j * y[1] if np.iscomplexobj(w) else y
 
 
 def rfft_sigma(n: int, h: float) -> np.ndarray:
     """Angular frequencies sigma = 2 pi rfftfreq(n, h) of the real-FFT
-    half-spectrum of n samples at spacing h."""
-    return 2.0 * np.pi * rfftfreq(n, d=_spacing(h))
+    half-spectrum of n samples at spacing h, in rfftfreq's own arithmetic."""
+    return 2.0 * np.pi * (np.arange(n // 2 + 1) * (1.0 / (n * _spacing(h))))
 
 
 def close_seam(w) -> np.ndarray:

@@ -125,7 +125,7 @@ def discriminant(lam: complex, params: WaveParams) -> complex:
             + 4.0 * (c - k) * (c - 4.0 * k) ** 3)
     # Python's complex product overflows to inf silently
     if not np.isfinite(disc):
-        raise ParameterError(f"discriminant overflows: lambda={lam} is too large")
+        raise FloatingPointError(f"overflow in the quartic at lambda={lam}")
     return disc
 
 

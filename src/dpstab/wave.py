@@ -56,17 +56,21 @@ class SolverError(RuntimeError):
     """A numerical routine failed its accuracy or termination contract."""
 
 
+class _Overflow(ParameterError):
+    """The error of a `_no_overflow` guard, which an enclosing guard renames."""
+
+
 def _no_overflow(fn):
-    """fn with a floating overflow inside it, which only finite inputs too
-    large for its arithmetic cause, raised as `ParameterError`."""
+    """fn with a floating overflow inside it (finite inputs too large for its
+    arithmetic; code that sets no flag raises `FloatingPointError`) raised as
+    `ParameterError`, named after the outermost of nested guards."""
     @wraps(fn)
     def checked(*args, **kwargs):
         try:
             with np.errstate(over="raise"):
                 return fn(*args, **kwargs)
-        except (FloatingPointError, OverflowError) as exc:
-            raise ParameterError(
-                f"{fn.__name__} overflows: its input is too large") from exc
+        except (FloatingPointError, OverflowError, _Overflow) as exc:
+            raise _Overflow(f"{fn.__name__} overflows: its input is too large") from exc
 
     return checked
 

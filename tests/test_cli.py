@@ -215,14 +215,15 @@ def test_oversized_or_off_grid_sample_count_rejected(tmp_path, capsys, argv, mes
 
 @pytest.mark.parametrize("argv, name", [
     (["spectrum", "--alpha", "0.5", "--sigma-max", "1e300"], "ess_spectrum_curve"),
-    (["lax", "--lam-re", "1e300"], "discriminant"),
-    (["lax", "--lam-re", "1e77"], "discriminant"),
+    (["lax", "--lam-re", "1e300"], "m_cubic"),
+    (["lax", "--lam-re", "1e77"], "m_cubic"),
     (["nonlinear-evolve", "--delta", "1e308", "--L", "40", "--h", "0.1",
-      "--t-final", "1"], "real_spectral_map"),
+      "--t-final", "1"], "spectral_multiplier"),
 ], ids=["spectrum", "lax-pow", "lax-product", "nonlinear-evolve"])
 def test_overflowing_input_rejected(tmp_path, capsys, argv, name):
     # finite inputs too large for the arithmetic: exit 2, one error line, no
-    # artifact and no overflow warning
+    # artifact and no overflow warning; the error names the function the
+    # command called, not the guarded function inside it that overflowed
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = cli.run(argv + ["--k", K, "--c", C, "--out", str(tmp_path / "x")])
@@ -497,17 +498,20 @@ def test_import_leaves_heavy_scipy_subpackages_out():
     # each of these pulls in dozens of modules that no command uses; the
     # scipy.linalg package init alone loads the four numpy subpackages, and
     # np.isin in a conjugate fold would load numpy.ma during the run.  The
-    # BLAS extension scipy.linalg._fblas is loaded without its package.
+    # BLAS extension scipy.linalg._fblas and the transform extension
+    # scipy.fft._pocketfft.pypocketfft are loaded without their packages.
     heavy = tuple(name + "." for name in (
         "scipy.signal", "scipy.stats", "scipy.ndimage", "scipy.interpolate",
         "scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.spatial",
-        "scipy.special", "scipy.linalg", "numpy.ma", "numpy.f2py", "numpy.testing",
-        "numpy.random"))
+        "scipy.special", "scipy.linalg", "scipy.fft", "numpy.ma", "numpy.f2py",
+        "numpy.testing", "numpy.random", "numpy.fft"))
+    loaded = ("scipy.linalg._fblas", "scipy.fft._pocketfft.pypocketfft")
     code = ("import sys, dpstab.cli\n"
-            "from dpstab import evans, wave\n"
+            "from dpstab import evans, evolve, wave\n"
             "prof = wave.solve_profile(wave.WaveParams(0.1, 1.0), L=20.0, h=0.1)\n"
             "evans.evans_batch([0.3 + 0.2j, 0.3 - 0.2j], prof, 0.5, nsub=1)\n"
-            "print(' '.join(m for m in sys.modules if m != 'scipy.linalg._fblas'\n"
+            "evolve.linear_evolve(prof.u0_p, prof, 0.5, T=0.5, n_records=3)\n"
+            f"print(' '.join(m for m in sys.modules if m not in {loaded!r}\n"
             f"               and (m + '.').startswith({heavy!r})))")
     assert _run_python(code).split() == []
 
@@ -522,10 +526,29 @@ def test_backend_blas_is_scipys(first):
     assert _run_python(code).split() == ["True", "True"]
 
 
+@pytest.mark.parametrize("first", ["dpstab", "scipy"])
+def test_backend_transforms_are_scipys(first):
+    # r2c and c2r are the functions scipy.fft calls, whichever is imported
+    # first, and scipy.fft still works after dpstab
+    imports = ["from dpstab import _backend", "import scipy.fft",
+               "from scipy.fft._pocketfft import pypocketfft as pfft"]
+    code = "\n".join(imports if first == "dpstab" else imports[1:] + imports[:1]) + (
+        "\nimport numpy as np\nx = np.arange(8.0)\n"
+        "print(_backend._r2c is pfft.r2c, _backend._c2r is pfft.c2r,\n"
+        "      np.array_equal(scipy.fft.rfft(x), _backend.rfft(x)))")
+    assert _run_python(code).split() == ["True", "True", "True"]
+
+
 def test_missing_blas_extension_names_the_folder(monkeypatch):
     monkeypatch.setattr(_backend, "EXTENSION_SUFFIXES", [".missing"])
     with pytest.raises(ImportError, match=r"_fblas in .*linalg"):
-        _backend._load_tbsv()
+        _backend._load_extension("linalg", "_fblas", "dtbsv")
+
+
+def test_missing_transform_extension_names_the_folder(monkeypatch):
+    monkeypatch.setattr(_backend, "EXTENSION_SUFFIXES", [".missing"])
+    with pytest.raises(ImportError, match=r"pypocketfft in .*fft.*_pocketfft"):
+        _backend._load_extension("fft/_pocketfft", "pypocketfft", "r2c")
 
 
 def test_entry_point_subprocess():

@@ -170,6 +170,16 @@ def test_certify_eta(cert01):
     assert abs(cert01["certified_eta"] - 7 * cert01["gap"] / 8) < 1e-12
 
 
+@pytest.mark.parametrize("alpha", [1.2, 1.5])
+def test_certify_eta_refuses_weights_past_alpha_crit(prof01, monkeypatch, alpha):
+    # spectral_gap accepts alpha > 1, but no keyhole can be marched there
+    def no_march(*args, **kwargs):
+        raise AssertionError("winding_count called")
+    monkeypatch.setattr(evans, "winding_count", no_march)
+    with pytest.raises(ParameterError, match=r"certify_eta needs a weight in \(0, 0\.8"):
+        evans.certify_eta(prof01, alpha)
+
+
 def test_cauchy_riemann(prof01):
     lam, h = 0.8 + 0.3j, 1e-4
     ev = lambda z: evans.evans_eval(z, prof01, 0.5).value

@@ -222,27 +222,36 @@ def test_non_finite_samples_rejected(prof01, params01, entry, bad):
 _HUGE = np.full(101, 1e308)
 
 
-@pytest.mark.parametrize("entry", [
-    lambda prof, params: kernel.conserved(params, 0.05, u=np.full(1201, 1e300)),
-    lambda prof, params: kernel.conserved(params, 0.05, m=np.full(1201, 1e300)),
-    lambda prof, params: kernel.project(np.full(prof.xi.size, 1e308),
-                                        kernel.kernel_basis(prof, 0.5)),
-    lambda prof, params: kernel.causal_exp_conv(_HUGE, 0.0, 0.1),
-    lambda prof, params: kernel.causal_exp_conv(_HUGE, 0.0, 2.0),
-    lambda prof, params: kernel.helmholtz_solve(_HUGE, 1, 0.1),
-    lambda prof, params: kernel.spectral_multiplier(_HUGE, 0.1, lambda s: 1.0 + s * s),
-    lambda prof, params: kernel.real_spectral_map(_HUGE, lambda wk: wk),
-    lambda prof, params: evolve.green_apply(evolve.free_green(1.0, 0.5, params),
-                                            _HUGE, 0.1),
+@pytest.mark.parametrize("entry, name", [
+    (lambda prof, params: kernel.conserved(params, 0.05, u=np.full(1201, 1e300)),
+     "conserved"),
+    (lambda prof, params: kernel.conserved(params, 0.05, m=np.full(1201, 1e300)),
+     "conserved"),
+    (lambda prof, params: kernel.project(np.full(prof.xi.size, 1e308),
+                                         kernel.kernel_basis(prof, 0.5)), "project"),
+    (lambda prof, params: kernel.causal_exp_conv(_HUGE, 0.0, 0.1), "causal_exp_conv"),
+    (lambda prof, params: kernel.causal_exp_conv(_HUGE, 0.0, 2.0), "causal_exp_conv"),
+    (lambda prof, params: kernel.helmholtz_solve(_HUGE, 1, 0.1), "helmholtz_solve"),
+    (lambda prof, params: kernel.spectral_multiplier(_HUGE, 0.1, lambda s: 1.0 + s * s),
+     "spectral_multiplier"),
+    (lambda prof, params: kernel.real_spectral_map(_HUGE, lambda wk: wk),
+     "real_spectral_map"),
+    (lambda prof, params: kernel.real_spectral_map(
+        np.ones(64), lambda wk: np.full_like(wk, 1e308)), "real_spectral_map"),
+    (lambda prof, params: evolve.green_apply(evolve.free_green(1.0, 0.5, params),
+                                             _HUGE, 0.1), "green_apply"),
 ], ids=["conserved_u", "conserved_m", "project", "causal_exp_conv",
         "causal_exp_conv-edge-rows", "helmholtz_solve", "spectral_multiplier",
-        "real_spectral_map", "green_apply"])
-def test_overflowing_samples_rejected(prof01, params01, entry):
+        "real_spectral_map", "real_spectral_map-inverse", "green_apply"])
+def test_overflowing_samples_rejected(prof01, params01, entry, name):
     # finite samples too large for the quadrature: a bad input, raised
-    # without a RuntimeWarning (which the suite turns into an error); the
-    # sweep's BLAS recurrence overflows to inf without any warning, while at
-    # h = 2 its edge-row products overflow before the recurrence
-    with pytest.raises(ParameterError, match="overflows"):
+    # without a RuntimeWarning (which the suite turns into an error) and
+    # named after the function called, whichever guarded function inside it
+    # overflowed; the sweep's BLAS recurrence and the transforms overflow to
+    # inf without any warning (the -inverse row only in the inverse
+    # transform), while at h = 2 the sweep's edge-row products overflow
+    # before the recurrence
+    with pytest.raises(ParameterError, match=f"^{name} overflows"):
         entry(prof01, params01)
 
 
