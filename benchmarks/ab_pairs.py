@@ -16,13 +16,21 @@ better direction by more than the parent's interquartile range, and no more
 operations failed than at the parent.  The exit code is 0 when every run
 finished, whatever the verdicts.
 
+With --record PATH the series is also written into the JSON file PATH (a
+`BENCH_*.json` record) as its entry under "workloads", beside the entries of
+other workloads already there: each metric's medians, quartiles and verdict,
+and per pair each side's metrics and the figures its operations checked
+(the `op` lines of perfbench, such as kernel_drift or invariant_drift).
+
 Usage: python benchmarks/ab_pairs.py PARENT CHANGE --workload evolve
-           [--pairs 10] [--seed 1]
+           [--pairs 10] [--seed 1] [--record BENCH.json]
 """
 
 import argparse
 import json
 import os
+import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -57,6 +65,48 @@ def verdict(parent, change, better, failed=(0, 0)):
             "holds": holds}
 
 
+# "name=value (limit ...)", one checked figure of a perfbench `op` line
+_CHECK = re.compile(r"(\w+)=(\S+) \(limit ")
+
+
+def op_checks(stdout: str) -> dict:
+    """{operation: {check: figure}} from the `op` lines of a perfbench run."""
+    return {line.split()[1]: {name: float(value) for name, value in _CHECK.findall(line)}
+            for line in stdout.splitlines() if line.startswith("op ")}
+
+
+def _sig(x: float) -> float:
+    return float(f"{x:.4g}")
+
+
+def write_record(path: Path, workload: str, seeds: list, metrics: list, values: dict,
+                 verdicts: dict, checks: dict, failed_ops: str, provenance: dict) -> None:
+    """Put one workload's series into the JSON record at path, keeping the
+    record's other entries; provenance is one run's perfbench provenance."""
+    record = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    record.setdefault("environment", {
+        **{key: provenance[key] for key in ("python", "numpy", "scipy", "backend", "nproc")},
+        "machine": platform.machine()})
+    block = {}
+    for m in metrics:
+        v = verdicts[m["name"]]
+        block[m["name"]] = {
+            "unit": m["unit"], "better": m["better"],
+            **{side: dict(zip(("median", "q1", "q3"), map(_sig, summary(series[m["name"]]))))
+               for side, series in values.items()},
+            "won": v["won"], "gap": _sig(v["gap"]), "parent_iqr": _sig(v["parent_iqr"]),
+            "gain_holds": v["holds"]}
+    per_pair = [{"seed": seed,
+                 **{m["name"]: {side: _sig(series[m["name"]][i])
+                                for side, series in values.items()} for m in metrics},
+                 "checks": {side: figures[i] for side, figures in checks.items()}}
+                for i, seed in enumerate(seeds)]
+    record.setdefault("workloads", {})[workload] = {
+        "pairs": len(seeds), "seeds": f"{seeds[0]}-{seeds[-1]}", "metrics": block,
+        "per_pair": per_pair, "failed_operations": failed_ops}
+    path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+
+
 def clear_bytecode(root: Path) -> None:
     for cache in list(root.rglob("__pycache__")):
         shutil.rmtree(cache, ignore_errors=True)
@@ -70,7 +120,12 @@ def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"exit code {proc.returncode}\n{proc.stderr.strip()}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    res = json.loads(lines[-1])
+    res["checks"] = op_checks(proc.stdout)
+    res["provenance"] = next(json.loads(line.split(" ", 1)[1]) for line in lines
+                             if line.startswith("provenance "))
+    return res
 
 
 def main():
@@ -81,6 +136,8 @@ def main():
     ap.add_argument("--workload", required=True, choices=("contour", "pointwise", "evolve"))
     ap.add_argument("--pairs", type=int, default=10, help="pairs to run (default 10)")
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair (default 1)")
+    ap.add_argument("--record", type=Path,
+                    help="JSON record to write the series into, under its workload")
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
@@ -93,6 +150,7 @@ def main():
     metrics, seconds = bench["end_to_end"], bench["run_seconds"]
 
     values = {side: {m["name"]: [] for m in metrics} for side in roots}
+    checks = {side: [] for side in roots}
     failed = {side: 0 for side in roots}
     attempted = {side: 0 for side in roots}
     for i in range(args.pairs):
@@ -107,24 +165,32 @@ def main():
                 return 1
             failed[side] += res["failed"]
             attempted[side] += res["attempted"]
+            checks[side].append(res["checks"])
             for name, series in values[side].items():
                 series.append(res["metrics"][name]["value"])
         print(f"pair {i + 1}/{args.pairs} (seed {seed}): " + ", ".join(
             f"{m['name']} {values['parent'][m['name']][-1]:.4g} -> "
             f"{values['change'][m['name']][-1]:.4g}" for m in metrics), flush=True)
 
+    failed_ops = (f"parent {failed['parent']} of {attempted['parent']}, "
+                  f"change {failed['change']} of {attempted['change']}")
     print(f"\n{args.workload}, {args.pairs} alternated pairs, seeds "
-          f"{args.seed}-{args.seed + args.pairs - 1}; failed operations: parent "
-          f"{failed['parent']} of {attempted['parent']}, change {failed['change']} "
-          f"of {attempted['change']}")
+          f"{args.seed}-{args.seed + args.pairs - 1}; failed operations: {failed_ops}")
+    verdicts = {}
     for m in metrics:
         parent, change = values["parent"][m["name"]], values["change"][m["name"]]
-        v = verdict(parent, change, m["better"], (failed["parent"], failed["change"]))
+        v = verdicts[m["name"]] = verdict(parent, change, m["better"],
+                                          (failed["parent"], failed["change"]))
         sides = "  ".join(f"{side} {med:.4g} [{q1:.4g}-{q3:.4g}]" for side, (med, q1, q3)
                           in (("parent", summary(parent)), ("change", summary(change))))
         print(f"{m['name']} ({m['unit']}, {m['better']} is better): {sides}  "
               f"won {v['won']}/{v['pairs']}, gap {v['gap']:.4g} vs parent IQR "
               f"{v['parent_iqr']:.4g}: gain {'holds' if v['holds'] else 'not shown'}")
+    if args.record:
+        write_record(args.record, args.workload,
+                     list(range(args.seed, args.seed + args.pairs)), metrics, values,
+                     verdicts, checks, failed_ops, res["provenance"])
+        print(f"wrote {args.workload} into {args.record}")
     return 0
 
 

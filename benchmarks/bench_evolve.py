@@ -9,7 +9,8 @@ m', and the new m - k one forward transform: 4 forward and 4 inverse per
 step.  Each flow is run to T1 = 2.5 and to T2 = 5 with two records and no
 kernel projection, and the time per step is (t(T2) - t(T1)) / (n2 - n1): the
 set-up of a run (kernel basis, symbols and step bound) is the same at both
-lengths and cancels.
+lengths and cancels.  Both flows run on the CLI's default grid of their
+subcommand (L and h of `linear-evolve` and `nonlinear-evolve`).
 One untimed run comes first; the median over `--repeats` pairs is printed.
 
 Usage: python benchmarks/bench_evolve.py [--repeats 5]
@@ -21,6 +22,7 @@ import time
 
 import numpy as np
 
+from dpstab.cli import _COMMANDS
 from dpstab.evolve import linear_evolve, nonlinear_evolve
 from dpstab.wave import WaveParams, solve_profile
 
@@ -44,6 +46,12 @@ def _ms_per_step(run, repeats):
     return statistics.median(per_step) * 1e3, n2
 
 
+def _cli_grid(command):
+    """The default L and h of a CLI subcommand."""
+    table = _COMMANDS[command][1]
+    return table["L"].default, table["h"].default
+
+
 def main():
     ap = argparse.ArgumentParser(
         description="time one RK4 step of the linearized and nonlinear flows")
@@ -55,20 +63,22 @@ def main():
 
     params = WaveParams(k=0.1, c=1.0)
 
-    prof = solve_profile(params, L=40.0, h=0.02)
+    L, h = _cli_grid("linear-evolve")
+    prof = solve_profile(params, L=L, h=h)
     w0 = np.exp(-((prof.xi - 2.0) ** 2) / 2.0)
     ms, steps = _ms_per_step(
         lambda T: linear_evolve(w0, prof, 0.5, T, project_out=False, n_records=2),
         args.repeats)
-    print(f"linear flow    (L=40, h=0.02, alpha=0.5, n_fft={prof.xi.size - 1}): "
+    print(f"linear flow    (L={L:g}, h={h:g}, alpha=0.5, n_fft={prof.xi.size - 1}): "
           f"{steps} steps, {ms:.3f} ms per RK4 step")
 
-    prof = solve_profile(params, L=60.0, h=0.05)
+    L, h = _cli_grid("nonlinear-evolve")
+    prof = solve_profile(params, L=L, h=h)
     m0 = prof.mu.copy()
     ms, steps = _ms_per_step(
         lambda T: nonlinear_evolve(m0, params, T, prof.h, n_records=2),
         args.repeats)
-    print(f"nonlinear flow (L=60, h=0.05, n_fft={prof.xi.size - 1}): "
+    print(f"nonlinear flow (L={L:g}, h={h:g}, n_fft={prof.xi.size - 1}): "
           f"{steps} steps, {ms:.3f} ms per RK4 step")
     print(f"median of {args.repeats} run pairs, T={T1:g} and T={T2:g}")
 

@@ -411,7 +411,9 @@ _COMMANDS = {
         "n_records": _Opt(int, 201, "number of recorded times"),
         **_BUMP,
         "no_project": _Opt(bool, False, "skip the complementary kernel projection"),
-        **_GRID, **_out("linear-evolve"), **_PLOT,
+        "L": _Opt(float, 40.0, "half-length of the grid"),
+        "h": _Opt(float, 0.04, "grid spacing"),
+        **_out("linear-evolve"), **_PLOT,
     }),
     "nonlinear-evolve": (_cmd_nonlinear_evolve, {
         **_PARAMS,
@@ -421,7 +423,7 @@ _COMMANDS = {
         "n_records": _Opt(int, 201, "number of recorded times"),
         **_BUMP,
         "L": _Opt(float, 40.0, "half-length of the grid"),
-        "h": _Opt(float, 0.05, "grid spacing"),
+        "h": _Opt(float, 0.1, "grid spacing"),
         **_out("nonlinear-evolve"), **_PLOT,
     }),
     "selftest": (_cmd_selftest, {

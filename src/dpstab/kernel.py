@@ -15,18 +15,23 @@ quadrature and the residuals are reported.
 
 The nonlocal inverses (msq - d^2)^{-1} are two causal exponential
 convolutions (`causal_exp_conv`, one per direction) against the kernel
-e^{-m|xi|}/(2m): each grid panel contributes the integral of its degree-5
-interpolant against the exponential, so the sweep is order-6 in the step and
-respects decay at the ends (no periodization).  Interior panels share one
-weight row on the nodes two below to three above them, so their increments
-are one 6-tap correlation; the two panels at each end take their own rows.
-The 5 x 6 weights per (rate, h) are the module's one cache.  The running sum
+e^{-m|xi|}/(2m): each grid panel contributes the integral of its degree-9
+interpolant against the exponential, so the sweep is order-10 in the step
+and respects decay at the ends (no periodization).  Interior panels share one
+weight row on the nodes four below to five above them, so their increments
+are one 10-tap correlation; the four panels at each end take their own rows.
+The weights integrate the product-form Lagrange basis against the
+exponential by 32-point Gauss-Legendre quadrature, to rounding for
+|rate h| <= 25, real or complex; the 9 x 10 weights per (rate, h) are the
+module's one cache.  The running sum
 C_i = e^{-m h} C_{i-1} + inc_i is one BLAS bidiagonal solve (dtbsv/ztbsv,
 from `_backend`, which loads scipy's BLAS wrappers without the
 `scipy.linalg` package init).  Running integrals are the same sweep at rate
-0.  The sweep rejects input that is not a 1-d array of at least 6 finite
-samples, a rate that is not finite with Re rate >= 0, and (as `rfft_sigma`
-does) a grid spacing that is not finite and positive.
+0.  The sweep rejects input that is not a 1-d array of at least
+`SWEEP_NODES` (10) finite samples, a rate that is not finite with
+Re rate >= 0, and (as `rfft_sigma` does) a grid spacing that is not finite
+and positive; `helmholtz_solve` and `evolve.green_apply` refuse input shorter
+than the same minimum themselves.
 
 Every periodic Fourier map of the package works on the real-FFT
 half-spectrum (`_backend.rfft` and `irfft`): a map of grid functions goes
@@ -70,6 +75,19 @@ __all__ = [
 ]
 
 
+# nodes of a sweep panel's interpolant, and the fewest samples a sweep takes
+SWEEP_NODES = 10
+
+
+def _grid_function(g, name: str) -> np.ndarray:
+    """g as an array, refused unless it is 1-d with at least SWEEP_NODES samples."""
+    g = np.asarray(g)
+    if g.ndim != 1 or g.size < SWEEP_NODES:
+        raise ParameterError(
+            f"{name} must be a 1-d grid function with at least {SWEEP_NODES} samples")
+    return g
+
+
 def _spacing(h) -> float:
     """The grid spacing as a float; it must be finite and positive."""
     if not 0.0 < h < np.inf:
@@ -77,29 +95,42 @@ def _spacing(h) -> float:
     return float(h)
 
 
-def _exp_moments(a) -> np.ndarray:
-    # mu_n = int_0^1 t^n e^{-a(1-t)} dt = e^{-a} sum_p a^p / (p! (n+p+1))
-    if abs(a) > 25.0:
-        raise ParameterError(f"step too coarse for the exponential kernel: rate*h={a}")
-    n = np.arange(6.0)
-    mu = np.zeros(6, dtype=complex)
-    term = np.ones(6, dtype=complex)
-    for p in range(80):
-        mu += term / (n + p + 1.0)
-        term *= a / (p + 1.0)
-    return np.exp(-a) * mu
+def _gauss_legendre(n: int) -> tuple:
+    """Nodes and weights of n-point Gauss-Legendre quadrature on [0, 1].
+
+    The nodes on [-1, 1] are the eigenvalues of the Jacobi matrix of the
+    Legendre recurrence (Golub-Welsch), each polished by Newton steps on
+    P_n; the weights 2 / ((1 - x^2) P_n'(x)^2) come from the same
+    recurrence, accurate to rounding where the eigenvectors lose digits."""
+    j = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(j / np.sqrt(4.0 * j * j - 1.0), -1))
+    for _ in range(2):
+        p0, p1 = np.ones(n), x
+        for m in range(2, n + 1):
+            p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return 0.5 * (1.0 + x), 1.0 / ((1.0 - x * x) * dp * dp)
 
 
 @lru_cache(maxsize=16, typed=True)
 def _panel_weights(rate, h: float) -> np.ndarray:
     # row s: panel [i, i+1] integrated against e^{-rate (x_{i+1}-y)}, using
-    # the degree-5 interpolant on nodes i-s .. i-s+5; real for a real rate
-    mu = _exp_moments(rate * h)
-    W = np.empty((5, 6), dtype=complex)
-    for s in range(5):
-        V = np.vander(np.arange(6.0) - s, 6, increasing=True)
-        W[s] = h * np.linalg.solve(V.T.astype(complex), mu)
-    W = W if isinstance(rate, complex) else W.real.copy()
+    # the degree-9 interpolant on nodes i-s .. i-s+9; real for a real rate.
+    # 32-point Gauss-Legendre integrates the product-form Lagrange basis
+    # against the exponential to rounding for |rate h| <= 25, where a
+    # Vandermonde solve on 10 nodes would lose about 5 digits
+    a = rate * h
+    if abs(a) > 25.0:
+        raise ParameterError(f"step too coarse for the exponential kernel: rate*h={a}")
+    t, wq = _gauss_legendre(32)
+    nodes = np.arange(float(SWEEP_NODES))
+    off = ~np.eye(SWEEP_NODES, dtype=bool)
+    # x - m at the quadrature points of panel s (in node units), for m != j
+    x = nodes[:-1, None] + t
+    diff = np.where(off, (x[..., None] - nodes)[..., None, :], 1.0)
+    basis = diff.prod(axis=-1) / np.where(off, nodes[:, None] - nodes, 1.0).prod(axis=1)
+    W = h * (basis.transpose(0, 2, 1) @ (wq * np.exp(-a * (1.0 - t))))
     W.flags.writeable = False
     return W
 
@@ -116,19 +147,20 @@ def _recurrence(x: np.ndarray, q) -> np.ndarray:
 def causal_exp_conv(g, rate, h: float, start=0.0) -> np.ndarray:
     """C(x_i) = start e^{-rate (x_i - x_0)} + int_{x_0}^{x_i} e^{-rate (x_i - y)} g(y) dy.
 
-    Panel [x_i, x_{i+1}] integrates the degree-5 interpolant on nodes i-2 ..
-    i+3, shifted inward next to each end; complex for a complex rate or g."""
-    g = np.asarray(g)
-    if g.ndim != 1 or g.size < 6:
-        raise ParameterError("need a 1-d array with at least 6 samples")
+    Panel [x_i, x_{i+1}] integrates the degree-9 interpolant on nodes i-4 ..
+    i+5, shifted inward next to each end, against the exponential (weights by
+    Gauss-Legendre quadrature); complex for a complex rate or g."""
+    g = _grid_function(g, "g")
     if not np.isfinite(g).all():
         raise ParameterError("samples must be finite")
     if not (np.isfinite(rate) and np.real(rate) >= 0.0):
         raise ParameterError(f"rate must be finite with Re rate >= 0, got {rate}")
     h = _spacing(h)
     W = _panel_weights(rate, h)
-    inc = np.concatenate([[start], W[:2] @ g[:6], np.convolve(g, W[2, ::-1], "valid"),
-                          W[3:] @ g[-6:]])
+    edge = SWEEP_NODES // 2 - 1
+    inc = np.concatenate([[start], W[:edge] @ g[:SWEEP_NODES],
+                          np.convolve(g, W[edge, ::-1], "valid"),
+                          W[edge + 1:] @ g[-SWEEP_NODES:]])
     out = _recurrence(inc, np.exp(-rate * h))
     # the BLAS recurrence sets no floating-point flag when it overflows
     if not np.isfinite(out).all():
@@ -153,14 +185,14 @@ def helmholtz_solve(g, msq: int, h: float) -> np.ndarray:
     """Solve (msq - d^2) u = g on the grid with decay conditions at the ends."""
     if msq not in (1, 4):
         raise ParameterError(f"msq must be 1 or 4, got {msq}")
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 1 or g.size < 8:
-        raise ParameterError("g must be a 1-d grid function with at least 8 samples")
+    g = _grid_function(np.ascontiguousarray(g, dtype=float), "g")
     if not np.isfinite(g).all():
         raise ParameterError("samples must be finite")
     m, h = float(np.sqrt(msq)), _spacing(h)
     left = causal_exp_conv(g, m, h, _tail_moment(g[0], g[1], m, h))
-    g = g[::-1]
+    # both sweeps read contiguous samples, as the sums of their edge rows
+    # round by memory layout: an even g then has an exactly even inverse
+    g = np.ascontiguousarray(g[::-1])
     right = causal_exp_conv(g, m, h, _tail_moment(g[0], g[1], m, h))[::-1]
     return (left + right) / (2.0 * m)
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,38 @@ def test_direction_and_failures():
                 ([1.0, 2.0], [0.5, 1.0], "smaller")):
         with pytest.raises(ValueError):
             ab_pairs.verdict(*bad)
+
+
+_RUN_OUTPUT = """\
+op linear-evolve      ok         0.140 s  decay_slope=-0.3466 (limit -0.175)  kernel_drift=5.27e-10 (limit 1e-06)
+op nonlinear-evolve   ok         0.239 s  invariant_drift=1.29e-12 (limit 1e-06)
+op free-evolve        FAILED     0.045 s
+adj_wall_s = 0.61 s
+"""
+
+
+def test_op_checks_reads_every_operation():
+    assert ab_pairs.op_checks(_RUN_OUTPUT) == {
+        "linear-evolve": {"decay_slope": -0.3466, "kernel_drift": 5.27e-10},
+        "nonlinear-evolve": {"invariant_drift": 1.29e-12},
+        "free-evolve": {}}
+
+
+def test_record_keeps_other_workloads(tmp_path):
+    path = tmp_path / "BENCH.json"
+    metrics = [{"name": "adj_wall_s", "unit": "s", "better": "lower"}]
+    prov = {"python": "3", "numpy": "2", "scipy": "1", "backend": "numpy", "nproc": 2}
+    change = [p - 0.3 for p in PARENT]
+    values = {"parent": {"adj_wall_s": PARENT}, "change": {"adj_wall_s": change}}
+    verdicts = {"adj_wall_s": ab_pairs.verdict(PARENT, change, "lower")}
+    checks = {side: [ab_pairs.op_checks(_RUN_OUTPUT)] * 10 for side in values}
+    seeds = list(range(401, 411))
+    for workload in ("evolve", "contour"):
+        ab_pairs.write_record(path, workload, seeds, metrics, values, verdicts, checks,
+                              "parent 0 of 30, change 0 of 30", prov)
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert sorted(record["workloads"]) == ["contour", "evolve"]
+    entry = record["workloads"]["evolve"]
+    assert entry["seeds"] == "401-410" and entry["metrics"]["adj_wall_s"]["gain_holds"]
+    assert entry["per_pair"][0]["adj_wall_s"] == {"parent": 2.0, "change": 1.7}
+    assert entry["per_pair"][0]["checks"]["change"]["linear-evolve"]["kernel_drift"] == 5.27e-10

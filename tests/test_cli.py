@@ -499,12 +499,14 @@ def test_import_leaves_heavy_scipy_subpackages_out():
     # scipy.linalg package init alone loads the four numpy subpackages, and
     # np.isin in a conjugate fold would load numpy.ma during the run.  The
     # BLAS extension scipy.linalg._fblas and the transform extension
-    # scipy.fft._pocketfft.pypocketfft are loaded without their packages.
+    # scipy.fft._pocketfft.pypocketfft are loaded without their packages, and
+    # the sweep's Gauss-Legendre nodes come from numpy.linalg, not from
+    # numpy.polynomial (about 5 ms of imports).
     heavy = tuple(name + "." for name in (
         "scipy.signal", "scipy.stats", "scipy.ndimage", "scipy.interpolate",
         "scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.spatial",
         "scipy.special", "scipy.linalg", "scipy.fft", "numpy.ma", "numpy.f2py",
-        "numpy.testing", "numpy.random", "numpy.fft"))
+        "numpy.testing", "numpy.random", "numpy.fft", "numpy.polynomial"))
     loaded = ("scipy.linalg._fblas", "scipy.fft._pocketfft.pypocketfft")
     code = ("import sys, dpstab.cli\n"
             "from dpstab import evans, evolve, wave\n"

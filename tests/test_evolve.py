@@ -1,13 +1,15 @@
 import dataclasses
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 from dpstab import WaveParams, dc_profile, derived_constants, solve_profile
-from dpstab import evolve, kernel
+from dpstab import cli, evolve, kernel
 from dpstab.dispersion import ess_spectrum_curve, lambda_of_r, spectral_gap
 from dpstab.wave import ParameterError, SolverError, profile_w
+from sweep_oracle import causal_exp_conv6
 
 LAM_BRANCH_01 = 0.45 / np.sqrt(3.0)  # double spatial root at r = 1/sqrt(3)
 
@@ -403,6 +405,46 @@ def test_linear_evolve_projected_decay(prof60):
     n0 = evolve.l2_norm(w0, prof60.h)
     assert np.max(np.abs(traj.records["ip_eta1"])) <= 1e-6 * n0
     assert np.max(np.abs(traj.records["ip_eta2"])) <= 1e-6 * n0
+
+
+def _cli_grid(command):
+    table = cli._COMMANDS[command][1]
+    return table["L"].default, table["h"].default
+
+
+def _bump_drift(k, L, h):
+    # kernel pairing drift of the CLI's default datum (bump at 2, width 1),
+    # relative to its norm; by T = 5 it has reached its T = 25 size to 20 %
+    prof = solve_profile(WaveParams(k, 1.0), L=L, h=h)
+    w0 = np.exp(-((prof.xi - 2.0) ** 2) / 2.0)
+    traj = evolve.linear_evolve(w0, prof, 0.5, T=5.0, n_records=11)
+    ip = np.abs([traj.records["ip_eta1"], traj.records["ip_eta2"]])
+    return float(np.max(ip)) / traj.norm_w[0]
+
+
+@pytest.mark.parametrize("k", [0.1, 0.03])
+def test_linear_default_grid_keeps_the_drift(k, monkeypatch):
+    # the default grid (h 0.04) against the order-6 sweep on the grid of
+    # half its spacing, the earlier default: at k = 0.03 the order-10 sweep
+    # gives 2.0e-11, the order-6 sweep 1.2e-10 at h 0.02 and 7.5e-9 at h 0.04
+    L, h = _cli_grid("linear-evolve")
+    assert h == 0.04
+    drift = _bump_drift(k, L, h)
+    monkeypatch.setattr(kernel, "causal_exp_conv",
+                        lambda g, rate, h, start=0.0: causal_exp_conv6(g, rate, h, start).real)
+    assert drift <= 1.5 * _bump_drift(k, L, 0.5 * h)
+
+
+def test_nonlinear_default_grid_keeps_the_invariants(tmp_path):
+    # the default spacing 0.1 on the benchmark's run (L 60, T 50): the
+    # order-10 sweeps of `conserved` give 1.1e-12, the order-6 ones 1.0e-10
+    assert _cli_grid("nonlinear-evolve")[1] == 0.1
+    out = str(tmp_path / "nl")
+    assert cli.run(["nonlinear-evolve", "--k", "0.1", "--c", "1", "--t-final", "50",
+                    "--L", "60", "--out", out]) == 0
+    with open(out + ".json", encoding="utf-8") as fh:
+        drift = json.load(fh)["invariant_drift"]
+    assert max(abs(v) for v in drift.values()) <= 5e-12
 
 
 def test_linear_evolve_step_rejection(prof60):

@@ -1,8 +1,12 @@
 import dataclasses
+import functools
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
+from sweep_oracle import causal_exp_conv6
 
 from dpstab import WaveParams, solve_profile
 from dpstab import evolve, kernel
@@ -30,42 +34,126 @@ def _exp_integral_of_poly(p, r, x):
 
 @pytest.mark.parametrize("rate", [0.0, 1.0, 0.7 + 0.3j])
 def test_causal_exp_conv_polynomial_exact(rate):
-    # every weight row, the two edge rows at each end included, is exact on
-    # degree-5 data: at rate 0 (the running integral), a real and a complex rate
+    # every weight row, the four edge rows at each end included, is exact on
+    # degree-9 data: at rate 0 (the running integral, which carries an edge
+    # row's error to every later node), a real and a complex rate
     h = 0.1
     x = -3.0 + h * np.arange(121)
-    p = (Polynomial.fromroots([0.3] * 5) + Polynomial([0.0, 1.0, 0.0, -2.0])) / 10.0
+    p = (Polynomial.fromroots([0.3] * 9) + Polynomial([0.0, 1.0, 0.0, -2.0])) / 10.0
     ref = _exp_integral_of_poly(p, rate, x)
     out = kernel.causal_exp_conv(p(x), rate, h)
     assert out.dtype == (complex if isinstance(rate, complex) else float)
-    # the sweep reaches about 1e-15 here
+    # the sweep reaches about 3e-15 here, the order-6 sweep 8e-10
     assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_causal_exp_conv_order():
+    # sin(4x) keeps both errors (4.1e-8 and 3.4e-11) well above the rounding
+    # floor of about 1e-14, where sin(x) on these grids reaches it
     errs = []
     for n in (200, 400):
         h = 20.0 / n
         x = -10.0 + h * np.arange(n + 1)
-        out = kernel.causal_exp_conv(np.sin(x), 0.0, h)
-        errs.append(np.max(np.abs(out - (np.cos(-10.0) - np.cos(x)))))
-    assert errs[0] / errs[1] > 40  # order-6 panels: ratio near 64
+        out = kernel.causal_exp_conv(np.sin(4.0 * x), 0.0, h)
+        errs.append(np.max(np.abs(out - (np.cos(-40.0) - np.cos(4.0 * x)) / 4.0)))
+    assert min(errs) > 1e-11
+    # order-10 panels: ratio near 2^10 (1192 here), where order 6 gives 64
+    assert 2.0 ** 9.5 < errs[0] / errs[1] < 2.0 ** 10.5
 
 
-@pytest.mark.parametrize("g, rate", [
-    (np.ones((2, 8)), 1.0),
-    (np.ones(5), 1.0),
-    (np.ones(8), np.nan),
-    (np.ones(8), complex(np.nan, 1.0)),
-    (np.ones(8), -0.1),
-    (np.ones(8), -0.1 + 2.0j),
-], ids=["2-d", "5-samples", "nan-rate", "nan-complex-rate",
+@functools.cache
+def _lagrange_rows(nodes: int = kernel.SWEEP_NODES) -> list:
+    """Exact coefficients in t of l_j(s + t), the Lagrange basis on nodes
+    0 .. nodes-1, for every panel s and node j."""
+    rows = []
+    for s in range(nodes - 1):
+        row = []
+        for j in range(nodes):
+            poly = [Fraction(1)]
+            for m in range(nodes):
+                if m != j:
+                    # times (t + s - m) / (j - m)
+                    poly = [a * Fraction(s - m, j - m) + b * Fraction(1, j - m)
+                            for a, b in zip(poly + [0], [0] + poly)]
+            row.append(poly)
+        rows.append(row)
+    return rows
+
+
+def _mp_panel_weights(rate, h, rows):
+    """The panel weights at 40 digits: h sum_n coef_n mu_n with the moments
+    mu_n = int_0^1 t^n e^{-a(1-t)} dt = e^{-a} sum_p a^p / (p! (n+p+1))."""
+    with mpmath.workdps(40):
+        a = mpmath.mpmathify(rate) * mpmath.mpf(h)
+        mu = []
+        for n in range(len(rows[0][0])):
+            total, term = 0, mpmath.mpf(1)
+            for p in range(200):
+                total += term / (n + p + 1)
+                term *= a / (p + 1)
+            mu.append(mpmath.exp(-a) * total)
+        return [[complex(mpmath.mpf(h) * mpmath.fsum(
+            mpmath.mpf(c.numerator) / c.denominator * m for c, m in zip(poly, mu)))
+            for poly in row] for row in rows]
+
+
+@pytest.mark.parametrize("h", [0.04, 0.1])
+@pytest.mark.parametrize("rate", [0.0, 2.0, 0.5 + 1j, 250.0])
+def test_panel_weights_match_mpmath(rate, h):
+    # every weight row against an exact-arithmetic route up to |rate h| = 25;
+    # a Vandermonde solve on 10 nodes is off by 1.7e-10 here
+    W = kernel._panel_weights(rate, h)
+    ref = np.array(_mp_panel_weights(rate, h, _lagrange_rows()))
+    assert W.shape == ref.shape == (kernel.SWEEP_NODES - 1, kernel.SWEEP_NODES)
+    assert W.dtype == (complex if isinstance(rate, complex) else float)
+    err = np.max(np.abs(W - ref), axis=1) / np.max(np.abs(ref), axis=1)
+    assert np.all(err <= 1e-14)
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.0, 0.5 + 1.0j])
+def test_causal_exp_conv_matches_order6_oracle(rate):
+    # on smooth data the sweep agrees with the order-6 route to within that
+    # route's own error, estimated by halving its step
+    h = 0.1
+    x = -8.0 + 0.5 * h * np.arange(321)
+    g = np.exp(-0.1 * x * x) * np.cos(1.5 * x)
+    fine = causal_exp_conv6(g, rate, 0.5 * h)[::2]
+    coarse = causal_exp_conv6(g[::2], rate, h)
+    oracle_err = np.max(np.abs(coarse - fine))
+    assert 1e-9 < oracle_err < 1e-6
+    assert np.max(np.abs(kernel.causal_exp_conv(g[::2], rate, h) - coarse)) <= 1.1 * oracle_err
+
+
+@pytest.mark.parametrize("g, rate, match", [
+    (np.ones((2, 10)), 1.0, "1-d grid function with at least 10 samples"),
+    (np.ones(5), 1.0, "1-d grid function with at least 10 samples"),
+    (np.ones(9), 1.0, "1-d grid function with at least 10 samples"),
+    (np.ones(10), np.nan, "rate must be finite"),
+    (np.ones(10), complex(np.nan, 1.0), "rate must be finite"),
+    (np.ones(10), -0.1, "Re rate >= 0"),
+    (np.ones(10), -0.1 + 2.0j, "Re rate >= 0"),
+], ids=["2-d", "5-samples", "9-samples", "nan-rate", "nan-complex-rate",
         "negative-rate", "negative-re-rate"])
-def test_causal_exp_conv_rejects(g, rate):
+def test_causal_exp_conv_rejects(g, rate, match):
     # a bad shape or rate ends here, not in an IndexError, a window that
     # wraps round to the last sample, or a NaN result
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=match):
         kernel.causal_exp_conv(g, rate, 0.1)
+
+
+@pytest.mark.parametrize("entry, name", [
+    (lambda g: kernel.causal_exp_conv(g, 1.0, 0.1), "g"),
+    (lambda g: kernel.helmholtz_solve(g, 1, 0.1), "g"),
+    (lambda g: evolve.green_apply(evolve.free_green(1.0, 0.5, WaveParams(0.1, 1.0)),
+                                  g, 0.1), "phi"),
+], ids=["causal_exp_conv", "helmholtz_solve", "green_apply"])
+def test_sweeps_share_one_minimum_sample_count(entry, name):
+    # the fewest samples a sweep panel's interpolant needs, refused by the
+    # function called, not by a sweep inside it
+    assert np.all(np.isfinite(entry(np.exp(-np.linspace(-3.0, 3.0, kernel.SWEEP_NODES)))))
+    with pytest.raises(ParameterError, match=f"^{name} must be a 1-d grid function "
+                                             f"with at least {kernel.SWEEP_NODES} samples"):
+        entry(np.ones(kernel.SWEEP_NODES - 1))
 
 
 def test_helmholtz_manufactured(prof01):
