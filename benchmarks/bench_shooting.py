@@ -1,9 +1,12 @@
-"""Wall time of the shooting march on Evans contour batches.
+"""Wall time of the shooting march on Evans contour batches, and of the
+half-step samples it marches over.
 
-The march takes one lambda at a time: it forms the RK4 step maps of a chunk
-of steps as whole-array expressions and runs the step recursion as one
-banded triangular solve (BLAS ztbsv), so its cost grows linearly with the
-number of lambda.
+The march takes one lambda at a time: it builds the RK4 step maps of a chunk
+of steps into a workspace allocated per call and runs the step recursion as
+one banded triangular solve (BLAS ztbsv), so its cost grows linearly with the
+number of lambda.  The samples (`half_step_samples`, one profile evaluation
+on the 4 L nsub / h + 1 half-step points) are timed first, on a fresh profile
+cache each time, in points per second.
 
 Each batch size is timed separately.  Beside each time the script prints
 the count of lambda actually marched and the time per marched lambda-step
@@ -18,13 +21,14 @@ Usage: python benchmarks/bench_shooting.py [--batch 1 16 64] [--nsub 10] [--repe
 """
 
 import argparse
+import dataclasses
 import time
 
 import numpy as np
 
 from dpstab import _backend
 from dpstab.evans import evans_batch
-from dpstab.wave import WaveParams, solve_profile
+from dpstab.wave import WaveParams, half_step_samples, solve_profile
 
 
 def _time_march(lams, profile, alpha, nsub, repeats):
@@ -51,6 +55,17 @@ def _time_march(lams, profile, alpha, nsub, repeats):
     return best, columns[0]
 
 
+def _time_samples(profile, nsub, repeats):
+    """Best-of-repeats wall time of `half_step_samples` and its point count."""
+    best = float("inf")
+    for _ in range(repeats):
+        fresh = dataclasses.replace(profile)  # an empty sample cache
+        t0 = time.perf_counter()
+        arrays = half_step_samples(fresh, nsub)
+        best = min(best, time.perf_counter() - t0)
+    return best, 4 * arrays["n"] + 1
+
+
 def main():
     ap = argparse.ArgumentParser(
         description="time the shooting march on Evans contour batches")
@@ -73,6 +88,9 @@ def main():
     print(f"workload: two marches of {nsteps} RK4 steps per lambda (L={profile.L:g}, "
           f"h={profile.h:g}, nsub={args.nsub}, alpha={args.alpha:g})")
 
+    t, points = _time_samples(profile, args.nsub, args.repeats)
+    print(f"half-step samples at nsub={args.nsub}: {points} points in {t * 1e3:.1f} ms "
+          f"({points / t:.3g} points per s)")
     for batch in args.batch:
         theta = np.linspace(0.0, 2.0 * np.pi, batch, endpoint=False)
         lams = 0.05 * np.exp(1j * theta)

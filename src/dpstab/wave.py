@@ -181,9 +181,15 @@ def _fields_from_w(params: WaveParams, w: np.ndarray, wp: np.ndarray) -> Profile
     return ProfileEval(u0, wp, u0_pp, u0_ppp, u0_pppp, mu)
 
 
-# Newton meets the rounding floor of xi within 10 steps for k/c down to
-# 1e-20, within 5 for k/c >= 0.001; phi >= _PHI_MIN keeps w clear of underflow
+# Newton steps a point until its residual xi - |x|, and so its next update,
+# is at the rounding floor: _NEWTON_FLOOR (4 units) times xi's terms,
+# 1/r + theta* + |x|.  Converged residuals are at most 2.2 units for k/c
+# from 1e-12 to 0.2, so a point stops after 3 updates at k/c = 0.1, 4 at
+# 0.2, 6 at 1e-3 and 8 at 1e-6; _NEWTON_STEPS caps the few points whose
+# rounding noise exceeds the floor (up to 5.4 units as k -> c/4).
+# phi >= _PHI_MIN keeps w clear of underflow
 _NEWTON_STEPS = 10
+_NEWTON_FLOOR = 4.0 * np.finfo(float).eps
 _PHI_MIN = 1e-280
 
 
@@ -208,7 +214,8 @@ def _orbit(k, c, phi):
 
 def _invert(params: WaveParams, ax: np.ndarray) -> tuple:
     """phi, w and |w'| on the orbit at xi = ax >= 0, by Newton's method in
-    log(phi); a fixed step count keeps each point independent of its batch."""
+    log(phi); each point stops on its own residual, so no value depends on
+    its batch."""
     k, c = params.k, params.c
     B, D, ts, rho = _orbit_consts(k, c)
     r = D / (c - k)
@@ -225,11 +232,19 @@ def _invert(params: WaveParams, ax: np.ndarray) -> tuple:
     psi = np.clip(np.log(tangent), lead - r * ax, psi_max)
     phi = np.exp(psi)
     w, xi = _orbit(k, c, phi)
+    floor = _NEWTON_FLOOR * (1.0 / r + ts + ax)
+    live = np.flatnonzero(np.abs(xi - ax) > floor)
     for _ in range(_NEWTON_STEPS):
+        if not live.size:
+            break
+        x, wl = ax[live], w[live]
         # dxi/dpsi = -phi ((c - k)/w - 1)
-        psi = np.minimum(psi + (xi - ax) * w / (phi * (c - k - w)), psi_max)
-        phi = np.exp(psi)
-        w, xi = _orbit(k, c, phi)
+        step = psi[live] + (xi[live] - x) * wl / (phi[live] * (c - k - wl))
+        psi[live] = step = np.minimum(step, psi_max)
+        phi[live] = p = np.exp(step)
+        wl, xl = _orbit(k, c, p)
+        w[live], xi[live] = wl, xl
+        live = live[np.abs(xl - x) > floor[live]]
     if not np.all(r * np.abs(xi - ax) <= 1e-12 * (1.0 + r * ax)):
         raise SolverError(f"profile inversion did not converge at k={k}, c={c}")
     th = ts - phi                        # c - k - w = k + B cosh(theta)

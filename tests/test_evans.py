@@ -6,6 +6,7 @@ from dpstab.dispersion import char_coeffs, char_roots, spectral_gap
 from dpstab.evolve import free_green
 from dpstab.wave import (ParameterError, SolverError, WaveParams, half_step_samples,
                          solve_profile)
+from march_oracle import marches as oracle_marches
 
 # regression anchor, first simple zero is well right of lambda = 1
 D_ONE_UNWEIGHTED = 0.20436288257374657
@@ -356,6 +357,41 @@ def test_batch_march_equals_single_marches(prof01):
             one = slice(i, i + 1)
             alone = _backend.shoot_final(*coef, lams[one], 0.5, shifts[one], inits[one], *rest)
             assert np.array_equal(batch[i], alone[0])
+
+
+def test_workspace_maps_equal_whole_array_build(prof01, monkeypatch):
+    # 700 steps in chunks of 300: the workspace and the band carry the
+    # previous chunk's and the previous lambda's entries into each chunk
+    monkeypatch.setattr(_backend, "_STEPS", 300)
+    arrays = half_step_samples(prof01, 1)
+    m = 2 * 700 + 1
+    lams = np.array([0.05, 0.3 + 0.2j, 2.0 + 2.0j, -0.06 + 2.0j, 1.1 - 0.7j])
+    shifts, inits = _launch(lams, 0.5, prof01.params)
+    solve = _backend.ztbsv
+    bands = []
+
+    def capture(k, band, x, **kw):
+        # the last 3 columns hold no entry the solve reads
+        bands.append(band[:, :-3].copy())
+        return solve(k, band, x, **kw)
+
+    for tag, sign, adjoint in (("desc", -1.0, False), ("asc", 1.0, True)):
+        coef = [a[:m] for a in arrays[tag]]
+        rest = (arrays["hs"], sign, adjoint)
+        oracle = list(oracle_marches(*coef, lams, 0.5, shifts, inits, *rest, 300))
+        bands.clear()
+        monkeypatch.setattr(_backend, "ztbsv", capture)
+        final = _backend.shoot_final(*coef, lams, 0.5, shifts, inits, *rest)
+        monkeypatch.setattr(_backend, "ztbsv", solve)
+        # chunk by chunk, lambda by lambda
+        expected = [maps[j] for j in range(3) for maps, _ in oracle]
+        assert len(bands) == len(expected) == 15
+        for got, want in zip(bands, expected):
+            assert np.array_equal(got, want)
+        assert np.array_equal(final, np.array([y[-1] for _, y in oracle]))
+        for i in (1, 3):
+            traj = _backend.shoot_traj(*coef, lams[i], 0.5, shifts[i], inits[i], *rest)
+            assert np.array_equal(traj, oracle[i][1])
 
 
 def test_traj_prefix_matches_stepwise(prof01):

@@ -22,14 +22,24 @@ def _fourier_inverse(g, msq, h):
     return np.fft.irfft(np.fft.rfft(g) / (msq + sig ** 2), n=g.size)
 
 
-def _exp_integral_of_poly(p, r, x):
-    # int_{x_0}^{x} e^{-r (x - y)} p(y) dy in closed form: P = sum_j (-1)^j
-    # p^(j) / r^(j+1) solves P' + r P = p, so the integral is
-    # P(x) - e^{-r (x - x_0)} P(x_0)
-    if r == 0:
-        return p.integ(lbnd=x[0])(x)
-    P = sum((-1) ** j * p.deriv(j) / r ** (j + 1) for j in range(p.degree() + 1))
-    return P(x) - np.exp(-r * (x - x[0])) * P(x[0])
+def _mp_exp_integral_of_poly(p, r, x):
+    # int_{x_0}^{x_i} e^{-r (x_i - y)} p(y) dy at every node, at 50 digits:
+    # P = sum_j (-1)^j p^(j) / r^(j+1) solves P' + r P = p (P = int p at
+    # r = 0), so the integral is P(x_i) - e^{-r (x_i - x_0)} P(x_0).  P is
+    # large against that difference: in doubles the first nodes here are off
+    # by up to 5e-13 relative at r = 1 and 3.6e-12 at r = 0.7 + 0.3i
+    with mpmath.workdps(50):
+        r = mpmath.mpmathify(r)
+        c = [mpmath.mpf(a) for a in p.coef]
+        if r == 0:
+            P = [0] + [a / (k + 1) for k, a in enumerate(c)]
+        else:
+            P = [mpmath.fsum((-1) ** j * mpmath.rf(k + 1, j) * c[k + j] / r ** (j + 1)
+                             for j in range(len(c) - k)) for k in range(len(c))]
+        t = [mpmath.mpf(a) for a in x]
+        P0 = mpmath.polyval(P[::-1], t[0])
+        return np.array([complex(mpmath.polyval(P[::-1], ti) - mpmath.exp(-r * (ti - t[0])) * P0)
+                         for ti in t])
 
 
 @pytest.mark.parametrize("rate", [0.0, 1.0, 0.7 + 0.3j])
@@ -40,11 +50,17 @@ def test_causal_exp_conv_polynomial_exact(rate):
     h = 0.1
     x = -3.0 + h * np.arange(121)
     p = (Polynomial.fromroots([0.3] * 9) + Polynomial([0.0, 1.0, 0.0, -2.0])) / 10.0
-    ref = _exp_integral_of_poly(p, rate, x)
+    ref = _mp_exp_integral_of_poly(p, rate, x)
     out = kernel.causal_exp_conv(p(x), rate, h)
     assert out.dtype == (complex if isinstance(rate, complex) else float)
-    # the sweep reaches about 3e-15 here, the order-6 sweep 8e-10
-    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # the sweep reaches about 1e-15 here, the order-6 sweep 8e-10
+    err = np.abs(out - ref)
+    assert np.max(err) <= 1e-14 * np.max(np.abs(ref))
+    # node by node against the damped integral of |p| (a rectangle rule), so
+    # a positive rate cannot hide the first edge rows' error (at most 2.3e-15
+    # here; scaling the first or fourth row by 1 + 1e-12 fails every rate)
+    damp = np.tril(np.exp(-np.real(rate) * (x[:, None] - x)))
+    assert np.all(err <= 1e-14 * h * (damp @ np.abs(p(x))))
 
 
 def test_causal_exp_conv_order():

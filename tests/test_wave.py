@@ -222,14 +222,36 @@ def test_newton_converges_at_the_ends_of_the_admissible_region(kc):
     assert wp[0] == 0.0 and np.all(wp[1:] < 0.0)
 
 
-def test_newton_result_independent_of_batch(params01):
+def test_newton_result_independent_of_batch():
+    # each point stops on its own residual, so its neighbours do not matter
     x = np.linspace(-45.0, 45.0, 9001)
-    w, wp = profile_w(params01, x)
-    for i in range(0, x.size, 997):
-        wi, wpi = profile_w(params01, x[i])
-        assert wi[0] == w[i] and wpi[0] == wp[i]
-    w2, _ = profile_w(params01, x[::-7])
-    assert np.array_equal(w2, w[::-7])
+    for kc in (1e-6, 1e-3, 0.1, 0.2, 0.2499):
+        params = WaveParams(kc, 1.0)
+        w, wp = profile_w(params, x)
+        for i in range(0, x.size, 997):
+            wi, wpi = profile_w(params, x[i])
+            assert wi[0] == w[i] and wpi[0] == wp[i]
+        w2, _ = profile_w(params, x[::-7])
+        assert np.array_equal(w2, w[::-7])
+
+
+@pytest.mark.parametrize("kc", [1e-6, 1e-3, 0.1, 0.2, 0.2499])
+def test_newton_stop_agrees_with_ten_steps(kc, monkeypatch):
+    # a point stops once its residual is within 4 rounding units of xi's
+    # terms, eps (1/r + theta* + |x|); forced through all 10 steps it lands
+    # within a few more units of rounding noise.  In w relative that is
+    # eps (1 + r (theta* + |x|)) per unit; w' vanishes at the crest, so its
+    # error is measured against max |w'|
+    params = WaveParams(kc, 1.0)
+    r = derived_constants(params).r_decay
+    ts = wave._orbit_consts(kc, 1.0)[2]
+    x = np.linspace(-30.0 / r, 30.0 / r, 6001)
+    w, wp = profile_w(params, x)
+    monkeypatch.setattr(wave, "_NEWTON_FLOOR", -1.0)
+    w10, wp10 = profile_w(params, x)
+    unit = np.finfo(float).eps * (1.0 + r * (ts + np.abs(x)))
+    assert np.all(np.abs(w - w10) <= 8.0 * unit * w10)
+    assert np.all(np.abs(wp - wp10) <= 32.0 * unit * np.abs(wp10).max())
 
 
 def test_newton_failure_raises_solver_error(params01, monkeypatch):
