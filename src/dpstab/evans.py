@@ -17,6 +17,7 @@ D(0) = 0 from translation invariance.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -206,6 +207,10 @@ def circle_contour(center: complex = 0.0, radius: float = 0.05, n: int = 64,
     a circle with a real center is exactly closed under conjugation (except
     a node at angle pi, whose sine is not exactly 0).
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ParameterError(f"the circle needs an integer node count, got {n!r}") from None
     if not (np.isfinite(center) and 0 < radius < np.inf and n >= 8):
         raise ParameterError("need a finite center, finite radius > 0 and n >= 8 nodes")
     check_samples(n, "the circle")

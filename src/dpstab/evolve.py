@@ -619,13 +619,10 @@ def modulation_fit(u, params: WaveParams, alpha: float, h: float) -> ModulationF
         raise ParameterError("u must be a 1-d grid function with an odd length")
     if not (np.isfinite(u).all() and np.isfinite(alpha)):
         raise ParameterError(f"u and the weight alpha={alpha} must be finite")
-    n = u.size
-    L = 0.5 * h * (n - 1)
-    xi = h * (np.arange(n) - (n - 1) // 2)
+    base = solve_profile(params, L=0.5 * h * (u.size - 1), h=h)
+    xi = base.xi
     weight = np.exp(alpha * xi)
     k, c = params.k, params.c
-
-    base = solve_profile(params, L=L, h=h)
     j_c = weight * dc_profile(base)
     j_g = -weight * base.u0_p
     # frozen 2x2 normal matrix of the Gauss-Newton step

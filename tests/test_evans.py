@@ -87,6 +87,7 @@ NAN, INF = float("nan"), float("inf")
     lambda: evans.circle_contour(complex(0.0, INF), 0.05, 16),
     lambda: evans.circle_contour(0.0, NAN, 16),
     lambda: evans.circle_contour(0.0, INF, 16),
+    lambda: evans.circle_contour(0.0, 0.05, 8.5),
     lambda: evans.rectangle_contour(NAN, 1.0, 1.0),
     lambda: evans.rectangle_contour(-1.0, INF, 1.0),
     lambda: evans.rectangle_contour(-1.0, 1.0, NAN),
@@ -98,7 +99,7 @@ NAN, INF = float("nan"), float("inf")
     lambda: evans.keyhole_contour(-1.0, 1.0, 1.0, hole_radius=NAN),
     lambda: evans.keyhole_contour(-1.0, 1.0, 1.0, hole_center=complex(NAN, 0.0)),
 ], ids=["circle-center-nan", "circle-center-inf", "circle-radius-nan", "circle-radius-inf",
-        "rect-re_min-nan", "rect-re_max-inf", "rect-im_abs-nan", "rect-density-inf",
+        "circle-n-8.5", "rect-re_min-nan", "rect-re_max-inf", "rect-im_abs-nan", "rect-density-inf",
         "rect-density-nan", "rect-density-0", "keyhole-re_min-inf", "keyhole-density-inf",
         "keyhole-hole_radius-nan", "keyhole-hole_center-nan"])
 def test_contour_builders_reject_bad_geometry(build):
@@ -566,6 +567,7 @@ def test_contours_conjugate_closed(prof01, params01, monkeypatch):
         z = evans.circle_contour(center, 0.05, n, orient)
         th = orient * 2.0 * np.pi * np.arange(n) / n
         assert np.max(np.abs(z - (center + 0.05 * np.exp(1j * th)))) <= 1e-16
+    assert evans.circle_contour(0.0, 0.05, np.int64(16)).size == 16
     # a real center: only the node at angle pi (even n) has no exact partner
     assert unpaired(evans.circle_contour(0.0, 0.05, 64)) == [32]
     assert unpaired(evans.circle_contour(0.3, 0.05, 33)) == []
