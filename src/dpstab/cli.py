@@ -350,20 +350,6 @@ def _cmd_nonlinear_evolve(o: dict) -> int:
     return 0
 
 
-def _cmd_selftest(o: dict) -> int:
-    sign = dispersion.sign_convention_report(_params(o))
-    cubic = lax.mcubic_selftest()
-    ok_sign = bool(sign["consistent"])
-    ok_cubic = bool(cubic["consistent"])
-    print(f"dispersion sign convention [{'ok' if ok_sign else 'FAIL'}] "
-          f"family {sign['family']}, curve residual "
-          f"{sign['curve_residual']:.3g}, rejected-family residual "
-          f"{sign['rejected_family_residual']:.3g}")
-    print(f"factorization identity [{'ok' if ok_cubic else 'FAIL'}] "
-          f"family {cubic['family']}, {len(cubic['samples'])} rational samples")
-    return 0 if ok_sign and ok_cubic else 3
-
-
 # each subcommand's handler and options; _build_parser adds --config to each
 _COMMANDS = {
     "profile": (_cmd_profile, {**_PARAMS, **_GRID, **_out("profile"), **_PLOT}),
@@ -425,10 +411,6 @@ _COMMANDS = {
         "L": _Opt(float, 40.0, "half-length of the grid"),
         "h": _Opt(float, 0.1, "grid spacing"),
         **_out("nonlinear-evolve"), **_PLOT,
-    }),
-    "selftest": (_cmd_selftest, {
-        "k": _Opt(float, 0.1, "background height k"),
-        "c": _Opt(float, 1.0, "wave speed c"),
     }),
 }
 

@@ -36,7 +36,6 @@ __all__ = [
     "ess_spectrum_curve",
     "spectral_gap",
     "check_shifted_roots",
-    "sign_convention_report",
 ]
 
 # smallest real-part gap between the decaying and the center shifted root
@@ -148,35 +147,3 @@ def check_shifted_roots(lam: complex, alpha: float, s: np.ndarray) -> None:
             f"lambda={lam} is not right of the weighted essential spectrum for "
             f"alpha={alpha}: shifted root real parts {np.round(s.real, 6)}"
         )
-
-
-def sign_convention_report(params: WaveParams) -> dict:
-    """Cross-check the +3kr sign of the characteristic polynomial.
-
-    The curve lambda(i sigma - alpha) must be a zero set of P for every
-    weight, and the tail rates +-r_decay must be roots at lambda = 0.  The
-    -3kr variant fails both.  Returns the residuals.
-    """
-    k, c = params.k, params.c
-    r_dec = derived_constants(params).r_decay
-    sig = np.linspace(-5.0, 5.0, 41)
-
-    def minus_poly(lam, r):
-        return (lam + r * (k - c)) * (1.0 - r * r) - 3.0 * k * r
-
-    res_plus = 0.0
-    res_minus = np.inf
-    for alpha in (0.0, 0.4, 1.5):
-        r = 1j * sig - alpha
-        lam = lambda_of_r(r, params)
-        res_plus = max(res_plus, float(np.abs(char_poly(lam, r, params)).max()))
-        res_minus = min(res_minus, float(np.abs(minus_poly(lam, r)).max()))
-    decay_res = max(abs(char_poly(0.0, r_dec, params)),
-                    abs(char_poly(0.0, -r_dec, params)))
-    return {
-        "family": "+3kr",
-        "curve_residual": res_plus,
-        "decay_root_residual": float(decay_res),
-        "rejected_family_residual": res_minus,
-        "consistent": bool(res_plus < 1e-10 and decay_res < 1e-12 and res_minus > 1e-3),
-    }

@@ -87,6 +87,11 @@ __all__ = [
 # modulation fit
 _SCAN_SIGMA_MAX, _SCAN_POINTS = 400.0, 160_001
 _FIT_MAX_ITER = 50
+# a projected linear run's largest pairing max|<eta_j, w(t)>| over the data
+# norm is 4.4e-10 at (0.1, 1), alpha 0.5 on the CLI grid, and 0.18 at alpha
+# 0.75, where the truncation splits the Jordan pair.  A datum in the kernel
+# projects to a residue that pairs at its own size, up to 7e-12 of the datum
+_MAX_DRIFT, _KERNEL_FLOOR = 1e-2, 1e-8
 
 
 def l2_norm(w, h: float) -> float:
@@ -425,10 +430,12 @@ def linear_evolve(w0, profile: Profile, alpha: float, T: float,
 
     With project_out the data is first reduced by the complementary kernel
     projection; the recorded pairings <eta_j, w(t)> then measure how well the
-    projection commutes with the discrete flow.  The flow runs on the
-    periodic grid of the first N - 1 profile nodes, stepping the rfft
-    half-spectrum of the state; recorded and returned states are back on the
-    grid and carry the seam node as a copy of node 0.
+    projection commutes with the discrete flow, and a run whose largest
+    pairing exceeds 1e-2 of the projected data norm (plus 1e-8 of the
+    datum's) raises `SolverError`.  The flow runs on the periodic grid of the
+    first N - 1 profile nodes, stepping the rfft half-spectrum of the state;
+    recorded and returned states are back on the grid and carry the seam
+    node as a copy of node 0.
     """
     basis = kernel.kernel_basis(profile, alpha)
     w = np.array(w0, dtype=float, copy=True)
@@ -456,6 +463,13 @@ def linear_evolve(w0, profile: Profile, alpha: float, T: float,
     dt = schedule[1]
     v, t, norms, records = _march(rfft(w[:n]), _linear_step(profile, alpha, dt),
                                   schedule, observe, ("ip_eta1", "ip_eta2"))
+    drift = max(np.abs(records["ip_eta1"]).max(), np.abs(records["ip_eta2"]).max())
+    if project_out and drift > _MAX_DRIFT * norms[0] + _KERNEL_FLOOR * l2_norm(w0, h):
+        raise SolverError(
+            f"kernel pairing drift {drift:.3g} exceeds {_MAX_DRIFT:g} of the data "
+            f"norm {norms[0]:.3g} at alpha={alpha}, L={profile.L}: the projected "
+            "flow leaves the complement of the kernel"
+        )
     config = {
         "kind": "linear", "k": profile.params.k, "c": profile.params.c,
         "alpha": alpha, "L": profile.L, "h": h, "n_fft": n, "dt": dt, "T": T,

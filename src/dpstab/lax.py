@@ -41,16 +41,14 @@ __all__ = [
     "second_relation_residual",
     "squared_eigenfunction",
     "completeness_scan",
-    "mcubic_selftest",
 ]
 
 _SEP_TOL = 1e-8
 _DEG_TOL = 1e-10
-# the fit length of launch_slope_error, the interior |xi| <= 0.9 L of
-# second_relation_residual, and mcubic_selftest's seed and sample count
+# the fit length of launch_slope_error and the interior |xi| <= 0.9 L of
+# second_relation_residual
 _SLOPE_WIDTH = 4.0
 _INTERIOR = 0.9
-_SELFTEST_SEED, _SELFTEST_SAMPLES = 0, 3
 
 
 @dataclass(frozen=True)
@@ -378,45 +376,3 @@ def completeness_scan(t_samples, params: WaveParams) -> dict:
             failures.append(entry)
     return {"n": len(entries), "all_pass": not failures, "failures": failures,
             "entries": entries}
-
-
-def mcubic_selftest() -> dict:
-    """Re-derive the M-cubic by symbolic elimination at three seeded rational
-    (k, c) samples and decide its sign family.
-
-    From l_i^3 - l_i - k s = 0 (shared s) and lam s = (l1 - l2)((l1 + l2) + (c-k)s),
-    eliminating s and l1 must produce a polynomial divisible by
-    (c-k)M^3 - lam M^2 - (c-4k)M + lam and not by the variant with (c+2k).
-    Raises if the elimination contradicts the adopted coefficients.
-    """
-    try:
-        import sympy as sp
-    except ImportError as exc:
-        raise ParameterError("the M-cubic self-test needs sympy, from the "
-                             "selftest extra: pip install 'dpstab[selftest]'") from exc
-
-    rng = np.random.default_rng(_SELFTEST_SEED)
-    lam, s, l1v, l2v, Mv = sp.symbols("lam s l1 l2 M")
-    samples = []
-    for _ in range(_SELFTEST_SAMPLES):
-        cq = sp.Rational(int(rng.integers(1, 12)), int(rng.integers(1, 6)))
-        kq = cq * sp.Rational(int(rng.integers(1, 5)), int(rng.integers(21, 40)))
-        g1 = l1v ** 3 - l1v - kq * s
-        g2 = l2v ** 3 - l2v - kq * s
-        g3 = lam * s - (l1v - l2v) * ((l1v + l2v) + (cq - kq) * s)
-        e1 = sp.resultant(g1, g3, s).subs(l2v, l1v - Mv)
-        e2 = sp.resultant(g1, g2, s).subs(l2v, l1v - Mv)
-        big = sp.expand(sp.resultant(e1, e2, l1v))
-        target = (cq - kq) * Mv ** 3 - lam * Mv ** 2 - (cq - 4 * kq) * Mv + lam
-        target_minus = (cq - kq) * Mv ** 3 - lam * Mv ** 2 - (cq + 2 * kq) * Mv + lam
-        rem_plus = sp.simplify(sp.rem(big, target, Mv))
-        rem_minus = sp.simplify(sp.rem(big, target_minus, Mv))
-        ok = rem_plus == 0 and rem_minus != 0
-        samples.append({"k": str(kq), "c": str(cq), "divides": rem_plus == 0,
-                        "minus_divides": rem_minus == 0})
-        if not ok:
-            raise SolverError(
-                f"M-cubic self-test failed at k={kq}, c={cq}: "
-                f"remainder zero={rem_plus == 0}, variant zero={rem_minus == 0}"
-            )
-    return {"family": "+", "consistent": True, "samples": samples}

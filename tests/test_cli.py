@@ -148,6 +148,8 @@ def test_unknown_flag_prints_usage(capsys):
 def test_missing_subcommand(capsys):
     assert cli.run([]) == 2
     assert "usage" in capsys.readouterr().err
+    assert cli.run(["selftest"]) == 2
+    assert "invalid choice: 'selftest'" in capsys.readouterr().err
 
 
 def test_missing_required_flag(capsys):
@@ -431,16 +433,26 @@ def test_dt_gate_is_validation(tmp_path, capsys):
     assert "use dt <=" in capsys.readouterr().err
 
 
-def test_selftest_passes(capsys):
-    assert cli.run(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("[ok]") == 2
+@pytest.mark.parametrize("alpha, rc, printed", [
+    ("0.5", 0, "decay rate = -0.352481\n"),
+    ("0.75", 3, "error: kernel pairing drift 0.195 exceeds 0.01 of the data norm 1.1 "),
+], ids=["alpha-0.5", "alpha-0.75"])
+def test_linear_evolve_drift_gate(tmp_path, capsys, alpha, rc, printed):
+    # alpha 0.75 is admissible (alpha_crit 0.8165), but on L 40 the projected
+    # flow drifts into the kernel and grows; alpha 0.5 prints the rate it did
+    # before the gate
+    out = str(tmp_path / "le")
+    assert cli.run(["linear-evolve", "--k", K, "--c", C, "--alpha", alpha,
+                    "--out", out]) == rc
+    stdout, err = capsys.readouterr()
+    assert (err if rc else stdout).startswith(printed)
+    assert Path(out + ".json").exists() == (rc == 0)
 
 
-def test_selftest_without_sympy_names_the_extra(monkeypatch, capsys):
-    monkeypatch.setitem(sys.modules, "sympy", None)
-    assert cli.run(["selftest"]) == 2
-    assert "dpstab[selftest]" in capsys.readouterr().err
+def test_readme_lists_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Subcommands:(.*?)\.\s", readme, re.S).group(1)
+    assert re.findall(r"`([^`]+)`", sentence) == list(cli._COMMANDS)
 
 
 def _file_access(path):

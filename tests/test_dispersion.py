@@ -10,13 +10,14 @@ from dpstab.dispersion import (
     im_lambda,
     lambda_of_r,
     re_lambda,
-    sign_convention_report,
     spectral_gap,
 )
 
 
 def test_curve_is_zero_set_of_char_poly(params01):
-    # dual route: the explicit Re/Im formulas against the polynomial
+    # dual route: the explicit Re/Im formulas against the polynomial; the
+    # -3kr sign variant of P does not vanish on the curve
+    k, c = params01.k, params01.c
     rng = np.random.default_rng(11)
     sig = rng.uniform(-40.0, 40.0, 200)
     for alpha in (0.0, 0.3, 0.5, 1.2, 2.0):
@@ -24,6 +25,8 @@ def test_curve_is_zero_set_of_char_poly(params01):
         lam = re_lambda(sig, alpha, params01) + 1j * im_lambda(sig, alpha, params01)
         assert np.abs(lam - lambda_of_r(r, params01)).max() < 1e-12
         assert np.abs(char_poly(lam, r, params01)).max() < 1e-10
+        minus = (lam + r * (k - c)) * (1.0 - r * r) - 3.0 * k * r
+        assert np.abs(minus).max() > 1e-2
 
 
 def test_decay_rates_are_roots_at_lambda_zero(params01):
@@ -150,10 +153,3 @@ def test_large_lambda_root_asymptotics(params01):
     assert abs(rts[-1] - lam / (c - k)) < 0.1
     assert min(abs(rts[0] + 1.0), abs(rts[0] - 1.0)) < 0.05
     assert min(abs(rts[1] + 1.0), abs(rts[1] - 1.0)) < 0.05
-
-
-def test_sign_convention_report(params01):
-    rep = sign_convention_report(params01)
-    assert rep["consistent"]
-    assert rep["curve_residual"] < 1e-10
-    assert rep["rejected_family_residual"] > 1e-2

@@ -381,6 +381,10 @@ def test_linear_evolve_z1_stationary(prof60):
     )
     assert abs(traj.norm_w[-1] / traj.norm_w[0] - 1.0) <= 1e-8
     assert evolve.l2_norm(traj.w - basis.z1, prof60.h) <= 1e-6
+    # projected, z1 leaves a residue whose pairings are its own size; the
+    # drift gate admits it
+    proj = evolve.linear_evolve(basis.z1.copy(), prof60, 0.5, T=2.0, n_records=11)
+    assert np.max(proj.norm_w) <= 1e-10 * traj.norm_w[0]
 
 
 def test_linear_evolve_z2_secular(prof60):

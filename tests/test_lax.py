@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import sympy
 
 from dpstab import evans, lax, wave
 from dpstab.dispersion import char_poly
@@ -255,6 +256,24 @@ def test_completeness_scan(params01):
 
 
 def test_mcubic_selftest():
-    rep = lax.mcubic_selftest()
-    assert rep["consistent"] and rep["family"] == "+"
-    assert all(s["divides"] and not s["minus_divides"] for s in rep["samples"])
+    # re-derive the M-cubic by symbolic elimination at three seeded rational
+    # (k, c): from l_i^3 - l_i - k s = 0 (shared s) and
+    # lam s = (l1 - l2)((l1 + l2) + (c - k) s), eliminating s and l1 leaves a
+    # polynomial in M = l1 - l2 divisible by (c-k)M^3 - lam M^2 - (c-4k)M + lam
+    # and not by the variant with (c + 2k)
+    rng = np.random.default_rng(0)
+    lam, s, l1, l2, M = sympy.symbols("lam s l1 l2 M")
+    for _ in range(3):
+        c = sympy.Rational(int(rng.integers(1, 12)), int(rng.integers(1, 6)))
+        k = c * sympy.Rational(int(rng.integers(1, 5)), int(rng.integers(21, 40)))
+        g1 = l1 ** 3 - l1 - k * s
+        g2 = l2 ** 3 - l2 - k * s
+        g3 = lam * s - (l1 - l2) * ((l1 + l2) + (c - k) * s)
+        e1 = sympy.resultant(g1, g3, s).subs(l2, l1 - M)
+        e2 = sympy.resultant(g1, g2, s).subs(l2, l1 - M)
+        big = sympy.expand(sympy.resultant(e1, e2, l1))
+        target = (c - k) * M ** 3 - lam * M ** 2 - (c - 4 * k) * M + lam
+        variant = (c - k) * M ** 3 - lam * M ** 2 - (c + 2 * k) * M + lam
+        # rem works on polynomials in M over QQ(lam): a zero remainder is 0
+        assert sympy.rem(big, target, M) == 0, (k, c)
+        assert sympy.rem(big, variant, M) != 0, (k, c)
