@@ -5,22 +5,26 @@ in the parent checkout and in the change checkout, the parent first in even
 pairs and the change first in odd ones; S is the `run_seconds` of the parent's
 BENCHMARK.json.  Every `__pycache__` directory under
 both checkouts is removed before every run, so neither side imports bytecode
-left by an earlier run or test run.  A run that exits non-zero stops the
-series with its pair, side and standard error.
+left by an earlier run or test run.  A run that exits non-zero is recorded
+with its pair, side, seed, exit code and last line of standard error, and the
+series goes on with the next run.
 
 For each end-to-end metric of BENCHMARK.json (read from the parent checkout)
-the script prints each side's median and quartiles, the pairs the change won
-(ties count for neither side) and whether a gain may be claimed: the change
-wins at least nine tenths of the pairs, the medians differ in the metric's
-better direction by more than the parent's interquartile range, and no more
-operations failed than at the parent.  The exit code is 0 when every run
-finished, whatever the verdicts.
+the script prints, over the complete pairs (both runs finished), each side's
+median and quartiles, the pairs the change won (ties count for neither side)
+and whether a gain may be claimed: the change wins at least nine tenths of
+the pairs, the medians differ in the metric's better direction by more than
+the parent's interquartile range, and neither more operations nor more runs
+failed than at the parent.  With fewer than 2 complete pairs every metric is
+unresolved.  The exit code is 1 when any run failed, else 0, whatever the
+verdicts.
 
 With --record PATH the series is also written into the JSON file PATH (a
 `BENCH_*.json` record) as its entry under "workloads", beside the entries of
 other workloads already there: each metric's medians, quartiles and verdict,
-and per pair each side's metrics and the figures its operations checked
-(the `op` lines of perfbench, such as kernel_drift or invariant_drift).
+per complete pair each side's metrics and the figures its operations checked
+(the `op` lines of perfbench, such as kernel_drift or invariant_drift), and
+the failed runs.
 
 Usage: python benchmarks/ab_pairs.py PARENT CHANGE --workload evolve
            [--pairs 10] [--seed 1] [--record BENCH.json]
@@ -44,13 +48,14 @@ def summary(values):
     return statistics.median(values), q1, q3
 
 
-def verdict(parent, change, better, failed=(0, 0)):
+def verdict(parent, change, better, failed=(0, 0), failed_runs=(0, 0)):
     """The gain rule for one metric over pairs parent[i], change[i].
 
     better is "lower" or "higher"; failed holds the failed operations of the
-    parent's and the change's runs.  Returns the pairs won by the change, the
-    median gap in the better direction, the parent's interquartile range and
-    whether a gain may be claimed."""
+    parent's and the change's runs, failed_runs the runs of each side that
+    exited non-zero.  Returns the pairs won by the change, the median gap in
+    the better direction, the parent's interquartile range and whether a
+    gain may be claimed."""
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("need at least 2 pairs, the same number on each side")
     if better not in ("lower", "higher"):
@@ -60,7 +65,8 @@ def verdict(parent, change, better, failed=(0, 0)):
     p_med, p_q1, p_q3 = summary(parent)
     gap = sign * (p_med - statistics.median(change))
     iqr = p_q3 - p_q1
-    holds = 10 * won >= 9 * len(parent) and gap > iqr and failed[1] <= failed[0]
+    holds = (10 * won >= 9 * len(parent) and gap > iqr and failed[1] <= failed[0]
+             and failed_runs[1] <= failed_runs[0])
     return {"won": won, "pairs": len(parent), "gap": gap, "parent_iqr": iqr,
             "holds": holds}
 
@@ -80,16 +86,27 @@ def _sig(x: float) -> float:
 
 
 def write_record(path: Path, workload: str, seeds: list, metrics: list, values: dict,
-                 verdicts: dict, checks: dict, failed_ops: str, provenance: dict) -> None:
+                 verdicts: dict, checks: dict, failed_ops: str, provenance: dict | None,
+                 failed_runs: list) -> None:
     """Put one workload's series into the JSON record at path, keeping the
-    record's other entries; provenance is one run's perfbench provenance."""
+    record's other entries.  seeds, values and checks cover the complete
+    pairs, failed_runs lists the runs that exited non-zero, a verdict of None
+    is unresolved, and provenance is one run's perfbench provenance (None
+    when no run finished)."""
+    all_seeds = sorted(set(seeds) | {f["seed"] for f in failed_runs})
     record = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-    record.setdefault("environment", {
-        **{key: provenance[key] for key in ("python", "numpy", "scipy", "backend", "nproc")},
-        "machine": platform.machine()})
+    if provenance is not None:
+        record.setdefault("environment", {
+            **{key: provenance[key]
+               for key in ("python", "numpy", "scipy", "backend", "nproc")},
+            "machine": platform.machine()})
     block = {}
     for m in metrics:
         v = verdicts[m["name"]]
+        if v is None:
+            block[m["name"]] = {"unit": m["unit"], "better": m["better"],
+                                "gain_holds": False, "unresolved": True}
+            continue
         block[m["name"]] = {
             "unit": m["unit"], "better": m["better"],
             **{side: dict(zip(("median", "q1", "q3"), map(_sig, summary(series[m["name"]]))))
@@ -102,14 +119,24 @@ def write_record(path: Path, workload: str, seeds: list, metrics: list, values: 
                  "checks": {side: figures[i] for side, figures in checks.items()}}
                 for i, seed in enumerate(seeds)]
     record.setdefault("workloads", {})[workload] = {
-        "pairs": len(seeds), "seeds": f"{seeds[0]}-{seeds[-1]}", "metrics": block,
-        "per_pair": per_pair, "failed_operations": failed_ops}
+        "pairs": len(all_seeds), "complete_pairs": len(seeds),
+        "seeds": f"{all_seeds[0]}-{all_seeds[-1]}", "metrics": block, "per_pair": per_pair,
+        "failed_operations": failed_ops, "failed_runs": failed_runs}
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
 
 def clear_bytecode(root: Path) -> None:
     for cache in list(root.rglob("__pycache__")):
         shutil.rmtree(cache, ignore_errors=True)
+
+
+class RunFailed(RuntimeError):
+    """A perfbench run that exited non-zero, with its exit code and the last
+    line of its standard error."""
+
+    def __init__(self, code: int, last: str):
+        super().__init__(f"exit code {code}: {last}")
+        self.code, self.last = code, last
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -119,7 +146,7 @@ def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"exit code {proc.returncode}\n{proc.stderr.strip()}")
+        raise RunFailed(proc.returncode, (proc.stderr.strip().splitlines() or [""])[-1])
     lines = proc.stdout.strip().splitlines()
     res = json.loads(lines[-1])
     res["checks"] = op_checks(proc.stdout)
@@ -149,49 +176,62 @@ def main():
         bench = json.load(fh)
     metrics, seconds = bench["end_to_end"], bench["run_seconds"]
 
-    values = {side: {m["name"]: [] for m in metrics} for side in roots}
-    checks = {side: [] for side in roots}
-    failed = {side: 0 for side in roots}
-    attempted = {side: 0 for side in roots}
+    runs, failures = [], []
     for i in range(args.pairs):
         seed = args.seed + i
+        pair = {}
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
             for root in roots.values():
                 clear_bytecode(root)
             try:
-                res = run_once(roots[side], args.workload, seed, seconds)
-            except RuntimeError as exc:
+                pair[side] = run_once(roots[side], args.workload, seed, seconds)
+            except RunFailed as exc:
+                failures.append({"pair": i + 1, "side": side, "seed": seed,
+                                 "exit_code": exc.code, "stderr": exc.last})
                 print(f"error: pair {i + 1}, {side}, seed {seed}: {exc}", file=sys.stderr)
-                return 1
-            failed[side] += res["failed"]
-            attempted[side] += res["attempted"]
-            checks[side].append(res["checks"])
-            for name, series in values[side].items():
-                series.append(res["metrics"][name]["value"])
-        print(f"pair {i + 1}/{args.pairs} (seed {seed}): " + ", ".join(
-            f"{m['name']} {values['parent'][m['name']][-1]:.4g} -> "
-            f"{values['change'][m['name']][-1]:.4g}" for m in metrics), flush=True)
+        runs.append(pair)
+        if len(pair) == len(roots):
+            print(f"pair {i + 1}/{args.pairs} (seed {seed}): " + ", ".join(
+                f"{m['name']} {pair['parent']['metrics'][m['name']]['value']:.4g} -> "
+                f"{pair['change']['metrics'][m['name']]['value']:.4g}" for m in metrics),
+                flush=True)
 
+    # verdicts and operation counts over the pairs whose two runs both finished
+    complete = [(args.seed + i, pair) for i, pair in enumerate(runs) if len(pair) == len(roots)]
+    values = {side: {m["name"]: [pair[side]["metrics"][m["name"]]["value"]
+                                 for _, pair in complete] for m in metrics} for side in roots}
+    checks = {side: [pair[side]["checks"] for _, pair in complete] for side in roots}
+    failed = {side: sum(pair[side]["failed"] for _, pair in complete) for side in roots}
+    attempted = {side: sum(pair[side]["attempted"] for _, pair in complete) for side in roots}
+    failed_runs = {side: sum(f["side"] == side for f in failures) for side in roots}
     failed_ops = (f"parent {failed['parent']} of {attempted['parent']}, "
                   f"change {failed['change']} of {attempted['change']}")
     print(f"\n{args.workload}, {args.pairs} alternated pairs, seeds "
-          f"{args.seed}-{args.seed + args.pairs - 1}; failed operations: {failed_ops}")
+          f"{args.seed}-{args.seed + args.pairs - 1}, {len(complete)} complete; "
+          f"failed runs: parent {failed_runs['parent']}, change {failed_runs['change']}; "
+          f"failed operations: {failed_ops}")
     verdicts = {}
     for m in metrics:
+        if len(complete) < 2:
+            verdicts[m["name"]] = None
+            print(f"{m['name']}: unresolved, {len(complete)} complete pairs")
+            continue
         parent, change = values["parent"][m["name"]], values["change"][m["name"]]
-        v = verdicts[m["name"]] = verdict(parent, change, m["better"],
-                                          (failed["parent"], failed["change"]))
+        v = verdicts[m["name"]] = verdict(
+            parent, change, m["better"], (failed["parent"], failed["change"]),
+            (failed_runs["parent"], failed_runs["change"]))
         sides = "  ".join(f"{side} {med:.4g} [{q1:.4g}-{q3:.4g}]" for side, (med, q1, q3)
                           in (("parent", summary(parent)), ("change", summary(change))))
         print(f"{m['name']} ({m['unit']}, {m['better']} is better): {sides}  "
               f"won {v['won']}/{v['pairs']}, gap {v['gap']:.4g} vs parent IQR "
               f"{v['parent_iqr']:.4g}: gain {'holds' if v['holds'] else 'not shown'}")
     if args.record:
-        write_record(args.record, args.workload,
-                     list(range(args.seed, args.seed + args.pairs)), metrics, values,
-                     verdicts, checks, failed_ops, res["provenance"])
+        provenance = next((res["provenance"] for pair in reversed(runs)
+                           for res in pair.values()), None)
+        write_record(args.record, args.workload, [seed for seed, _ in complete], metrics,
+                     values, verdicts, checks, failed_ops, provenance, failures)
         print(f"wrote {args.workload} into {args.record}")
-    return 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

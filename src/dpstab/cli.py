@@ -272,7 +272,7 @@ def _cmd_winding(o: dict) -> int:
                                         density=o["density"])
     else:
         raise ParameterError(f"unknown contour kind: {kind}")
-    result = evans.winding_count(contour, prof, o["alpha"], nsub=o["nsub"])
+    result = evans.winding_count(contour, prof, o["alpha"])
     _emit(o, {
         "winding": result.winding,
         "min_abs_D": result.min_abs_D,
@@ -376,10 +376,7 @@ _COMMANDS = {
         "im_abs": _Opt(float, 2.0, "rectangle half-height"),
         "hole_radius": _Opt(float, 0.05, "keyhole excluded-disc radius"),
         "density": _Opt(float, 8.0, "rectangle nodes per unit length"),
-        **_GRID,
-        "nsub": _Opt(int, None, "fixed integration substeps per grid cell; default: "
-                      "error-controlled, steps 2h and h refined per node up to nsub 16"),
-        **_out("winding"),
+        **_GRID, **_out("winding"),
     }),
     "lax": (_cmd_lax, {**_PARAMS, **_LAMBDA, **_out("lax")}),
     "kernel": (_cmd_kernel, {**_PARAMS, **_ALPHA_REQ, **_GRID, **_out("kernel"), **_PLOT}),

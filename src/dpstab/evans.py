@@ -68,21 +68,17 @@ class EvansSample:
 @dataclass(frozen=True)
 class WindingResult:
     """Winding of D along one or more oriented loops (summed); err_ratio is the
-    largest estimate e/|D_n| of an error-controlled count, which bounds the
+    largest error estimate e/|D_n| of the count, which bounds the
     unextrapolated D_n, and nsub_max the finest nsub any node needed (1 when
-    the first check sufficed); a fixed march has err_ratio None."""
+    the first check sufficed)."""
 
     winding: int
     min_abs_D: float
     loops: tuple[np.ndarray, ...]
     values: tuple[np.ndarray, ...]
     alpha: float
-    err_ratio: float | None = None
-    nsub_max: int | None = None
-
-    @property
-    def contour(self) -> np.ndarray:
-        return np.concatenate(self.loops)
+    err_ratio: float
+    nsub_max: int
 
 
 @lru_cache(maxsize=4096)
@@ -264,9 +260,10 @@ def _wrap(dph: np.ndarray) -> np.ndarray:
     return (dph + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def _loop_winding(nodes: np.ndarray, evalf) -> tuple[int, np.ndarray, np.ndarray]:
+def _loop_winding(nodes: np.ndarray, profile: Profile, alpha: float,
+                  stats: dict) -> tuple[int, np.ndarray, np.ndarray]:
     nodes = np.asarray(nodes, dtype=complex)
-    vals = evalf(nodes)
+    vals = _controlled_batch(nodes, profile, alpha, stats)
     for _ in range(_MAX_PASSES):
         if np.any(np.abs(vals) < 1e-250):
             raise SolverError("contour passes through a zero of D")
@@ -280,7 +277,7 @@ def _loop_winding(nodes: np.ndarray, evalf) -> tuple[int, np.ndarray, np.ndarray
                 raise SolverError("phase increments do not close to a multiple of 2 pi")
             return w, nodes, vals
         mids = 0.5 * (nodes[bad] + np.roll(nodes, -1)[bad])
-        mvals = evalf(mids)
+        mvals = _controlled_batch(mids, profile, alpha, stats)
         idx = np.flatnonzero(bad) + 1
         nodes = np.insert(nodes, idx, mids)
         vals = np.insert(vals, idx, mvals)
@@ -317,35 +314,26 @@ def _controlled_batch(nodes: np.ndarray, profile: Profile, alpha: float, stats: 
     return vals
 
 
-def winding_count(contour, profile: Profile, alpha: float = 0.0,
-                  nsub: int | None = None) -> WindingResult:
+def winding_count(contour, profile: Profile, alpha: float = 0.0) -> WindingResult:
     """Total winding of D over one loop (array) or several loops (list).
 
     Refines each loop by midpoint insertion, at most 14 passes, until phase
-    steps are below pi/2, then sums the unwrapped increments.  By default
-    (nsub=None) every node is marched at step 2h and h (nsub 1) on the
-    profile grid, and keeps the Richardson value D_1 + (D_1 - D_1/2)/15 when
-    the RK4 error estimate |D_1 - D_1/2|/15 is at most 1e-2 |D_1|; other
-    nodes climb to nsub 2/1, 4/2, 8/4, 16/8, past which SolverError is
-    raised.  An integer nsub marches every node at that fixed resolution.
+    steps are below pi/2, then sums the unwrapped increments.  Every node is
+    marched at step 2h and h (nsub 1) on the profile grid, and keeps the
+    Richardson value D_1 + (D_1 - D_1/2)/15 when the RK4 error estimate
+    |D_1 - D_1/2|/15 is at most 1e-2 |D_1|; other nodes climb to nsub 2/1,
+    4/2, 8/4, 16/8, past which SolverError is raised.
     Weights: as `evans_batch`, 0 <= alpha < 1 and `check_shifted_roots`.
     """
     loops = [np.asarray(contour, dtype=complex)] if isinstance(
         contour, np.ndarray) else [np.asarray(c, dtype=complex) for c in contour]
     if not loops or any(loop.ndim != 1 or loop.size < 3 for loop in loops):
         raise ParameterError("a contour needs at least one loop of at least 3 nodes")
-    stats = ({"err_ratio": 0.0, "nsub_max": _NSUB_BASE} if nsub is None
-             else {"err_ratio": None, "nsub_max": nsub})
-
-    def evalf(nodes):
-        if nsub is None:
-            return _controlled_batch(nodes, profile, alpha, stats)
-        return evans_batch(nodes, profile, alpha, nsub)[0]
-
+    stats = {"err_ratio": 0.0, "nsub_max": _NSUB_BASE}
     total = 0
     out_nodes, out_vals = [], []
     for loop in loops:
-        w, nodes, vals = _loop_winding(loop, evalf)
+        w, nodes, vals = _loop_winding(loop, profile, alpha, stats)
         total += w
         out_nodes.append(nodes)
         out_vals.append(vals)

@@ -71,7 +71,6 @@ __all__ = [
     "free_evolve",
     "GreenFunction",
     "free_green",
-    "green_eval",
     "green_apply",
     "resolvent_norm_scan",
     "EvolutionState",
@@ -169,26 +168,15 @@ class GreenFunction:
     part: G(y) = a1 e^{s1 y} for y > 0 (Re s1 < 0) and
     G(y) = -(a2 e^{s2 y} + a3 e^{s3 y}) for y < 0 (Re s2, s3 > 0), with
     a_j = 1/P'(s_j) the inverse derivative of the characteristic cubic.
-    The residue identities make G and G' continuous at 0 while G'' jumps
-    by `jump` = 1/(c - k); the resolvent acts as G * (1 - (d - alpha)^2) f.
+    The residue identities sum_j a_j = sum_j a_j s_j = 0 make G and G'
+    continuous at 0, while G'' jumps by sum_j a_j s_j^2 = 1/(c - k); the
+    resolvent acts as G * (1 - (d - alpha)^2) f.
     """
 
     lam: complex
     alpha: float
-    params: WaveParams
     roots: tuple
     a: tuple
-    jump: float
-
-    def continuity_residuals(self) -> tuple:
-        a1, a2, a3 = self.a
-        s1, s2, s3 = self.roots
-        return (a1 + a2 + a3, a1 * s1 + a2 * s2 + a3 * s3)
-
-    def jump_value(self) -> complex:
-        s1, s2, s3 = self.roots
-        a1, a2, a3 = self.a
-        return a1 * s1 * s1 + a2 * s2 * s2 + a3 * s3 * s3
 
 
 def free_green(lam, alpha: float, params: WaveParams) -> GreenFunction:
@@ -210,27 +198,7 @@ def free_green(lam, alpha: float, params: WaveParams) -> GreenFunction:
         1.0 / (ck * np.prod([s[j] - s[i] for i in range(3) if i != j]))
         for j in range(3)
     )
-    return GreenFunction(
-        lam=complex(lam), alpha=float(alpha), params=params,
-        roots=tuple(s), a=a, jump=1.0 / ck,
-    )
-
-
-def green_eval(gf: GreenFunction, y, deriv: int = 0) -> np.ndarray:
-    """Pointwise values of the kernel or its first two derivatives."""
-    if deriv not in (0, 1, 2):
-        raise ParameterError("deriv must be 0, 1 or 2")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    s1, s2, s3 = gf.roots
-    a1, a2, a3 = gf.a
-    out = np.empty(y.shape, dtype=complex)
-    pos = y >= 0.0
-    out[pos] = a1 * s1 ** deriv * np.exp(s1 * y[pos])
-    out[~pos] = -(
-        a2 * s2 ** deriv * np.exp(s2 * y[~pos])
-        + a3 * s3 ** deriv * np.exp(s3 * y[~pos])
-    )
-    return out
+    return GreenFunction(lam=complex(lam), alpha=float(alpha), roots=tuple(s), a=a)
 
 
 @_no_overflow

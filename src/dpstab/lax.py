@@ -37,18 +37,12 @@ __all__ = [
     "m_cubic",
     "l_roots",
     "lax_solve",
-    "launch_slope_error",
-    "second_relation_residual",
     "squared_eigenfunction",
     "completeness_scan",
 ]
 
 _SEP_TOL = 1e-8
 _DEG_TOL = 1e-10
-# the fit length of launch_slope_error and the interior |xi| <= 0.9 L of
-# second_relation_residual
-_SLOPE_WIDTH = 4.0
-_INTERIOR = 0.9
 
 
 @dataclass(frozen=True)
@@ -245,38 +239,6 @@ def lax_solve(sigma: complex, profile: Profile, l_target: complex,
                        f=np.ascontiguousarray(traj[:, 0]),
                        fp=np.ascontiguousarray(traj[:, 1]),
                        fpp=np.ascontiguousarray(traj[:, 2]), profile=profile)
-
-
-def launch_slope_error(sol: LaxSolution) -> float:
-    """Relative mismatch between d/dxi log|f| within 4 of the launch end and Re l."""
-    xi = sol.xi
-    if sol.direction == "+":
-        mask = xi >= sol.launch - _SLOPE_WIDTH
-    else:
-        mask = xi <= sol.launch + _SLOPE_WIDTH
-    mag = np.abs(sol.f[mask])
-    if np.any(mag == 0):
-        raise SolverError("zero magnitude near launch; slope undefined")
-    slope = np.polyfit(xi[mask], np.log(mag), 1)[0] + sol.l.real
-    if abs(sol.l.real) < 1e-12:
-        return abs(slope)
-    return abs(slope - sol.l.real) / abs(sol.l.real)
-
-
-def second_relation_residual(sol: LaxSolution) -> float:
-    """Defect of the temporal eigen-relation, relative max norm on |xi| <= 0.9 L.
-
-    Forward: (1/sigma) f'' + (c-u0) f' + u0' f = r f; the adjoint relation
-    flips the sign of the f'' term.  Renormalization cancels identically.
-    """
-    prof = sol.profile
-    cmu = prof.params.c - prof.u0
-    lead = (-1.0 if sol.adjoint else 1.0) / sol.sigma
-    res = lead * sol.fpp + cmu * sol.fp + prof.u0_p * sol.f - sol.rate * sol.f
-    den = (np.abs(lead * sol.fpp) + np.abs(cmu * sol.fp)
-           + np.abs(prof.u0_p * sol.f) + np.abs(sol.rate * sol.f))
-    mask = np.abs(sol.xi) <= _INTERIOR * prof.L
-    return float(np.max(np.abs(res[mask])) / np.max(den[mask]))
 
 
 def squared_eigenfunction(phi: LaxSolution, psi: LaxSolution) -> SquaredEigenfunction:

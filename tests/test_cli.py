@@ -246,7 +246,7 @@ def test_non_finite_config_value_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cmd, key, value", [
-    ("winding", "nsub", "2.7"), ("winding", "nsub", "true"),
+    ("winding", "n_nodes", "2.7"), ("winding", "n_nodes", "true"),
     ("spectrum", "n", "2.7"), ("spectrum", "n", "false"),
     ("gap", "c", "true"), ("winding", "center", "false"),
 ])
@@ -259,7 +259,8 @@ def test_non_integer_config_value_rejected(tmp_path, capsys, monkeypatch,
     cfg.write_text(f'{{"k": 0.1, "c": 1, "alpha": 0.5, "{key}": {value}}}')
     assert cli.run([cmd, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert re.search(rf"--{key} must be an? (integer|number|complex number), "
+    flag = "--" + key.replace("_", "-")
+    assert re.search(rf"{flag} must be an? (integer|number|complex number), "
                      "got", err), err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
@@ -585,9 +586,22 @@ def test_winding_circle_counts_double_zero(tmp_path, capsys):
     meta = _read_json(out + ".json")
     assert meta["winding"] == 2
     assert meta["min_abs_D"] > 0.0
-    # error-controlled by default: steps 2h and h sufficed at every node
-    assert meta["config"]["nsub"] is None
+    # error-controlled: steps 2h and h sufficed at every node
     assert 0.0 < meta["err_ratio"] <= 1e-2 and meta["nsub_max"] == 1
+
+
+def test_winding_takes_no_nsub(tmp_path, capsys, monkeypatch):
+    # the count is always error-controlled: --nsub is an unknown flag, and an
+    # nsub entry of a config file an unknown key
+    monkeypatch.chdir(tmp_path)
+    argv = ["winding", "--k", K, "--c", C, "--alpha", "0.5"]
+    assert cli.run(argv + ["--nsub", "10"]) == 2
+    assert "unrecognized arguments: --nsub 10" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"subcommand": "winding", "k": 0.1, "c": 1, "alpha": 0.5, "nsub": null}')
+    assert cli.run(["winding", "--config", str(cfg)]) == 2
+    assert "unknown config key: nsub" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_winding_unknown_contour(tmp_path, capsys):

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from dpstab import _backend, evans, lax
-from dpstab.dispersion import char_coeffs, char_roots, spectral_gap
-from dpstab.evolve import apply_linearized, free_green
+from dpstab.dispersion import (char_coeffs, char_roots, ess_spectrum_curve, lambda_of_r,
+                               spectral_gap)
+from dpstab.evolve import (apply_linearized, decay_rate, free_green, green_apply,
+                           linear_evolve, nonlinear_evolve)
+from dpstab.kernel import conserved, kernel_basis
 from dpstab.wave import (ParameterError, SolverError, WaveParams, half_step_samples,
                          solve_profile)
 from march_oracle import marches as oracle_marches
@@ -38,15 +41,21 @@ def test_weighted_equivalence(prof01):
     assert evans.weighted_equivalence_check(0.5, prof01, 0.0) == 0.0
 
 
-def _fixed_march_agrees(res, contour, prof):
-    """The nsub=10 count of contour, after checking that the error-controlled
-    result res agrees with it."""
-    fixed = evans.winding_count(contour, prof, 0.5, nsub=10)
-    assert fixed.winding == res.winding
-    assert abs(res.min_abs_D - fixed.min_abs_D) <= 1e-6 * fixed.min_abs_D
+def _fixed_march_agrees(res, prof):
+    """Check the error-controlled count res against the nsub=10 march of the
+    nodes it refined: every phase step of the nsub-10 values stays below
+    pi/2, and their winding and min|D| match res."""
     assert res.err_ratio <= 1e-2 and res.nsub_max == 1
-    assert fixed.err_ratio is None and fixed.nsub_max == 10
-    return fixed
+    winding, min_abs = 0.0, np.inf
+    for loop in res.loops:
+        D10 = evans.evans_batch(loop, prof, 0.5, nsub=10)[0]
+        ph = np.angle(D10)
+        dph = (np.diff(np.append(ph, ph[0])) + np.pi) % (2.0 * np.pi) - np.pi
+        assert np.abs(dph).max() < 0.5 * np.pi
+        winding += dph.sum() / (2.0 * np.pi)
+        min_abs = min(min_abs, np.abs(D10).min())
+    assert abs(winding - res.winding) < 1e-6
+    assert abs(res.min_abs_D - min_abs) <= 1e-6 * min_abs
 
 
 def test_winding_small_circle(prof01):
@@ -55,9 +64,7 @@ def test_winding_small_circle(prof01):
     assert res.winding == 2
     assert res.min_abs_D > 0
     assert len(res.values) == 1 and len(res.values[0]) == len(res.loops[0])
-    fixed = _fixed_march_agrees(res, loop, prof01)
-    D10 = evans.evans_batch(fixed.loops[0], prof01, 0.5, nsub=10)[0]
-    assert np.array_equal(fixed.values[0], D10)
+    _fixed_march_agrees(res, prof01)
 
 
 def test_winding_keyhole(prof01, params01):
@@ -66,8 +73,8 @@ def test_winding_keyhole(prof01, params01):
     res = evans.winding_count(loops, prof01, alpha=0.5)
     assert res.winding == 0
     assert len(res.loops) == 2
-    assert res.contour.shape[0] == sum(len(l) for l in res.loops)
-    _fixed_march_agrees(res, loops, prof01)
+    assert [len(v) for v in res.values] == [len(l) for l in res.loops]
+    _fixed_march_agrees(res, prof01)
 
 
 @pytest.mark.parametrize("contour", [
@@ -220,6 +227,58 @@ def test_scale_covariance(prof01, a):
         psi = lax.lax_solve(sigma / a, prof_a, lax.l_roots(p.k * sigma, adjoint=True)[0],
                             "+", adjoint=True)
         assert lax.squared_eigenfunction(phi, psi).residual_interior < 1e-8
+
+
+@pytest.mark.parametrize("a", [0.37, 3.0])
+def test_scale_covariance_chain(params01, a):
+    # the same scaling through the rest of the chain, (a k, a c) against (k, c):
+    # the gap and the weighted curve scale by a, the spatial roots at a lambda
+    # are unchanged, the free resolvent at a lambda is 1/a times its value, z1
+    # and eta1 scale by a and 1/a while z2 and eta2 stay, E, Q and H scale by
+    # a, a^2 and a^3, and a flow run to T/a takes the same steps, keeping the
+    # linear norms and scaling the decay slope and the final momentum by a.
+    # Measured errors are at most 1.1e-14 (eta1), 2.9e-15 (linear slope) and
+    # 6.3e-15 (final momentum); each bound is 100 to 250 times its error
+    p, pa = params01, WaveParams(a * params01.k, a * params01.c)
+    for alpha in (0.5, 1.5):
+        gap = a * spectral_gap(p, alpha)
+        assert abs(spectral_gap(pa, alpha) - gap) <= 3e-14 * gap
+    sigma = np.linspace(-40.0, 40.0, 81)
+    curve = a * ess_spectrum_curve(p, 0.5, sigma)
+    assert np.abs(ess_spectrum_curve(pa, 0.5, sigma) - curve).max() <= 3e-14 * np.abs(curve).max()
+    r = 1j * sigma[::8] - 0.5
+    curve = a * lambda_of_r(r, p)
+    assert np.abs(lambda_of_r(r, pa) - curve).max() <= 3e-14 * np.abs(curve).max()
+    prof = solve_profile(p, L=40.0, h=0.04)
+    prof_a = solve_profile(pa, L=40.0, h=0.04)
+    phi = np.exp(-((prof.xi - 3.0) / 4.0) ** 2) * np.cos(0.7 * prof.xi)
+    for lam in (0.3 + 0.2j, 1.0):
+        # at real lambda a conjugate pair of roots may swap places
+        dist = np.abs(char_roots(a * lam, pa)[:, None] - char_roots(lam, p))
+        assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 2e-13
+        u = green_apply(free_green(lam, 0.5, p), phi, prof.h) / a
+        u_a = green_apply(free_green(a * lam, 0.5, pa), phi, prof.h)
+        assert np.abs(u_a - u).max() <= 3e-13 * np.abs(u).max()
+    basis, basis_a = kernel_basis(prof, 0.5), kernel_basis(prof_a, 0.5)
+    for name, factor in (("z1", a), ("z2", 1.0), ("eta1", 1.0 / a), ("eta2", 1.0)):
+        want = factor * getattr(basis, name)
+        assert np.abs(getattr(basis_a, name) - want).max() <= 1e-12 * np.abs(want).max()
+    cv, cv_a = conserved(p, prof.h, u=prof.u0), conserved(pa, prof.h, u=prof_a.u0)
+    for name, power in (("E_mass", 1), ("Q", 2), ("H", 3)):
+        want = a ** power * getattr(cv, name)
+        assert abs(getattr(cv_a, name) - want) <= 6e-14 * abs(want)
+    w0 = np.exp(-0.5 * (prof.xi - 2.0) ** 2)
+    run = linear_evolve(w0, prof, 0.5, T=10.0, n_records=21)
+    run_a = linear_evolve(w0, prof_a, 0.5, T=10.0 / a, n_records=21)
+    assert abs(a * run_a.dt - run.dt) <= 3e-14 * run.dt
+    assert np.abs(run_a.norm_w - run.norm_w).max() <= 1e-13 * run.norm_w.max()
+    slope = a * decay_rate(run)
+    assert abs(decay_rate(run_a) - slope) <= 3e-13 * abs(slope)
+    xi = 0.1 * np.arange(-400, 401)
+    m0 = p.k + 0.5 * np.exp(-0.5 * xi ** 2)
+    m = a * nonlinear_evolve(m0, p, T=5.0, h=0.1, n_records=11).w
+    m_a = nonlinear_evolve(a * m0, pa, T=5.0 / a, h=0.1, n_records=11).w
+    assert np.abs(m_a - m).max() <= 6e-13 * np.abs(m).max()
 
 
 def test_meet_point_invariance(prof01):
@@ -450,8 +509,6 @@ def test_nsub_must_be_integer_at_least_one(prof01, params01):
         with pytest.raises(ParameterError, match="nsub"):
             evans.evans_eval(0.7 + 0.1j, prof01, 0.5, nsub=bad)
         with pytest.raises(ParameterError, match="nsub"):
-            evans.winding_count(evans.circle_contour(1.0, 0.05, 8), prof01, 0.5, nsub=bad)
-        with pytest.raises(ParameterError, match="nsub"):
             lax.lax_solve(sigma, prof01, l_plus, "+", nsub=bad)
     # numpy integers are integers
     assert (evans.evans_eval(0.7 + 0.1j, prof01, 0.5, nsub=np.int64(1)).value
@@ -555,7 +612,7 @@ def test_error_control_odd_grid(params01):
     loop = evans.circle_contour(0.0, 0.05, 64)
     res = evans.winding_count(loop, prof, 0.5)
     assert res.winding == 2 and res.nsub_max == 1
-    _fixed_march_agrees(res, loop, prof)
+    _fixed_march_agrees(res, prof)
 
 
 def _marched_columns(nodes, prof, monkeypatch):

@@ -126,15 +126,41 @@ def test_lax_solve_validation(prof01, params01):
         lax.lax_solve(1.2, prof01, roots[0], "sideways")
 
 
+def _launch_slope_error(sol):
+    """Relative mismatch between d/dxi log|f| within 4 of the launch end and
+    Re l; the renormalized f carries e^{-l xi}, so its fitted slope is Re l off."""
+    xi = sol.xi
+    mask = xi >= sol.launch - 4.0 if sol.direction == "+" else xi <= sol.launch + 4.0
+    mag = np.abs(sol.f[mask])
+    assert np.all(mag > 0)
+    slope = np.polyfit(xi[mask], np.log(mag), 1)[0] + sol.l.real
+    if abs(sol.l.real) < 1e-12:
+        return abs(slope)
+    return abs(slope - sol.l.real) / abs(sol.l.real)
+
+
+def _second_relation_residual(sol):
+    """Defect of the temporal relation r f = (1/sigma) f'' + (c - u0) f' + u0' f
+    (adjoint: -(1/sigma) f''), relative max norm on |xi| <= 0.9 L; the
+    renormalization cancels."""
+    prof = sol.profile
+    cmu = prof.params.c - prof.u0
+    lead = (-1.0 if sol.adjoint else 1.0) / sol.sigma
+    terms = (lead * sol.fpp, cmu * sol.fp, prof.u0_p * sol.f, -sol.rate * sol.f)
+    den = sum(np.abs(t) for t in terms)
+    mask = np.abs(sol.xi) <= 0.9 * prof.L
+    return np.abs(sum(terms)[mask]).max() / den[mask].max()
+
+
 def test_lax_solution_quality(prof01, params01):
     for sigma in (1.2, -0.8, 2.0 + 0.7j):
         roots = lax.l_roots(params01.k * sigma)
         phi = lax.lax_solve(sigma, prof01, roots[0], "+")
-        assert lax.launch_slope_error(phi) < 0.01
-        assert lax.second_relation_residual(phi) < 1e-5
+        assert _launch_slope_error(phi) < 0.01
+        assert _second_relation_residual(phi) < 1e-5
         ar = lax.l_roots(params01.k * sigma, adjoint=True)
         psi = lax.lax_solve(sigma, prof01, ar[0], "+", adjoint=True)
-        assert lax.second_relation_residual(psi) < 1e-5
+        assert _second_relation_residual(psi) < 1e-5
 
 
 def test_lax_arrays_mirror(prof01):
